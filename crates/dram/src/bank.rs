@@ -52,6 +52,7 @@ impl Bank {
     }
 
     /// The currently open row, if any.
+    #[inline]
     pub fn open_row(&self) -> Option<u32> {
         self.open_row
     }
@@ -76,22 +77,37 @@ impl Bank {
         self.next_precharge
     }
 
+    /// The smallest of this bank's timing registers that lies after `now`
+    /// (`MemCycle::MAX` if all have passed): until then, every `can_*`
+    /// predicate answers as it does at `now`.
+    #[inline]
+    pub(crate) fn next_change(&self, now: MemCycle) -> MemCycle {
+        first_after(
+            now,
+            [self.next_activate, self.next_column, self.next_precharge],
+        )
+    }
+
     /// True if the bank is closed and past its tRC/tRP constraints at `now`.
+    #[inline]
     pub fn can_activate(&self, _timing: &DramTiming, now: MemCycle) -> bool {
         self.open_row.is_none() && now >= self.next_activate
     }
 
     /// True if a read could issue at `now` (row open, tRCD satisfied).
+    #[inline]
     pub fn can_read(&self, _timing: &DramTiming, now: MemCycle) -> bool {
         self.open_row.is_some() && now >= self.next_column
     }
 
     /// True if a write could issue at `now`.
+    #[inline]
     pub fn can_write(&self, timing: &DramTiming, now: MemCycle) -> bool {
         self.can_read(timing, now)
     }
 
     /// True if a precharge could issue at `now`.
+    #[inline]
     pub fn can_precharge(&self, _timing: &DramTiming, now: MemCycle) -> bool {
         self.open_row.is_some() && now >= self.next_precharge
     }
@@ -165,6 +181,17 @@ impl Bank {
         self.open_row = None;
         self.next_activate = self.next_activate.max(ready_at);
     }
+}
+
+/// The earliest of `registers` strictly after `now`, or `MemCycle::MAX`.
+pub(crate) fn first_after<const N: usize>(now: MemCycle, registers: [MemCycle; N]) -> MemCycle {
+    let mut next = MemCycle::MAX;
+    for t in registers {
+        if t > now && t < next {
+            next = t;
+        }
+    }
+    next
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Rank and channel aggregation: tRRD / tFAW, refresh, and the shared data
 //! bus.
 
-use crate::bank::Bank;
+use crate::bank::{first_after, Bank};
 use crate::power::PowerCounters;
 use crate::refresh::RefreshState;
 use crate::timing::DramTiming;
@@ -13,8 +13,9 @@ use hydra_types::geometry::MemGeometry;
 #[derive(Debug, Clone)]
 pub struct Rank {
     banks: Vec<Bank>,
-    /// Issue times of the last four activates, for the tFAW window.
-    faw: [MemCycle; 4],
+    /// Issue times of the last four activates, for the tFAW window
+    /// (`None` until four activates have issued).
+    faw: [Option<MemCycle>; 4],
     faw_cursor: usize,
     /// Earliest next activate to *any* bank (tRRD).
     next_act_any: MemCycle,
@@ -25,7 +26,7 @@ impl Rank {
     fn new(banks: usize, timing: &DramTiming, refresh_phase: MemCycle) -> Self {
         Rank {
             banks: vec![Bank::new(); banks],
-            faw: [0; 4],
+            faw: [None; 4],
             faw_cursor: 0,
             next_act_any: 0,
             refresh: RefreshState::new(timing, refresh_phase),
@@ -33,6 +34,7 @@ impl Rank {
     }
 
     /// Access a bank immutably.
+    #[inline]
     pub fn bank(&self, bank: u8) -> &Bank {
         &self.banks[bank as usize]
     }
@@ -54,17 +56,37 @@ impl Rank {
 
     /// True if rank-level constraints (tRRD, tFAW, refresh) permit an
     /// activate at `now`.
+    #[inline]
     pub fn rank_allows_activate(&self, timing: &DramTiming, now: MemCycle) -> bool {
         if self.refresh.is_refreshing(now) || now < self.next_act_any {
             return false;
         }
         // tFAW: the 4th-most-recent ACT must be at least tFAW ago.
-        let oldest = self.faw[self.faw_cursor];
-        oldest == 0 || now >= oldest + timing.tfaw
+        self.faw[self.faw_cursor].is_none_or(|oldest| now >= oldest + timing.tfaw)
+    }
+
+    /// The smallest cycle after `now` at which this rank's constraints
+    /// (tRRD, tFAW, refresh) or any of its banks' timing registers expire,
+    /// or `MemCycle::MAX` if none is pending.
+    pub(crate) fn next_change(&self, timing: &DramTiming, now: MemCycle) -> MemCycle {
+        let tfaw_expiry = self.faw[self.faw_cursor].map_or(0, |oldest| oldest + timing.tfaw);
+        let rank = first_after(
+            now,
+            [
+                self.next_act_any,
+                tfaw_expiry,
+                self.refresh.busy_until(),
+                self.refresh.next_due(),
+            ],
+        );
+        self.banks
+            .iter()
+            .map(|b| b.next_change(now))
+            .fold(rank, MemCycle::min)
     }
 
     fn record_activate(&mut self, timing: &DramTiming, now: MemCycle) {
-        self.faw[self.faw_cursor] = now;
+        self.faw[self.faw_cursor] = Some(now);
         self.faw_cursor = (self.faw_cursor + 1) % 4;
         self.next_act_any = now + timing.trrd;
     }
@@ -125,11 +147,13 @@ impl DramChannel {
     }
 
     /// The channel's timing parameters.
+    #[inline]
     pub fn timing(&self) -> &DramTiming {
         &self.timing
     }
 
     /// The memory geometry.
+    #[inline]
     pub fn geometry(&self) -> &MemGeometry {
         &self.geom
     }
@@ -145,17 +169,20 @@ impl DramChannel {
     }
 
     /// Access a rank.
+    #[inline]
     pub fn rank(&self, rank: u8) -> &Rank {
         &self.ranks[rank as usize]
     }
 
     /// The open row of a bank, if any.
+    #[inline]
     pub fn open_row(&self, rank: u8, bank: u8) -> Option<u32> {
         self.ranks[rank as usize].bank(bank).open_row()
     }
 
     /// True if an ACT to `(rank, bank)` is legal at `now` (bank closed, tRC
     /// elapsed, tRRD/tFAW/refresh satisfied).
+    #[inline]
     pub fn can_activate(&self, rank: u8, bank: u8, now: MemCycle) -> bool {
         let r = &self.ranks[rank as usize];
         r.rank_allows_activate(&self.timing, now) && r.bank(bank).can_activate(&self.timing, now)
@@ -181,6 +208,7 @@ impl DramChannel {
 
     /// True if a column read of the open row is legal at `now` (tRCD elapsed,
     /// data bus free).
+    #[inline]
     pub fn can_read(&self, rank: u8, bank: u8, now: MemCycle) -> bool {
         now >= self.bus_free_at
             && !self.ranks[rank as usize].refresh().is_refreshing(now)
@@ -190,6 +218,7 @@ impl DramChannel {
     }
 
     /// True if a column write is legal at `now`.
+    #[inline]
     pub fn can_write(&self, rank: u8, bank: u8, now: MemCycle) -> bool {
         self.can_read(rank, bank, now)
     }
@@ -225,6 +254,7 @@ impl DramChannel {
     }
 
     /// True if a precharge is legal at `now`.
+    #[inline]
     pub fn can_precharge(&self, rank: u8, bank: u8, now: MemCycle) -> bool {
         self.ranks[rank as usize]
             .bank(bank)
@@ -267,9 +297,28 @@ impl DramChannel {
         issued
     }
 
+    /// The smallest cycle after `now` at which any command's legality on this
+    /// channel, or its refresh schedule, can change without a command being
+    /// issued; `MemCycle::MAX` if nothing is pending.
+    ///
+    /// `can_activate`, `can_read`, `can_write` and `can_precharge` on every
+    /// bank, and whether [`Self::maintain_refresh`] issues, are constant
+    /// over `now..next_change(now)` as long as no command issues: every
+    /// predicate compares `now` against one register (bank
+    /// `next_activate` / `next_column` / `next_precharge`, rank tRRD, tFAW
+    /// expiry, refresh `busy_until` / `next_due`, the bus), and this is the
+    /// first register still ahead of `now`.
+    pub fn next_change(&self, now: MemCycle) -> MemCycle {
+        self.ranks
+            .iter()
+            .map(|r| r.next_change(&self.timing, now))
+            .fold(first_after(now, [self.bus_free_at]), MemCycle::min)
+    }
+
     /// Earliest cycle at which another column command may issue (data bursts
     /// pipeline behind CAS latency, so back-to-back commands are legal every
     /// `burst` cycles).
+    #[inline]
     pub fn bus_free_at(&self) -> MemCycle {
         self.bus_free_at
     }
@@ -314,27 +363,39 @@ mod tests {
 
     #[test]
     fn tfaw_limits_burst_of_activates() {
+        // Eight banks, so a fifth ACT can go to a bank that was never opened
+        // and only tFAW (not tRC) can hold it back.
+        let geom = MemGeometry::new(1, 1, 8, 1024, 1024).expect("valid geometry");
+        let mut ch = DramChannel::new(geom, DramTiming::ddr4_3200(), 0);
+        let t = *ch.timing();
+        assert!(
+            4 * t.trrd < t.tfaw,
+            "timings must make tFAW the binding limit"
+        );
+        // Four ACTs as fast as tRRD allows, the first at cycle 0.
+        for bank in 0..4u8 {
+            ch.activate(0, bank, 1, u64::from(bank) * t.trrd);
+        }
+        let fifth = 4 * t.trrd;
+        assert!(
+            !ch.can_activate(0, 4, fifth),
+            "5th ACT at {fifth} must wait for tFAW ({})",
+            t.tfaw
+        );
+        assert!(!ch.can_activate(0, 4, t.tfaw - 1));
+        assert!(ch.can_activate(0, 4, t.tfaw));
+    }
+
+    #[test]
+    fn next_change_is_the_first_pending_register() {
         let mut ch = channel();
         let t = *ch.timing();
-        // Issue 4 ACTs to different banks as fast as tRRD allows.
-        let mut now = 0;
-        for bank in 0..4u8 {
-            ch.activate(0, bank, 1, now);
-            now += t.trrd;
-        }
-        // tiny geometry only has 4 banks; close bank 0 so a 5th ACT could go
-        // there, but tFAW must still hold it back.
-        let pre_at = t.tras.max(now);
-        ch.precharge(0, 0, pre_at);
-        let retry = (pre_at + t.trp).max(t.trc);
-        if retry < t.tfaw {
-            assert!(
-                !ch.can_activate(0, 0, retry),
-                "5th ACT at {retry} should violate tFAW ({})",
-                t.tfaw
-            );
-        }
-        assert!(ch.can_activate(0, 0, t.tfaw.max(retry)));
+        // Idle channel: only the first refresh is pending.
+        assert_eq!(ch.next_change(0), t.trefi);
+        ch.activate(0, 0, 5, 0);
+        assert_eq!(ch.next_change(0), t.trrd);
+        assert_eq!(ch.next_change(t.trrd), t.trcd);
+        assert_eq!(ch.next_change(t.trcd), t.tras);
     }
 
     #[test]

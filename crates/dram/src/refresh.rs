@@ -43,11 +43,13 @@ impl RefreshState {
     }
 
     /// True if a REF command is due at or before `now`.
+    #[inline]
     pub fn is_due(&self, now: MemCycle) -> bool {
         now >= self.next_due
     }
 
     /// True while the rank is blocked by an in-flight REF.
+    #[inline]
     pub fn is_refreshing(&self, now: MemCycle) -> bool {
         now < self.busy_until
     }
@@ -55,6 +57,11 @@ impl RefreshState {
     /// Cycle at which the current REF (if any) finishes.
     pub fn busy_until(&self) -> MemCycle {
         self.busy_until
+    }
+
+    /// Cycle at which the next REF falls due.
+    pub(crate) fn next_due(&self) -> MemCycle {
+        self.next_due
     }
 
     /// Number of REF commands issued so far.

@@ -25,6 +25,57 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Activate-heavy ops over two ranks of eight banks, so that tRRD and tFAW
+/// windows fill up and bind.
+fn rank_op_strategy() -> impl Strategy<Value = (u8, Op)> {
+    let op = prop_oneof![
+        6 => (0u8..8, 0u32..64).prop_map(|(bank, row)| Op::Activate { bank, row }),
+        3 => (0u8..8).prop_map(|bank| Op::Precharge { bank }),
+        1 => (0u8..8).prop_map(|bank| Op::Read { bank }),
+        1 => (0u8..8).prop_map(|bank| Op::Write { bank }),
+        1 => (1u16..100).prop_map(|cycles| Op::Wait { cycles }),
+    ];
+    (0u8..2, op)
+}
+
+/// Issues `op` on `(rank, op's bank)` if the channel says it is legal now;
+/// a wait advances `now` instead.
+fn apply(ch: &mut DramChannel, rank: u8, op: Op, now: &mut MemCycle) {
+    match op {
+        Op::Activate { bank, row } if ch.can_activate(rank, bank, *now) => {
+            ch.activate(rank, bank, row, *now);
+        }
+        Op::Read { bank } if ch.can_read(rank, bank, *now) => {
+            ch.read(rank, bank, *now);
+        }
+        Op::Write { bank } if ch.can_write(rank, bank, *now) => {
+            ch.write(rank, bank, *now);
+        }
+        Op::Precharge { bank } if ch.can_precharge(rank, bank, *now) => {
+            ch.precharge(rank, bank, *now);
+        }
+        Op::Wait { cycles } => *now += MemCycle::from(cycles),
+        _ => {}
+    }
+}
+
+/// Every time-dependent answer the channel gives at `t`: per bank
+/// (activate, read, precharge legality), then per rank whether a refresh
+/// would issue.
+fn legality(ch: &DramChannel, geom: &MemGeometry, t: MemCycle) -> Vec<bool> {
+    let mut answers = Vec::new();
+    for rank in 0..geom.ranks_per_channel() {
+        for bank in 0..geom.banks_per_rank() {
+            answers.push(ch.can_activate(rank, bank, t));
+            answers.push(ch.can_read(rank, bank, t));
+            answers.push(ch.can_precharge(rank, bank, t));
+        }
+        let refresh = ch.rank(rank).refresh();
+        answers.push(refresh.is_due(t) && !refresh.is_refreshing(t));
+    }
+    answers
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -108,5 +159,39 @@ proptest! {
         }
         // ~5 tREFI elapsed: at least 4 refreshes must have been issued.
         prop_assert!(ch.stats().refreshes >= 4, "refreshes {}", ch.stats().refreshes);
+    }
+
+    /// Between commands, nothing about the channel changes before
+    /// `next_change(now)`: every bank's `can_activate` / `can_read` /
+    /// `can_precharge` and every rank's refresh trigger answer the same at
+    /// any cycle in `now..next_change(now)` as at `now`. The memory
+    /// controller relies on this to skip cycles in which it cannot issue.
+    /// A short tREFI makes refreshes land inside the sequences.
+    #[test]
+    fn legality_is_constant_until_next_change(
+        ops in prop::collection::vec(rank_op_strategy(), 1..300),
+        probes in prop::collection::vec(0.0f64..1.0, 4),
+    ) {
+        let geom = MemGeometry::new(1, 2, 8, 64, 1024).expect("valid geometry");
+        let mut timing = DramTiming::ddr4_3200();
+        timing.trefi = 2_000;
+        let mut ch = DramChannel::new(geom, timing, 0);
+        let mut now: MemCycle = 0;
+        for (rank, op) in ops {
+            ch.maintain_refresh(now);
+            apply(&mut ch, rank, op, &mut now);
+            let next = ch.next_change(now);
+            prop_assert!(next > now);
+            let at_now = legality(&ch, &geom, now);
+            // The answers are threshold tests on `now`, so the last cycle
+            // before `next` is the decisive probe; a few interior cycles
+            // guard against non-monotone predicates.
+            let last = next.min(now + 4 * timing.trefi) - 1;
+            let interior = probes.iter().map(|p| now + ((last - now) as f64 * p) as MemCycle);
+            for t in interior.chain([now + 1, last]).filter(|&t| t <= last) {
+                prop_assert_eq!(&legality(&ch, &geom, t), &at_now, "t={} now={} next={}", t, now, next);
+            }
+            now += 1;
+        }
     }
 }

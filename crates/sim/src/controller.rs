@@ -129,6 +129,10 @@ pub struct MemController {
     /// Optional telemetry sink for queue enqueue/issue events; `None` costs
     /// one branch per emission site.
     probe: Option<Box<dyn EventSink>>,
+    /// Memo of the last tick that issued nothing: until this cycle no
+    /// scheduling decision can differ from that tick's, so `tick` skips the
+    /// queue scan. Zero (never ahead of `now`) when no memo is held.
+    idle_until: MemCycle,
 }
 
 impl MemController {
@@ -167,6 +171,7 @@ impl MemController {
             },
             stats: ControllerStats::default(),
             probe: None,
+            idle_until: 0,
         }
     }
 
@@ -234,6 +239,7 @@ impl MemController {
             .map_or(logical, |i| i.physical(logical));
         let id = self.next_id;
         self.next_id += 256;
+        self.idle_until = 0;
         self.read_q.push_back(Request {
             id,
             row,
@@ -263,6 +269,7 @@ impl MemController {
             .map_or(logical, |i| i.physical(logical));
         let id = self.next_id;
         self.next_id += 256;
+        self.idle_until = 0;
         self.write_q.push_back(Request {
             id,
             row,
@@ -387,6 +394,13 @@ impl MemController {
 
     /// Advances one memory cycle; returns any demand reads whose data burst
     /// was scheduled this cycle (their `done_at` may be in the future).
+    ///
+    /// A tick that issues nothing leaves the controller's state untouched,
+    /// so its outcome can only differ at a later cycle once some timing
+    /// register it compared against passes. Such a tick records that cycle
+    /// (`next_wake`), and the ticks before it return right after the window
+    /// and refresh checks; an enqueue, a refresh or a window reset drops the
+    /// memo.
     pub fn tick(&mut self, now: MemCycle) -> Vec<CompletedRead> {
         // Tracking-window reset (Sec. 4.6).
         if now >= self.next_window_reset {
@@ -397,8 +411,14 @@ impl MemController {
             self.next_window_reset += self.dram.timing().refresh_window;
             // Rate-limit blacklists expire with the window.
             self.blacklist.retain(|_, &mut until| until > now);
+            self.idle_until = 0;
         }
-        self.dram.maintain_refresh(now);
+        if self.dram.maintain_refresh(now) > 0 {
+            self.idle_until = 0;
+        }
+        if now < self.idle_until {
+            return Vec::new();
+        }
 
         // Write-drain hysteresis.
         if self.write_q.len() >= self.write_high {
@@ -408,12 +428,27 @@ impl MemController {
         }
 
         let mut completions = Vec::new();
-        if self.try_issue(now, &mut completions) {
-            return completions;
+        // A cycle no queue uses closes a victim-refresh bank; if none can
+        // close either, this tick changed nothing.
+        if !self.try_issue(now, &mut completions) && !self.service_auto_close(now) {
+            self.idle_until = self.next_wake(now);
         }
-        // Nothing issued: use the idle cycle to close victim-refresh banks.
-        self.service_auto_close(now);
         completions
+    }
+
+    /// The first cycle after `now` at which a scheduling predicate can
+    /// change on its own: a DRAM timing register passing
+    /// ([`DramChannel::next_change`]) or a blacklist entry expiring. Window
+    /// resets and refreshes need no wake-up here, since `tick` checks them
+    /// every cycle and drops the memo when one fires. Neither does the side
+    /// queue's promotion by age: it only reorders the queue scans, and a
+    /// tick that found nothing in any queue finds nothing in another order.
+    fn next_wake(&self, now: MemCycle) -> MemCycle {
+        self.blacklist
+            .values()
+            .copied()
+            .filter(|&t| t > now)
+            .fold(self.dram.next_change(now), MemCycle::min)
     }
 
     /// Attempts to issue one command, in priority order. Returns true if a
@@ -441,10 +476,7 @@ impl MemController {
         if drain && self.issue_from_queue(QueueSel::Write, now, completions) {
             return true;
         }
-        if self.issue_from_queue(QueueSel::Side, now, completions) {
-            return true;
-        }
-        false
+        self.issue_from_queue(QueueSel::Side, now, completions)
     }
 
     /// Victim refresh: one ACT on the victim row (the refresh), auto-closed
@@ -479,114 +511,132 @@ impl MemController {
         false
     }
 
-    fn service_auto_close(&mut self, now: MemCycle) {
+    /// Precharges one victim-refresh bank that may close; true if one did.
+    fn service_auto_close(&mut self, now: MemCycle) -> bool {
         for i in 0..self.auto_close.len() {
             let (rank, bank) = self.auto_close[i];
             if self.dram.can_precharge(rank, bank, now) {
                 self.dram.precharge(rank, bank, now);
                 self.auto_close.swap_remove(i);
-                return;
+                return true;
             }
         }
+        false
     }
 
+    /// FR-FCFS over one queue, in a single pass over its depth-capped head.
+    ///
+    /// - FR: the oldest row-hit, column-ready request wins outright.
+    /// - FCFS otherwise: per bank, the oldest request drives that bank's
+    ///   state (activate a closed bank, or precharge a conflicting row), and
+    ///   the first such request whose command is legal wins. Younger
+    ///   requests to the same bank must not steal its precharge — that
+    ///   would serialize conflicts across banks. Rate-limited rows may not
+    ///   be (re)activated; younger requests proceed around them.
+    ///
+    /// Scans are depth-capped: the side queue can grow very large under
+    /// bursty metadata traffic (e.g. row-swap copies), and an O(queue) scan
+    /// per cycle would melt down; the head window preserves FR-FCFS
+    /// behaviour where it matters.
+    fn pick(&self, sel: QueueSel, now: MemCycle) -> Option<Pick> {
+        // While the data bus is busy no column command is legal anywhere.
+        let columns_legal = now >= self.dram.bus_free_at();
+        let mut seen_banks: u64 = 0;
+        let mut row_command = None;
+        for (i, req) in self.queue(sel).iter().take(SCAN_DEPTH).enumerate() {
+            let (rank, bank, row) = (req.row.rank, req.row.bank, req.row.row);
+            let open = self.dram.open_row(rank, bank);
+            if columns_legal && open == Some(row) && self.dram.can_read(rank, bank, now) {
+                return Some(Pick::Column(i));
+            }
+            if row_command.is_some()
+                || self
+                    .blacklist
+                    .get(&req.row)
+                    .is_some_and(|&until| now < until)
+            {
+                continue;
+            }
+            let bank_bit = 1u64 << (u32::from(rank) * 16 + u32::from(bank)).min(63);
+            if seen_banks & bank_bit != 0 {
+                continue; // an older request owns this bank's next command
+            }
+            seen_banks |= bank_bit;
+            row_command = match open {
+                None if self.dram.can_activate(rank, bank, now) => Some(Pick::Activate(i)),
+                Some(open) if open != row && self.dram.can_precharge(rank, bank, now) => {
+                    Some(Pick::Precharge(i))
+                }
+                _ => None, // timing-blocked, or a row hit waiting on the bus
+            };
+        }
+        row_command
+    }
+
+    /// Issues the command [`Self::pick`] chooses from `sel`, if any.
     fn issue_from_queue(
         &mut self,
         sel: QueueSel,
         now: MemCycle,
         completions: &mut Vec<CompletedRead>,
     ) -> bool {
-        // Pass 1 (FR): oldest row-hit, column-ready request. Scans are
-        // depth-capped: the side queue can grow very large under bursty
-        // metadata traffic (e.g. row-swap copies), and an O(queue) scan per
-        // cycle would melt down; the head window preserves FR-FCFS behaviour
-        // where it matters.
-        let queue = self.queue(sel);
-        let mut column_candidate = None;
-        for (i, req) in queue.iter().take(SCAN_DEPTH).enumerate() {
-            let (rank, bank) = (req.row.rank, req.row.bank);
-            if self.dram.open_row(rank, bank) == Some(req.row.row)
-                && self.dram.can_read(rank, bank, now)
-            {
-                column_candidate = Some(i);
-                break;
+        let Some(pick) = self.pick(sel, now) else {
+            return false;
+        };
+        match pick {
+            Pick::Column(i) => {
+                // The index came from the same queue a moment ago, so the
+                // remove cannot miss; the let-else just avoids a panic path.
+                let Some(req) = self.queue_mut(sel).remove(i) else {
+                    return false;
+                };
+                self.emit(
+                    now,
+                    TelemetryEvent::CtrlIssue {
+                        queue: sel.telemetry_queue(),
+                        wait: now.saturating_sub(req.arrival),
+                    },
+                );
+                let is_write =
+                    matches!(req.kind, RequestKind::DemandWrite | RequestKind::SideWrite);
+                let done = if is_write {
+                    self.dram.write(req.row.rank, req.row.bank, now)
+                } else {
+                    self.dram.read(req.row.rank, req.row.bank, now)
+                };
+                match req.kind {
+                    RequestKind::DemandRead { core } => {
+                        self.stats.reads_done += 1;
+                        self.stats.read_latency_sum += done - req.arrival;
+                        completions.push(CompletedRead {
+                            id: req.id,
+                            core,
+                            done_at: done,
+                        });
+                    }
+                    RequestKind::DemandWrite => self.stats.writes_done += 1,
+                    RequestKind::SideRead | RequestKind::SideWrite => self.stats.side_done += 1,
+                    RequestKind::VictimRefresh => {
+                        unreachable!("mitigations have their own queue")
+                    }
+                }
+            }
+            Pick::Activate(i) => {
+                let req = self.queue(sel)[i];
+                self.dram
+                    .activate(req.row.rank, req.row.bank, req.row.row, now);
+                let kind = match req.kind {
+                    RequestKind::SideRead | RequestKind::SideWrite => ActivationKind::TrackerSide,
+                    _ => ActivationKind::Demand,
+                };
+                self.notify_tracker(req.row, now, kind);
+            }
+            Pick::Precharge(i) => {
+                let req = self.queue(sel)[i];
+                self.dram.precharge(req.row.rank, req.row.bank, now);
             }
         }
-        // The candidate index came from the same queue a moment ago, so the
-        // remove cannot miss; the if-let just avoids a panic path.
-        if let Some(req) = column_candidate.and_then(|i| self.queue_mut(sel).remove(i)) {
-            self.emit(
-                now,
-                TelemetryEvent::CtrlIssue {
-                    queue: sel.telemetry_queue(),
-                    wait: now.saturating_sub(req.arrival),
-                },
-            );
-            let is_write = matches!(req.kind, RequestKind::DemandWrite | RequestKind::SideWrite);
-            let done = if is_write {
-                self.dram.write(req.row.rank, req.row.bank, now)
-            } else {
-                self.dram.read(req.row.rank, req.row.bank, now)
-            };
-            match req.kind {
-                RequestKind::DemandRead { core } => {
-                    self.stats.reads_done += 1;
-                    self.stats.read_latency_sum += done - req.arrival;
-                    completions.push(CompletedRead {
-                        id: req.id,
-                        core,
-                        done_at: done,
-                    });
-                }
-                RequestKind::DemandWrite => self.stats.writes_done += 1,
-                RequestKind::SideRead | RequestKind::SideWrite => self.stats.side_done += 1,
-                RequestKind::VictimRefresh => unreachable!("mitigations have their own queue"),
-            }
-            return true;
-        }
-
-        // Pass 2 (FCFS): per bank, the oldest request drives that bank's
-        // state (activate a closed bank, or precharge a conflicting row).
-        // Younger requests to the same bank must not steal its precharge —
-        // that would serialize conflicts across banks.
-        let queue = self.queue(sel);
-        let mut seen_banks: u64 = 0;
-        for &req in queue.iter().take(SCAN_DEPTH) {
-            // Rate-limited rows may not be (re)activated; let younger
-            // requests proceed around them.
-            if self
-                .blacklist
-                .get(&req.row)
-                .is_some_and(|&until| now < until)
-            {
-                continue;
-            }
-            let (rank, bank) = (req.row.rank, req.row.bank);
-            let bank_bit = 1u64 << (u32::from(rank) * 16 + u32::from(bank)).min(63);
-            if seen_banks & bank_bit != 0 {
-                continue; // an older request owns this bank's next command
-            }
-            seen_banks |= bank_bit;
-            match self.dram.open_row(rank, bank) {
-                None if self.dram.can_activate(rank, bank, now) => {
-                    self.dram.activate(rank, bank, req.row.row, now);
-                    let kind = match req.kind {
-                        RequestKind::SideRead | RequestKind::SideWrite => {
-                            ActivationKind::TrackerSide
-                        }
-                        _ => ActivationKind::Demand,
-                    };
-                    self.notify_tracker(req.row, now, kind);
-                    return true;
-                }
-                Some(open) if open != req.row.row && self.dram.can_precharge(rank, bank, now) => {
-                    self.dram.precharge(rank, bank, now);
-                    return true;
-                }
-                _ => {} // closed but timing-blocked, open row, or waiting on the bus
-            }
-        }
-        false
+        true
     }
 
     fn queue(&self, sel: QueueSel) -> &VecDeque<Request> {
@@ -613,6 +663,17 @@ const SCAN_DEPTH: usize = 64;
 const SIDE_PROMOTE_DEPTH: usize = 8;
 /// Side-request age (cycles) beyond which it jumps ahead of reads.
 const SIDE_PROMOTE_AGE: MemCycle = 256;
+
+/// The command the scheduler chose, by index into the scanned queue.
+#[derive(Debug, Clone, Copy)]
+enum Pick {
+    /// Read or write the request's column in its open row.
+    Column(usize),
+    /// Open the request's row.
+    Activate(usize),
+    /// Close the conflicting row in the request's bank.
+    Precharge(usize),
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueueSel {

@@ -10,9 +10,21 @@
 
 use crate::controller::MemController;
 use hydra_types::clock::MemCycle;
+use hydra_types::MemGeometry;
 use hydra_workloads::trace::{TraceOp, TraceSource};
-use std::collections::HashMap;
 use std::collections::VecDeque;
+
+/// An outstanding demand read.
+#[derive(Debug, Clone, Copy)]
+struct Miss {
+    /// Request id returned by the controller.
+    id: u64,
+    /// Instructions retired when the read issued (the ROB window anchor).
+    retired_at_issue: u64,
+    /// Cycle the data arrives; `MemCycle::MAX` until the controller
+    /// schedules the burst.
+    ready_at: MemCycle,
+}
 
 /// One simulated core.
 pub struct CoreModel {
@@ -25,12 +37,11 @@ pub struct CoreModel {
     retired: u64,
     gap_remaining: u32,
     /// The memory op whose gap has been consumed but which has not yet been
-    /// accepted by the controller (backpressure).
-    pending: Option<TraceOp>,
-    /// Outstanding misses: (request id, retired count at issue), oldest first.
-    outstanding: VecDeque<(u64, u64)>,
-    /// Data-ready times for outstanding requests, filled by completions.
-    ready_at: HashMap<u64, MemCycle>,
+    /// accepted by the controller (backpressure), with its channel decoded
+    /// once at fetch.
+    pending: Option<(TraceOp, u8)>,
+    /// Outstanding misses, oldest first (at most `max_outstanding`).
+    outstanding: VecDeque<Miss>,
     stall_cycles: u64,
 }
 
@@ -56,7 +67,6 @@ impl CoreModel {
             gap_remaining: 0,
             pending: None,
             outstanding: VecDeque::new(),
-            ready_at: HashMap::new(),
             stall_cycles: 0,
         }
     }
@@ -84,43 +94,42 @@ impl CoreModel {
     /// Records a completed read (called by the system when the controller
     /// reports it).
     pub fn data_ready(&mut self, request_id: u64, at: MemCycle) {
-        self.ready_at.insert(request_id, at);
+        if let Some(miss) = self.outstanding.iter_mut().find(|m| m.id == request_id) {
+            miss.ready_at = at;
+        }
+    }
+
+    /// Pulls the next op from the trace into `pending`, folding its compute
+    /// gap into `gap_remaining` and decoding its channel once.
+    fn fetch(&mut self, geometry: &MemGeometry) {
+        let op = self.trace.next_op();
+        self.gap_remaining += op.gap;
+        let channel = geometry.row_of_line(op.addr).channel;
+        self.pending = Some((TraceOp { gap: 0, ..op }, channel));
     }
 
     /// The channel of the next memory operation this core will issue
     /// (fetching it from the trace if necessary). The system uses this to
     /// hand the core the right channel's controller each cycle.
-    pub fn next_op_channel(&mut self, geometry: &hydra_types::MemGeometry) -> u8 {
+    pub fn next_op_channel(&mut self, geometry: &MemGeometry) -> u8 {
         if self.pending.is_none() {
-            let op = self.trace.next_op();
-            self.gap_remaining += op.gap;
-            self.pending = Some(TraceOp { gap: 0, ..op });
+            self.fetch(geometry);
         }
-        self.pending
-            .as_ref()
-            .map(|op| geometry.row_of_line(op.addr).channel)
-            .unwrap_or(0)
+        self.pending.map_or(0, |(_, channel)| channel)
     }
 
     /// Retires completed misses whose data has arrived by `now`.
     fn retire_ready_misses(&mut self, now: MemCycle) {
-        while let Some(&(id, _)) = self.outstanding.front() {
-            match self.ready_at.get(&id) {
-                Some(&t) if t <= now => {
-                    self.ready_at.remove(&id);
-                    self.outstanding.pop_front();
-                }
-                _ => break,
-            }
+        while self.outstanding.front().is_some_and(|m| m.ready_at <= now) {
+            self.outstanding.pop_front();
         }
     }
 
     /// True if the ROB window is exhausted behind the oldest miss.
     fn rob_blocked(&self) -> bool {
-        match self.outstanding.front() {
-            Some(&(_, at_issue)) => self.retired - at_issue >= self.rob_size,
-            None => false,
-        }
+        self.outstanding
+            .front()
+            .is_some_and(|m| self.retired - m.retired_at_issue >= self.rob_size)
     }
 
     /// Advances one memory cycle, retiring instructions and issuing memory
@@ -132,7 +141,6 @@ impl CoreModel {
             return;
         }
         self.retire_ready_misses(now);
-        let geometry = *controller.dram().geometry();
         let channel = controller.channel();
         let mut budget = self.fetch_per_mem_cycle;
         let mut progressed = false;
@@ -149,43 +157,35 @@ impl CoreModel {
                 progressed = true;
                 continue;
             }
-            // Fetch (or resume) the next memory op.
-            let op = match self.pending.take() {
-                Some(op) => op,
-                None => {
-                    let op = self.trace.next_op();
-                    if op.gap > 0 {
-                        self.gap_remaining = op.gap;
-                        self.pending = Some(TraceOp { gap: 0, ..op });
-                        continue;
-                    }
-                    op
-                }
+            // Fetch (or resume) the next memory op; its gap, if any, is
+            // burned first.
+            let Some((op, op_channel)) = self.pending else {
+                self.fetch(controller.dram().geometry());
+                continue;
             };
-            if geometry.row_of_line(op.addr).channel != channel {
+            if op_channel != channel {
                 // Wrong channel this cycle: resume when the system routes us
                 // to the owning controller.
-                self.pending = Some(op);
                 break;
             }
             if op.is_write {
                 if !controller.enqueue_write(op.addr, now) {
-                    self.pending = Some(op);
                     break;
                 }
             } else {
                 if self.outstanding.len() >= self.max_outstanding {
-                    self.pending = Some(op);
                     break;
                 }
-                match controller.enqueue_read(op.addr, self.id, now) {
-                    Some(id) => self.outstanding.push_back((id, self.retired)),
-                    None => {
-                        self.pending = Some(op);
-                        break;
-                    }
-                }
+                let Some(id) = controller.enqueue_read(op.addr, self.id, now) else {
+                    break;
+                };
+                self.outstanding.push_back(Miss {
+                    id,
+                    retired_at_issue: self.retired,
+                    ready_at: MemCycle::MAX,
+                });
             }
+            self.pending = None;
             self.retired += 1;
             budget -= 1;
             progressed = true;

@@ -99,69 +99,64 @@ impl SystemSim {
     /// Panics if the simulation exceeds a safety bound of 100 billion
     /// cycles, which indicates a deadlock bug rather than a slow workload.
     pub fn run(&mut self) -> SimResult {
-        let mut now: MemCycle = 0;
+        self.run_with_progress(0, |_| {})
+    }
+
+    /// Like [`Self::run`], but invokes `report` with a progress summary
+    /// every `report_every` cycles (never when it is 0) — a debugging aid
+    /// for stuck configurations. The library never prints; the caller
+    /// decides where the summary goes (a bin's stderr, a log sink, a test
+    /// buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same deadlock bound as [`Self::run`].
+    pub fn run_with_progress<F>(&mut self, report_every: MemCycle, mut report: F) -> SimResult
+    where
+        F: FnMut(&str),
+    {
         const SAFETY_BOUND: MemCycle = 100_000_000_000;
+        let mut now: MemCycle = 0;
         while !self.cores.iter().all(|c| c.is_done()) {
-            for controller in &mut self.controllers {
-                for done in controller.tick(now) {
-                    self.cores[done.core].data_ready(done.id, done.done_at);
-                }
+            if report_every > 0 && now.is_multiple_of(report_every) && now > 0 {
+                report(&self.progress(now));
             }
-            let controllers = &mut self.controllers;
-            let geometry = self.config.geometry;
-            for core in &mut self.cores {
-                if core.is_done() {
-                    continue;
-                }
-                // Route the core to the channel owning its next memory op;
-                // ops for other channels stay pending until their turn.
-                let channel = core.next_op_channel(&geometry);
-                let index = usize::from(channel) % controllers.len();
-                core.tick(now, &mut controllers[index]);
-            }
+            self.step(now);
             now += 1;
             assert!(now < SAFETY_BOUND, "simulation deadlock");
         }
         self.collect(now)
     }
 
-    /// Like [`Self::run`], but invokes `report` with a progress summary
-    /// every `report_every` cycles — a debugging aid for stuck
-    /// configurations. The library never prints; the caller decides where
-    /// the summary goes (a bin's stderr, a log sink, a test buffer).
-    pub fn run_with_progress<F>(&mut self, report_every: MemCycle, mut report: F) -> SimResult
-    where
-        F: FnMut(&str),
-    {
-        use std::fmt::Write as _;
-        let mut now: MemCycle = 0;
-        while !self.cores.iter().all(|c| c.is_done()) {
-            if report_every > 0 && now.is_multiple_of(report_every) && now > 0 {
-                let retired: Vec<u64> = self.cores.iter().map(|c| c.retired()).collect();
-                let mut summary = format!("cycle {now}: retired {retired:?}");
-                for (i, c) in self.controllers.iter().enumerate() {
-                    let _ = write!(summary, "\n  ch{i}: {c:?}");
-                }
-                report(&summary);
+    /// One memory cycle: every controller, then every unfinished core.
+    fn step(&mut self, now: MemCycle) {
+        for controller in &mut self.controllers {
+            for done in controller.tick(now) {
+                self.cores[done.core].data_ready(done.id, done.done_at);
             }
-            for controller in &mut self.controllers {
-                for done in controller.tick(now) {
-                    self.cores[done.core].data_ready(done.id, done.done_at);
-                }
-            }
-            let controllers = &mut self.controllers;
-            let geometry = self.config.geometry;
-            for core in &mut self.cores {
-                if core.is_done() {
-                    continue;
-                }
-                let channel = core.next_op_channel(&geometry);
-                let index = usize::from(channel) % controllers.len();
-                core.tick(now, &mut controllers[index]);
-            }
-            now += 1;
         }
-        self.collect(now)
+        let controllers = &mut self.controllers;
+        let geometry = self.config.geometry;
+        for core in &mut self.cores {
+            if core.is_done() {
+                continue;
+            }
+            // Route the core to the channel owning its next memory op;
+            // ops for other channels stay pending until their turn.
+            let channel = core.next_op_channel(&geometry);
+            let index = usize::from(channel) % controllers.len();
+            core.tick(now, &mut controllers[index]);
+        }
+    }
+
+    fn progress(&self, now: MemCycle) -> String {
+        use std::fmt::Write as _;
+        let retired: Vec<u64> = self.cores.iter().map(|c| c.retired()).collect();
+        let mut summary = format!("cycle {now}: retired {retired:?}");
+        for (i, c) in self.controllers.iter().enumerate() {
+            let _ = write!(summary, "\n  ch{i}: {c:?}");
+        }
+        summary
     }
 
     fn collect(&self, cycles: MemCycle) -> SimResult {
@@ -211,6 +206,20 @@ mod tests {
         assert!(result.cycles > 0);
         assert!(result.ipc() > 0.0);
         assert_eq!(result.instructions, 2 * 10_000);
+    }
+
+    #[test]
+    fn progress_reports_leave_the_run_unchanged() {
+        let mut config = SystemConfig::tiny_test();
+        config.instructions_per_core = 10_000;
+        let geom = config.geometry;
+        let plain = SystemSim::new(config.clone(), replay_per_core(geom, &[1, 2, 3])).run();
+        let mut reports = Vec::new();
+        let reported = SystemSim::new(config, replay_per_core(geom, &[1, 2, 3]))
+            .run_with_progress(1_000, |summary| reports.push(summary.to_string()));
+        assert_eq!(plain, reported);
+        assert_eq!(reports.len() as u64, (plain.cycles - 1) / 1_000);
+        assert!(reports[0].starts_with("cycle 1000: retired"));
     }
 
     #[test]
