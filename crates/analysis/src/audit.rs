@@ -29,6 +29,7 @@
 //!   must fit in `0..=255` or counters wrap and undercount.
 
 use hydra_core::HydraConfig;
+use hydra_types::json::quote;
 use std::fmt;
 
 /// The audit's overall conclusion.
@@ -141,7 +142,7 @@ impl AuditReport {
     /// report is flat and all strings are escaped here).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{");
-        out.push_str(&format!("\"tracker\":{},", json_string(&self.tracker)));
+        out.push_str(&format!("\"tracker\":{},", quote(&self.tracker)));
         out.push_str(&format!("\"t_rh\":{},", self.t_rh));
         out.push_str(&format!("\"t_h\":{},", self.t_h));
         out.push_str(&format!("\"t_g\":{},", self.t_g));
@@ -164,7 +165,7 @@ impl AuditReport {
                 witness_bound,
             } => {
                 out.push_str("\"verdict\":\"insecure\",");
-                let ids: Vec<String> = failed_checks.iter().map(|f| json_string(f)).collect();
+                let ids: Vec<String> = failed_checks.iter().map(|f| quote(f)).collect();
                 out.push_str(&format!("\"failed_checks\":[{}],", ids.join(",")));
                 match witness_bound {
                     Some(b) => out.push_str(&format!("\"witness_bound\":{b},")),
@@ -179,13 +180,13 @@ impl AuditReport {
             }
             out.push_str(&format!(
                 "{{\"id\":{},\"passed\":{},\"bound\":{},\"detail\":{}}}",
-                json_string(c.id),
+                quote(c.id),
                 c.passed,
                 match c.bound {
                     Some(b) => b.to_string(),
                     None => "null".to_string(),
                 },
-                json_string(&c.detail)
+                quote(&c.detail)
             ));
         }
         out.push_str("]}");
@@ -371,25 +372,6 @@ pub fn audit_hydra(config: &HydraConfig, t_rh: u32) -> AuditReport {
     }
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,11 +499,5 @@ mod tests {
         let bad = audit_hydra(&isca22(), 400).to_json();
         assert!(bad.contains("\"verdict\":\"insecure\""));
         assert!(bad.contains("\"witness_bound\":498"));
-    }
-
-    #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -46,26 +46,12 @@
 //!
 //! Exit code 0 iff every run gets the expected verdict (no false
 //! negatives on the attacks, no false positives on the benign set).
-//!
-//! With `--sweep` it runs the parallel-engine determinism gate: the smoke
-//! design-space grid is swept once sequentially and once with four
-//! workers, and the two runs must produce byte-identical deterministic
-//! projections, an empty failure list, a non-empty Pareto frontier, and a
-//! passing GCT-size trend:
-//!
-//! ```text
-//! cargo run -p hydra-analysis --bin hydra-audit -- --sweep
-//! ```
-//!
-//! Exit code 0 iff parallel == sequential and the sweep invariants hold.
 
 use hydra_analysis::audit::{audit_hydra, AuditReport};
 use hydra_analysis::faults::{degradation_table, render_table};
 use hydra_core::{Hydra, HydraConfig};
 use hydra_dram::DramTiming;
-use hydra_engine::sweep::{run_sweep, SweepGrid};
 use hydra_forensics::ForensicsProbe;
-use hydra_sim::batch::BatchConfig;
 use hydra_sim::{run_windowed, ActivationSim, WindowSeries};
 use hydra_types::{MemGeometry, RowAddr};
 use hydra_workloads::attacks::{AttackPattern, CANONICAL_NAMES};
@@ -78,21 +64,11 @@ struct Case {
     expect_secure: bool,
 }
 
-fn geometry_by_name(name: &str) -> Option<MemGeometry> {
-    match name {
-        "tiny" => Some(MemGeometry::tiny()),
-        "isca22" => Some(MemGeometry::isca22_baseline()),
-        "ddr5" => Some(MemGeometry::ddr5_32gb()),
-        _ => None,
-    }
-}
-
 fn main() -> ExitCode {
     let mut json = false;
     let mut faults = false;
     let mut windows = false;
     let mut forensics = false;
-    let mut sweep = false;
     let mut t_rh: u32 = 500;
     let mut acts: u64 = 40_000;
     let mut geometries: Vec<&'static str> = vec!["tiny", "isca22", "ddr5"];
@@ -106,7 +82,6 @@ fn main() -> ExitCode {
             "--faults" => faults = true,
             "--windows" => windows = true,
             "--forensics" => forensics = true,
-            "--sweep" => sweep = true,
             "--t-rh" => {
                 i += 1;
                 t_rh = match args.get(i).and_then(|v| v.parse().ok()) {
@@ -124,7 +99,7 @@ fn main() -> ExitCode {
             "--geometry" => {
                 i += 1;
                 match args.get(i) {
-                    Some(g) if geometry_by_name(g).is_some() => {
+                    Some(g) if MemGeometry::by_name(g).is_some() => {
                         geometries = vec![match g.as_str() {
                             "tiny" => "tiny",
                             "isca22" => "isca22",
@@ -141,12 +116,6 @@ fn main() -> ExitCode {
         i += 1;
     }
 
-    if sweep {
-        if faults || windows || forensics {
-            return usage("--sweep excludes the other modes");
-        }
-        return sweep_mode();
-    }
     if forensics {
         if faults || windows {
             return usage("--forensics excludes --faults and --windows");
@@ -176,7 +145,7 @@ fn main() -> ExitCode {
 
     let mut cases: Vec<Case> = Vec::new();
     for name in &geometries {
-        let geom = match geometry_by_name(name) {
+        let geom = match MemGeometry::by_name(name) {
             Some(g) => g,
             None => return usage("internal geometry error"),
         };
@@ -325,7 +294,7 @@ fn faults_mode(geometries: &[&str], t_rh: u32, acts: u64) -> ExitCode {
 fn windows_mode(geometries: &[&str], t_rh: u32, acts: u64, json: bool) -> ExitCode {
     let mut broken = 0usize;
     for name in geometries {
-        let geom = match geometry_by_name(name) {
+        let geom = match MemGeometry::by_name(name) {
             Some(g) => g,
             None => return usage("internal geometry error"),
         };
@@ -519,98 +488,6 @@ fn forensics_mode() -> ExitCode {
     }
 }
 
-/// The parallel-engine determinism gate: sweeps the smoke grid once
-/// sequentially and once with four workers and demands byte-identical
-/// deterministic projections, zero failed cells, a non-empty Pareto
-/// frontier, and a passing GCT-size trend in both runs.
-fn sweep_mode() -> ExitCode {
-    let grid = SweepGrid::smoke();
-    let batch = |jobs: usize| BatchConfig {
-        retries: 1,
-        backoff_base: std::time::Duration::from_millis(50),
-        watchdog: std::time::Duration::from_secs(300),
-        artifact_dir: None,
-        jobs,
-    };
-
-    let sequential = match run_sweep(&grid, batch(1)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("hydra-audit: sequential sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let parallel = match run_sweep(&grid, batch(4)) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("hydra-audit: parallel sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut failures = 0usize;
-    for (label, outcome) in [("sequential", &sequential), ("parallel", &parallel)] {
-        if !outcome.failures.is_empty() {
-            failures += 1;
-            eprintln!(
-                "hydra-audit: {label} sweep had {} failed cell(s): {}",
-                outcome.failures.len(),
-                outcome.failures.join("; ")
-            );
-        }
-        if outcome.pareto().is_empty() {
-            failures += 1;
-            eprintln!("hydra-audit: {label} sweep produced an empty Pareto frontier");
-        }
-        if !outcome.trend_ok() {
-            failures += 1;
-            for check in outcome.trend_checks().iter().filter(|c| !c.ok) {
-                eprintln!(
-                    "hydra-audit: {label} GCT trend regression in {}/trh{}: \
-                     gct {} -> {} raised mitigations {} -> {} or slowdown {:.4}% -> {:.4}%",
-                    check.workload,
-                    check.t_rh,
-                    check.gct_low,
-                    check.gct_high,
-                    check.mitigations_low,
-                    check.mitigations_high,
-                    check.slowdown_low_pct,
-                    check.slowdown_high_pct
-                );
-            }
-        }
-    }
-
-    let seq_lines = sequential.deterministic_lines();
-    let par_lines = parallel.deterministic_lines();
-    if seq_lines != par_lines {
-        failures += 1;
-        let diverging = seq_lines
-            .iter()
-            .zip(par_lines.iter())
-            .position(|(a, b)| a != b)
-            .map(|i| i.to_string())
-            .unwrap_or_else(|| "length".to_string());
-        eprintln!("hydra-audit: jobs=4 sweep diverges from jobs=1 at line {diverging}");
-    }
-
-    println!(
-        "hydra-audit: sweep gate over {} cell(s): {} Pareto point(s), {} trend group(s), \
-         parallel {} sequential",
-        sequential.rows.len(),
-        sequential.pareto().len(),
-        sequential.trend_checks().len(),
-        if seq_lines == par_lines { "==" } else { "!=" }
-    );
-    if failures == 0 {
-        println!("hydra-audit: sweep gate clean (deterministic, Pareto non-empty, trend holds)");
-        ExitCode::SUCCESS
-    } else {
-        println!("hydra-audit: sweep gate recorded {failures} failure(s)");
-        ExitCode::FAILURE
-    }
-}
-
 fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("hydra-audit: {error}");
@@ -619,8 +496,7 @@ fn usage(error: &str) -> ExitCode {
         "usage: hydra-audit [--geometry tiny|isca22|ddr5] [--t-rh N] [--json]\n       \
          hydra-audit --faults [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N]\n       \
          hydra-audit --windows [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N] [--json]\n       \
-         hydra-audit --forensics\n       \
-         hydra-audit --sweep"
+         hydra-audit --forensics"
     );
     if error.is_empty() {
         ExitCode::SUCCESS

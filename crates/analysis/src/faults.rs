@@ -64,16 +64,6 @@ impl FaultCaseSpec {
         }
     }
 
-    /// Resolves the geometry name.
-    pub fn mem_geometry(&self) -> Option<MemGeometry> {
-        match self.geometry.as_str() {
-            "tiny" => Some(MemGeometry::tiny()),
-            "isca22" => Some(MemGeometry::isca22_baseline()),
-            "ddr5" => Some(MemGeometry::ddr5_32gb()),
-            _ => None,
-        }
-    }
-
     /// Builds the Hydra configuration for this case: `T_H = T_RH / 2`,
     /// `T_G = 0.8 · T_H`, and *small* structures (64-entry GCT, 32-entry
     /// RCC) so faults on the DRAM path actually matter at bench scale.
@@ -82,8 +72,7 @@ impl FaultCaseSpec {
     ///
     /// Returns [`ConfigError`] for unknown geometries or invalid thresholds.
     pub fn build_config(&self) -> Result<HydraConfig, ConfigError> {
-        let geometry = self
-            .mem_geometry()
+        let geometry = MemGeometry::by_name(&self.geometry)
             .ok_or_else(|| ConfigError::new(format!("unknown geometry {}", self.geometry)))?;
         let t_h = (self.t_rh / 2).max(2);
         let t_g = ((t_h * 4) / 5).max(1);

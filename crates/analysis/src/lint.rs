@@ -66,6 +66,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use hydra_types::json::quote;
+
 use crate::dag;
 use crate::lex::{Token, TokenKind, TokenStream};
 
@@ -254,34 +256,15 @@ pub fn findings_to_json(findings: &[Finding]) -> String {
         let info = rule(f.rule);
         out.push_str(&format!(
             "\n  {{\"rule\":{},\"severity\":{},\"file\":{},\"line\":{},\"message\":{},\"fix_hint\":{}}}",
-            json_str(f.rule),
-            json_str(info.severity.as_str()),
-            json_str(&f.file.display().to_string()),
+            quote(f.rule),
+            quote(info.severity.as_str()),
+            quote(&f.file.display().to_string()),
             f.line,
-            json_str(&f.message),
-            json_str(info.fix_hint),
+            quote(&f.message),
+            quote(info.fix_hint),
         ));
     }
     out.push_str("\n]\n");
-    out
-}
-
-/// Minimal JSON string encoder (the workspace has no serde).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -312,8 +295,8 @@ pub const SCHEMA_LITERALS: [(&str, &str, &str); 9] = [
     ),
     (
         "hydra-sweep-v1",
-        "hydra_engine::SWEEP_SCHEMA_VERSION",
-        "crates/engine/src/sweep.rs",
+        "hydra_arena::SWEEP_SCHEMA_VERSION",
+        "crates/arena/src/sweep.rs",
     ),
     (
         "hydra-serve-v1",

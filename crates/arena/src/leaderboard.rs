@@ -10,19 +10,15 @@
 //! through is disqualified by its own `oracle_violations` field, not by
 //! reviewer vigilance.
 //!
-//! Cells run through the parallel batch harness (`hydra_sim::batch`) with
-//! the same determinism contract as `hydra sweep`: a cell's result depends
-//! only on the cell, results are reported in grid order, and `--jobs 4`
-//! produces byte-identical rows to `--jobs 1` once the one
-//! nondeterministic field (`wall_secs`, emitted last) is excluded —
-//! [`ArenaRow::deterministic_json`] is that projection and the CI
-//! `arena-smoke` job diffs it across job counts.
+//! Cells run through the parallel batch harness (`hydra_sim::batch`) by
+//! the experiment core that also runs [`crate::sweep`], under the same
+//! determinism contract: `--jobs 4` ≡ `--jobs 1` but for `wall_secs`.
 //!
 //! # The two scales
 //!
-//! The simulation runs at *bench scale* (a window compressed by
-//! [`WINDOW_SCALE`], the same compression every other gate in the
-//! workspace uses), so slowdown, mitigations, and spillover are measured.
+//! The simulation runs at *bench scale* (a refresh window compressed
+//! 1000×, the same compression every other gate in the workspace uses),
+//! so slowdown, mitigations, and spillover are measured.
 //! The SRAM axis, however, is reported at *paper scale* via
 //! [`paper_sram_bits`] — each tracker's analytic storage model from
 //! [`hydra_baselines::storage`] evaluated at DDR4 provisioning
@@ -37,32 +33,22 @@
 //! Hydra must need less SRAM than Graphene while staying within a slowdown
 //! tolerance of it ([`Fig5Check`]).
 
+use crate::experiment::{self, Experiment, Outcome, Row};
 use crate::roster::{build_tracker, roster_names, CRA_CACHE_BYTES};
-use crate::tracker::ArenaAdapter;
+use crate::tracker::{ArenaAdapter, Tracker};
 use hydra_baselines::storage;
 use hydra_core::HydraStorage;
-use hydra_dram::DramTiming;
-use hydra_sim::batch::{BatchConfig, BatchJob, BatchRunner, JobStatus};
+use hydra_sim::batch::{BatchConfig, BatchJob};
 use hydra_sim::oracle::ShadowOracle;
-use hydra_sim::ActivationSim;
-use hydra_types::addr::RowAddr;
-use hydra_types::deadline::Stopwatch;
+use hydra_sim::ActivationSimReport;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
-use hydra_workloads::attacks::AttackPattern;
-use hydra_workloads::registry;
-use hydra_workloads::TraceSource as _;
 use std::fmt::Write as _;
 
 /// Version tag stamped on every `hydra sweep --arena` JSONL line. This
 /// constant is the only place the literal may appear in library code
 /// (enforced by `repo-lint`'s schema-single-source rule).
 pub const ARENA_SCHEMA_VERSION: &str = "hydra-arena-v1";
-
-/// Refresh-window scaling applied to every arena cell, matching the bench
-/// harness and `hydra sweep`: a short run still crosses many tracking
-/// windows.
-const WINDOW_SCALE: u64 = 1000;
 
 /// Figure-5 slowdown tolerance, in percentage points: Hydra's slowdown may
 /// exceed Graphene's by at most this much and still count as matching the
@@ -127,20 +113,6 @@ impl ArenaGrid {
         }
     }
 
-    /// Resolves the geometry name.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] for an unknown name.
-    pub fn resolve_geometry(&self) -> Result<MemGeometry, ConfigError> {
-        match self.geometry.as_str() {
-            "tiny" => Ok(MemGeometry::tiny()),
-            "isca22" => Ok(MemGeometry::isca22_baseline()),
-            "ddr5" => Ok(MemGeometry::ddr5_32gb()),
-            other => Err(ConfigError::new(format!("unknown geometry {other}"))),
-        }
-    }
-
     /// Expands the grid into cells, in deterministic nested order.
     ///
     /// # Errors
@@ -149,16 +121,15 @@ impl ArenaGrid {
     /// empty, a tracker is not on the roster, or a workload name is neither
     /// a registry workload nor a canonical attack pattern.
     pub fn cells(&self) -> Result<Vec<ArenaCell>, ConfigError> {
-        let geometry = self.resolve_geometry()?;
-        for (name, len) in [
-            ("trackers", self.trackers.len()),
-            ("t_rh", self.t_rh.len()),
-            ("workloads", self.workloads.len()),
-        ] {
-            if len == 0 {
-                return Err(ConfigError::new(format!("empty arena axis {name}")));
-            }
-        }
+        let geometry = experiment::check_grid(
+            &self.geometry,
+            "arena",
+            &[
+                ("trackers", self.trackers.len()),
+                ("t_rh", self.t_rh.len()),
+                ("workloads", self.workloads.len()),
+            ],
+        )?;
         for tracker in &self.trackers {
             if !roster_names().contains(&tracker.as_str()) {
                 return Err(ConfigError::new(format!(
@@ -169,11 +140,7 @@ impl ArenaGrid {
         }
         let mut cells = Vec::new();
         for workload in &self.workloads {
-            if registry::by_name(workload).is_none()
-                && AttackPattern::canonical(workload, geometry).is_none()
-            {
-                return Err(ConfigError::new(format!("unknown workload {workload}")));
-            }
+            experiment::check_workload(workload, geometry)?;
             for &t_rh in &self.t_rh {
                 for tracker in &self.trackers {
                     cells.push(ArenaCell {
@@ -211,52 +178,19 @@ pub struct ArenaCell {
     pub seed: u64,
 }
 
-impl ArenaCell {
-    /// The cell's stable label (also the batch-job label).
-    pub fn label(&self) -> String {
+/// One arena cell is one batch job, so the harness's panic isolation,
+/// watchdog, and retries apply per cell.
+impl BatchJob for ArenaCell {
+    type Output = ArenaRow;
+
+    fn label(&self) -> String {
         format!("{}/{}/trh{}", self.tracker, self.workload, self.t_rh)
     }
 
-    /// Materializes the cell's activation stream: a registry workload's
-    /// trace mapped to rows, or a canonical attack pattern, pinned to
-    /// channel 0 (arena cells route their whole stream to one instance,
-    /// like sweep cells).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description if the workload name resolves to neither.
-    pub fn rows(&self) -> Result<Vec<RowAddr>, String> {
-        if let Some(spec) = registry::by_name(&self.workload) {
-            let mut trace = spec.build(self.geometry, 256, self.seed);
-            return Ok((0..self.acts)
-                .map(|_| {
-                    let mut row = self.geometry.row_of_line(trace.next_op().addr);
-                    row.channel = 0;
-                    row
-                })
-                .collect());
-        }
-        let pattern = AttackPattern::canonical(&self.workload, self.geometry)
-            .ok_or_else(|| format!("unknown workload {}", self.workload))?;
-        let mut rows = pattern.rows(self.geometry);
-        Ok((0..self.acts)
-            .map(|_| {
-                let mut row = rows.next_row();
-                row.channel = 0;
-                row
-            })
-            .collect())
-    }
-
-    /// Runs the cell: builds the tracker from the roster, wraps it in the
-    /// shadow oracle, replays the stream, and reduces to one [`ArenaRow`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of any configuration or workload failure.
-    pub fn run(&self) -> Result<ArenaRow, String> {
-        let timing = DramTiming::ddr4_3200().with_scaled_window(WINDOW_SCALE);
-        let window_acts = timing.max_activations_per_window();
+    /// Builds the tracker from the roster, wraps it in the shadow oracle,
+    /// replays the stream, and reduces to one [`ArenaRow`].
+    fn run(&self, _attempt: u32) -> Result<ArenaRow, String> {
+        let window_acts = experiment::timing().max_activations_per_window();
         let tracker = build_tracker(
             &self.tracker,
             self.geometry,
@@ -266,15 +200,11 @@ impl ArenaCell {
             window_acts,
         )
         .map_err(|e| e.to_string())?;
-        let params = crate::tracker::Tracker::params(&tracker);
+        let params = Tracker::params(&tracker);
         let sram_bits = paper_sram_bits(&self.tracker, self.t_rh).map_err(|e| e.to_string())?;
         let oracle = ShadowOracle::new(ArenaAdapter::new(tracker), self.t_rh);
-        let mut sim = ActivationSim::new(self.geometry, oracle).with_timing(timing);
-        let rows = self.rows()?;
-        let start = Stopwatch::start();
-        let report = sim.run(rows);
-        let wall_secs = start.elapsed_nanos() as f64 / 1e9;
-        let oracle = sim.into_tracker();
+        let (oracle, report, wall_secs) =
+            experiment::replay(oracle, self.geometry, &self.workload, self.acts, self.seed)?;
         let oracle_report = oracle.report();
         let tracker = oracle.into_inner().into_inner();
         Ok(ArenaRow {
@@ -286,17 +216,20 @@ impl ArenaCell {
             acts: self.acts,
             seed: self.seed,
             sram_bits,
-            demand_acts: report.demand_acts,
-            mitigation_acts: report.mitigation_acts,
-            side_reads: report.side_reads,
-            side_writes: report.side_writes,
-            mitigations: report.mitigations,
-            window_resets: report.window_resets,
-            max_spillover: crate::tracker::Tracker::max_spillover(&tracker),
+            report,
+            max_spillover: Tracker::max_spillover(&tracker),
             oracle_violations: oracle_report.violations_total,
             worst_unmitigated: oracle_report.worst_unmitigated,
             wall_secs,
         })
+    }
+
+    fn replay_artifact(&self) -> Option<String> {
+        Some(format!(
+            "hydra-arena-replay\ntracker={}\nworkload={}\ngeometry={}\n\
+             t_rh={}\nacts={}\nseed={}\n",
+            self.tracker, self.workload, self.geometry_name, self.t_rh, self.acts, self.seed,
+        ))
     }
 }
 
@@ -368,18 +301,9 @@ pub struct ArenaRow {
     pub seed: u64,
     /// Paper-scale SRAM cost ([`paper_sram_bits`]).
     pub sram_bits: u64,
-    /// Demand activations replayed.
-    pub demand_acts: u64,
-    /// Victim-refresh activations.
-    pub mitigation_acts: u64,
-    /// Tracker metadata reads.
-    pub side_reads: u64,
-    /// Tracker metadata writes.
-    pub side_writes: u64,
-    /// Mitigations issued.
-    pub mitigations: u64,
-    /// Tracking-window resets.
-    pub window_resets: u64,
+    /// The simulator's counters: demand, mitigation and side traffic,
+    /// mitigations and window resets.
+    pub report: ActivationSimReport,
     /// The tracker's worst counting spillover (tracker-specific; see
     /// [`crate::tracker::Tracker::max_spillover`]).
     pub max_spillover: u64,
@@ -389,97 +313,39 @@ pub struct ArenaRow {
     /// row (current + previous window); must stay below `t_rh`.
     pub worst_unmitigated: u64,
     /// Wall-clock seconds for this cell — the one nondeterministic field,
-    /// emitted last and excluded from
-    /// [`deterministic_json`](Self::deterministic_json).
+    /// emitted last and dropped from the deterministic projection.
     pub wall_secs: f64,
 }
 
-impl ArenaRow {
-    /// Total DRAM operations charged.
-    pub fn total_ops(&self) -> u64 {
-        self.demand_acts + self.mitigation_acts + self.side_reads + self.side_writes
-    }
-
-    /// Simulated slowdown proxy: extra DRAM operations per demand
-    /// activation, as a percentage.
-    pub fn slowdown_pct(&self) -> f64 {
-        if self.demand_acts == 0 {
-            0.0
-        } else {
-            (self.total_ops() as f64 / self.demand_acts as f64 - 1.0) * 100.0
-        }
-    }
-
-    /// Exact slowdown comparison: is `self` strictly slower than `other`?
-    /// Cross-multiplied integer ratios, so the answer never depends on
-    /// floating-point rounding.
-    pub fn slower_than(&self, other: &ArenaRow) -> bool {
-        let (a_ops, a_acts) = (
-            u128::from(self.total_ops()),
-            u128::from(self.demand_acts.max(1)),
-        );
-        let (b_ops, b_acts) = (
-            u128::from(other.total_ops()),
-            u128::from(other.demand_acts.max(1)),
-        );
-        a_ops * b_acts > b_ops * a_acts
-    }
-
-    /// The deterministic projection of this row, shared by both
-    /// serializations (every field except `wall_secs`), without the
-    /// closing brace.
+impl Row for ArenaRow {
     fn json_body(&self) -> String {
-        let mut out = String::with_capacity(448);
-        out.push_str("{\"schema\":\"");
-        out.push_str(ARENA_SCHEMA_VERSION);
-        out.push_str("\",\"kind\":\"cell\",\"tracker\":\"");
-        escape_into(&self.tracker, &mut out);
-        out.push_str("\",\"params\":\"");
-        escape_into(&self.params, &mut out);
-        out.push_str("\",\"workload\":\"");
-        escape_into(&self.workload, &mut out);
-        out.push_str("\",\"geometry\":\"");
-        escape_into(&self.geometry, &mut out);
+        let mut out = experiment::line_start(ARENA_SCHEMA_VERSION, "cell");
+        experiment::push_str_field(&mut out, "tracker", &self.tracker);
+        experiment::push_str_field(&mut out, "params", &self.params);
+        experiment::push_str_field(&mut out, "workload", &self.workload);
+        experiment::push_str_field(&mut out, "geometry", &self.geometry);
+        let _ = write!(
+            out,
+            ",\"t_rh\":{},\"acts\":{},\"seed\":{},\"sram_bits\":{}",
+            self.t_rh, self.acts, self.seed, self.sram_bits,
+        );
+        experiment::push_counters(&mut out, &self.report);
         let _ = write!(
             out,
             concat!(
-                "\",\"t_rh\":{},\"acts\":{},\"seed\":{},\"sram_bits\":{},",
-                "\"demand_acts\":{},\"mitigation_acts\":{},\"side_reads\":{},",
-                "\"side_writes\":{},\"mitigations\":{},\"window_resets\":{},",
-                "\"max_spillover\":{},\"oracle_violations\":{},",
+                ",\"max_spillover\":{},\"oracle_violations\":{},",
                 "\"worst_unmitigated\":{},\"slowdown_pct\":{:.4}"
             ),
-            self.t_rh,
-            self.acts,
-            self.seed,
-            self.sram_bits,
-            self.demand_acts,
-            self.mitigation_acts,
-            self.side_reads,
-            self.side_writes,
-            self.mitigations,
-            self.window_resets,
             self.max_spillover,
             self.oracle_violations,
             self.worst_unmitigated,
-            self.slowdown_pct(),
+            self.report.slowdown_pct(),
         );
         out
     }
 
-    /// The full JSONL line, `wall_secs` last.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = self.json_body();
-        let _ = write!(out, ",\"wall_secs\":{:.6}}}", self.wall_secs);
-        out
-    }
-
-    /// The row without its wall-clock field — identical across `--jobs`
-    /// settings; the determinism gate diffs exactly this.
-    pub fn deterministic_json(&self) -> String {
-        let mut out = self.json_body();
-        out.push('}');
-        out
+    fn wall_secs(&self) -> f64 {
+        self.wall_secs
     }
 }
 
@@ -511,23 +377,83 @@ pub struct Fig5Check {
     pub ok: bool,
 }
 
-/// The result of a whole arena run.
-#[derive(Debug, Clone)]
-pub struct ArenaOutcome {
-    /// The grid that produced it.
-    pub grid: ArenaGrid,
-    /// Completed rows, in grid order.
-    pub rows: Vec<ArenaRow>,
-    /// Labels and errors of cells that failed terminally.
-    pub failures: Vec<String>,
+impl Experiment for ArenaGrid {
+    type Row = ArenaRow;
+
+    fn meta_line(&self) -> String {
+        let mut out = experiment::line_start(ARENA_SCHEMA_VERSION, "meta");
+        experiment::push_str_field(&mut out, "geometry", &self.geometry);
+        experiment::push_names(&mut out, "trackers", &self.trackers);
+        experiment::push_names(&mut out, "workloads", &self.workloads);
+        let _ = write!(
+            out,
+            ",\"t_rh\":{:?},\"acts\":{},\"seed\":{}}}",
+            self.t_rh, self.acts, self.seed,
+        );
+        out
+    }
+
+    fn summary_line(outcome: &ArenaOutcome) -> String {
+        let mut out = outcome.summary_start(ARENA_SCHEMA_VERSION);
+        let _ = write!(out, ",\"oracle_clean\":{}", outcome.oracle_clean());
+        experiment::push_array(&mut out, "pareto", outcome.pareto(), |out, idx| {
+            let row = &outcome.rows[idx];
+            let _ = write!(
+                out,
+                concat!(
+                    "{{\"tracker\":\"{}\",\"workload\":\"{}\",\"t_rh\":{},",
+                    "\"sram_bits\":{},\"slowdown_pct\":{:.4},\"mitigations\":{},",
+                    "\"max_spillover\":{}}}"
+                ),
+                row.tracker,
+                row.workload,
+                row.t_rh,
+                row.sram_bits,
+                row.report.slowdown_pct(),
+                row.report.mitigations,
+                row.max_spillover,
+            );
+        });
+        let fig5 = outcome.fig5_checks();
+        experiment::push_array(&mut out, "fig5", &fig5, |out, c| {
+            let _ = write!(
+                out,
+                concat!(
+                    "{{\"workload\":\"{}\",\"t_rh\":{},\"hydra_sram_bits\":{},",
+                    "\"graphene_sram_bits\":{},\"sram_ok\":{},",
+                    "\"hydra_slowdown_pct\":{:.4},\"graphene_slowdown_pct\":{:.4},",
+                    "\"slowdown_ok\":{},\"ok\":{}}}"
+                ),
+                c.workload,
+                c.t_rh,
+                c.hydra_sram_bits,
+                c.graphene_sram_bits,
+                c.sram_ok,
+                c.hydra_slowdown_pct,
+                c.graphene_slowdown_pct,
+                c.slowdown_ok,
+                c.ok,
+            );
+        });
+        let _ = write!(out, ",\"fig5_ok\":{}}}", fig5.iter().all(|c| c.ok));
+        out
+    }
 }
+
+/// The result of a whole arena run.
+pub type ArenaOutcome = Outcome<ArenaGrid>;
 
 impl ArenaOutcome {
     /// Indices (into [`rows`](Self::rows)) of the Pareto frontier
     /// minimizing (SRAM bits, slowdown, mitigations, max spillover),
     /// ascending.
     pub fn pareto(&self) -> Vec<usize> {
-        arena_pareto(&self.rows)
+        experiment::pareto(&self.rows, |r| {
+            (
+                &r.report,
+                [r.sram_bits, r.report.mitigations, r.max_spillover],
+            )
+        })
     }
 
     /// Figure-5 shape checks, one per (workload, `T_RH`) group where both
@@ -551,16 +477,16 @@ impl ArenaOutcome {
                 continue;
             };
             let sram_ok = hydra.sram_bits < graphene.sram_bits;
-            let slowdown_ok =
-                hydra.slowdown_pct() <= graphene.slowdown_pct() + FIG5_SLOWDOWN_TOLERANCE_PCT;
+            let slowdown_ok = hydra.report.slowdown_pct()
+                <= graphene.report.slowdown_pct() + FIG5_SLOWDOWN_TOLERANCE_PCT;
             checks.push(Fig5Check {
                 workload: workload.to_string(),
                 t_rh,
                 hydra_sram_bits: hydra.sram_bits,
                 graphene_sram_bits: graphene.sram_bits,
                 sram_ok,
-                hydra_slowdown_pct: hydra.slowdown_pct(),
-                graphene_slowdown_pct: graphene.slowdown_pct(),
+                hydra_slowdown_pct: hydra.report.slowdown_pct(),
+                graphene_slowdown_pct: graphene.report.slowdown_pct(),
                 slowdown_ok,
                 ok: sram_ok && slowdown_ok,
             });
@@ -590,149 +516,6 @@ impl ArenaOutcome {
     pub fn oracle_clean(&self) -> bool {
         self.rows.iter().all(|r| r.oracle_violations == 0)
     }
-
-    /// The complete `hydra-arena-v1` report: a meta line, one line per
-    /// cell (in grid order, `wall_secs` last), and a summary line with the
-    /// Pareto frontier and Figure-5 checks.
-    pub fn jsonl_lines(&self) -> Vec<String> {
-        let mut lines = Vec::with_capacity(self.rows.len() + 2);
-        lines.push(self.meta_line());
-        lines.extend(self.rows.iter().map(ArenaRow::to_jsonl));
-        lines.push(self.summary_line());
-        lines
-    }
-
-    /// The deterministic projection used by the `--jobs` equivalence gate:
-    /// every line of [`jsonl_lines`](Self::jsonl_lines) except that cell
-    /// rows drop `wall_secs`.
-    pub fn deterministic_lines(&self) -> Vec<String> {
-        let mut lines = Vec::with_capacity(self.rows.len() + 2);
-        lines.push(self.meta_line());
-        lines.extend(self.rows.iter().map(ArenaRow::deterministic_json));
-        lines.push(self.summary_line());
-        lines
-    }
-
-    fn meta_line(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"schema\":\"");
-        out.push_str(ARENA_SCHEMA_VERSION);
-        out.push_str("\",\"kind\":\"meta\",\"geometry\":\"");
-        escape_into(&self.grid.geometry, &mut out);
-        out.push_str("\",\"trackers\":[");
-        for (i, t) in self.grid.trackers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(t, &mut out);
-            out.push('"');
-        }
-        out.push_str("],\"workloads\":[");
-        for (i, w) in self.grid.workloads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            escape_into(w, &mut out);
-            out.push('"');
-        }
-        let _ = write!(
-            out,
-            "],\"t_rh\":{:?},\"acts\":{},\"seed\":{}}}",
-            self.grid.t_rh, self.grid.acts, self.grid.seed,
-        );
-        out
-    }
-
-    fn summary_line(&self) -> String {
-        let pareto = self.pareto();
-        let fig5 = self.fig5_checks();
-        let mut out = String::with_capacity(512);
-        out.push_str("{\"schema\":\"");
-        out.push_str(ARENA_SCHEMA_VERSION);
-        let _ = write!(
-            out,
-            "\",\"kind\":\"summary\",\"cells\":{},\"failed\":{},\"oracle_clean\":{},\"pareto\":[",
-            self.rows.len() + self.failures.len(),
-            self.failures.len(),
-            self.oracle_clean(),
-        );
-        for (i, &idx) in pareto.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let row = &self.rows[idx];
-            let _ = write!(
-                out,
-                concat!(
-                    "{{\"tracker\":\"{}\",\"workload\":\"{}\",\"t_rh\":{},",
-                    "\"sram_bits\":{},\"slowdown_pct\":{:.4},\"mitigations\":{},",
-                    "\"max_spillover\":{}}}"
-                ),
-                row.tracker,
-                row.workload,
-                row.t_rh,
-                row.sram_bits,
-                row.slowdown_pct(),
-                row.mitigations,
-                row.max_spillover,
-            );
-        }
-        out.push_str("],\"fig5\":[");
-        for (i, c) in fig5.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                concat!(
-                    "{{\"workload\":\"{}\",\"t_rh\":{},\"hydra_sram_bits\":{},",
-                    "\"graphene_sram_bits\":{},\"sram_ok\":{},",
-                    "\"hydra_slowdown_pct\":{:.4},\"graphene_slowdown_pct\":{:.4},",
-                    "\"slowdown_ok\":{},\"ok\":{}}}"
-                ),
-                c.workload,
-                c.t_rh,
-                c.hydra_sram_bits,
-                c.graphene_sram_bits,
-                c.sram_ok,
-                c.hydra_slowdown_pct,
-                c.graphene_slowdown_pct,
-                c.slowdown_ok,
-                c.ok,
-            );
-        }
-        let _ = write!(out, "],\"fig5_ok\":{}}}", fig5.iter().all(|c| c.ok));
-        out
-    }
-}
-
-/// One arena cell as a batch job, so the harness's panic isolation,
-/// watchdog, and retries apply per cell.
-pub struct ArenaCellJob {
-    cell: ArenaCell,
-}
-
-impl BatchJob for ArenaCellJob {
-    type Output = ArenaRow;
-
-    fn label(&self) -> String {
-        self.cell.label()
-    }
-
-    fn run(&self, _attempt: u32) -> Result<ArenaRow, String> {
-        self.cell.run()
-    }
-
-    fn replay_artifact(&self) -> Option<String> {
-        let c = &self.cell;
-        Some(format!(
-            "hydra-arena-replay\ntracker={}\nworkload={}\ngeometry={}\n\
-             t_rh={}\nacts={}\nseed={}\n",
-            c.tracker, c.workload, c.geometry_name, c.t_rh, c.acts, c.seed,
-        ))
-    }
 }
 
 /// Expands `grid` and runs every cell through the batch harness with the
@@ -742,73 +525,9 @@ impl BatchJob for ArenaCellJob {
 /// # Errors
 ///
 /// Returns [`ConfigError`] if the grid itself is invalid; individual cell
-/// failures are reported in [`ArenaOutcome::failures`], not as errors.
+/// failures are reported in the outcome's `failures`, not as errors.
 pub fn run_arena(grid: &ArenaGrid, batch: BatchConfig) -> Result<ArenaOutcome, ConfigError> {
-    let cells = grid.cells()?;
-    let jobs: Vec<ArenaCellJob> = cells
-        .into_iter()
-        .map(|cell| ArenaCellJob { cell })
-        .collect();
-    let report = BatchRunner::new(batch).run(jobs);
-    let mut rows = Vec::new();
-    let mut failures = Vec::new();
-    for job in report.jobs {
-        match (job.status, job.output) {
-            (JobStatus::Succeeded { .. }, Some(row)) => rows.push(row),
-            (JobStatus::Failed { last_error, .. }, _) => {
-                failures.push(format!("{}: {last_error}", job.label));
-            }
-            (JobStatus::TimedOut { .. }, _) => {
-                failures.push(format!("{}: watchdog timeout", job.label));
-            }
-            (JobStatus::Succeeded { .. }, None) => {
-                failures.push(format!("{}: succeeded without output", job.label));
-            }
-        }
-    }
-    Ok(ArenaOutcome {
-        grid: grid.clone(),
-        rows,
-        failures,
-    })
-}
-
-/// Indices of the rows not dominated on (SRAM bits, slowdown, mitigations,
-/// max spillover), all minimized. Row `a` dominates row `b` when it is no
-/// worse on every axis and strictly better on at least one; slowdown is
-/// compared exactly (integer cross-multiplication). Ascending index order.
-pub fn arena_pareto(rows: &[ArenaRow]) -> Vec<usize> {
-    let dominates = |a: &ArenaRow, b: &ArenaRow| {
-        let no_worse = a.sram_bits <= b.sram_bits
-            && a.mitigations <= b.mitigations
-            && a.max_spillover <= b.max_spillover
-            && !a.slower_than(b);
-        let better = a.sram_bits < b.sram_bits
-            || a.mitigations < b.mitigations
-            || a.max_spillover < b.max_spillover
-            || b.slower_than(a);
-        no_worse && better
-    };
-    (0..rows.len())
-        .filter(|&i| !rows.iter().any(|other| dominates(other, &rows[i])))
-        .collect()
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    Ok(experiment::run(grid, grid.cells()?, batch))
 }
 
 #[cfg(test)]
@@ -832,16 +551,25 @@ mod tests {
             acts: 1000,
             seed: 42,
             sram_bits: sram,
-            demand_acts: 1000,
-            mitigation_acts: 4 * mitigations,
-            side_reads: 0,
-            side_writes: 0,
-            mitigations,
-            window_resets: 3,
+            report: ActivationSimReport {
+                demand_acts: 1000,
+                mitigation_acts: 4 * mitigations,
+                mitigations,
+                window_resets: 3,
+                ..ActivationSimReport::default()
+            },
             max_spillover: spill,
             oracle_violations: 0,
             worst_unmitigated: t_rh as u64 / 2,
             wall_secs: 0.5,
+        }
+    }
+
+    fn outcome(rows: Vec<ArenaRow>) -> ArenaOutcome {
+        Outcome {
+            grid: ArenaGrid::smoke(),
+            rows,
+            failures: Vec::new(),
         }
     }
 
@@ -890,46 +618,43 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_json_drops_only_wall_secs() {
-        let mut a = row("hydra", "gups", 500, 1000, 5, 0);
+    fn deterministic_lines_drop_only_wall_secs() {
+        let a = outcome(vec![row("hydra", "gups", 500, 1000, 5, 0)]);
         let mut b = a.clone();
-        b.wall_secs = 99.0;
-        assert_eq!(a.deterministic_json(), b.deterministic_json());
-        assert_ne!(a.to_jsonl(), b.to_jsonl());
-        let det = a.deterministic_json();
-        assert!(det.contains("\"schema\":\"hydra-arena-v1\""));
-        assert!(det.contains("\"oracle_violations\":0"));
+        b.rows[0].wall_secs = 99.0;
+        assert_eq!(a.deterministic_lines(), b.deterministic_lines());
+        assert_ne!(a.jsonl_lines(), b.jsonl_lines());
+        let det = &a.deterministic_lines()[1];
+        assert!(det.contains("\"schema\":\"hydra-arena-v1\""), "{det}");
+        assert!(det.contains("\"oracle_violations\":0"), "{det}");
+        assert!(det.ends_with("\"slowdown_pct\":2.0000}"), "{det}");
         assert!(!det.contains("wall_secs"));
-        a.mitigations = 6;
-        assert_ne!(a.deterministic_json(), b.deterministic_json());
+        b.rows[0].report.mitigations = 6;
+        assert_ne!(a.deterministic_lines(), b.deterministic_lines());
     }
 
     #[test]
     fn pareto_respects_all_four_axes() {
-        let rows = vec![
+        let outcome = outcome(vec![
             row("a", "gups", 500, 1000, 10, 5), // dominated by index 2
             row("b", "gups", 500, 2000, 2, 5),  // frontier: fewest mitigations
             row("c", "gups", 500, 1000, 5, 5),  // frontier: cheapest non-dominated
             row("d", "gups", 500, 4000, 5, 0),  // frontier: only via the spillover axis
-        ];
-        assert_eq!(arena_pareto(&rows), vec![1, 2, 3]);
+        ]);
+        assert_eq!(outcome.pareto(), vec![1, 2, 3]);
     }
 
     #[test]
     fn fig5_checks_compare_hydra_against_graphene_per_group() {
-        let outcome = ArenaOutcome {
-            grid: ArenaGrid::smoke(),
-            rows: vec![
-                row("hydra", "gups", 500, 1000, 5, 0),
-                row("graphene", "gups", 500, 9000, 5, 0),
-                // At 4800 Graphene is legitimately smaller: sram_ok fails.
-                row("hydra", "gups", 4800, 1000, 5, 0),
-                row("graphene", "gups", 4800, 500, 5, 0),
-                // No graphene partner: no check emitted.
-                row("hydra", "double_sided", 500, 1000, 5, 0),
-            ],
-            failures: Vec::new(),
-        };
+        let outcome = outcome(vec![
+            row("hydra", "gups", 500, 1000, 5, 0),
+            row("graphene", "gups", 500, 9000, 5, 0),
+            // At 4800 Graphene is legitimately smaller: sram_ok fails.
+            row("hydra", "gups", 4800, 1000, 5, 0),
+            row("graphene", "gups", 4800, 500, 5, 0),
+            // No graphene partner: no check emitted.
+            row("hydra", "double_sided", 500, 1000, 5, 0),
+        ]);
         let checks = outcome.fig5_checks();
         assert_eq!(checks.len(), 2);
         assert!(outcome.fig5_ok_at(500));
@@ -973,12 +698,15 @@ mod tests {
             acts: 2_000,
             seed: 42,
         };
-        let row = match cell.run() {
+        let row = match cell.run(0) {
             Ok(r) => r,
             Err(e) => panic!("cell: {e}"),
         };
-        assert_eq!(row.demand_acts, 2_000);
-        assert!(row.mitigations > 0, "a hammered row must draw samples");
+        assert_eq!(row.report.demand_acts, 2_000);
+        assert!(
+            row.report.mitigations > 0,
+            "a hammered row must draw samples"
+        );
         assert_eq!(row.oracle_violations, 0, "MINT must hold the contract");
         assert!(row.worst_unmitigated < 500);
         assert!(row.sram_bits > 0);

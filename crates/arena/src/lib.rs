@@ -35,6 +35,14 @@
 //!   a four-axis Pareto frontier (SRAM bits, slowdown, mitigations,
 //!   counting spillover) — the cross-tracker generalization of the paper's
 //!   Figure 5.
+//! * [`sweep`] — the `hydra sweep` engine: Hydra's own design space (GCT,
+//!   RCC, `T_G`, `T_RH` × workloads, Figures 9–12) as `hydra-sweep-v1`
+//!   JSONL ([`sweep::SWEEP_SCHEMA_VERSION`]) with a Pareto frontier over
+//!   (SRAM bytes, slowdown, mitigations) and the GCT-size trend gate.
+//!   Both `sweep` and `leaderboard` are thin front ends over one
+//!   crate-private experiment core: validation, the channel-0 activation
+//!   stream, the parallel batch run, the JSONL framing with its
+//!   `--deterministic` projection, and the Pareto function.
 //! * [`fixtures`] — sabotage wrappers (dropped mitigations, wrong-row
 //!   mitigations, undercounting) that the oracle test matrix must flag,
 //!   guarding the guards.
@@ -45,11 +53,13 @@
 pub mod abacus;
 pub mod adapters;
 pub mod comet;
+mod experiment;
 pub mod fixtures;
 pub mod leaderboard;
 pub mod mint;
 pub mod roster;
 pub mod start;
+pub mod sweep;
 pub mod tracker;
 
 pub use abacus::{Abacus, AbacusConfig};
@@ -61,4 +71,7 @@ pub use leaderboard::{
 pub use mint::{Mint, MintConfig};
 pub use roster::{build_tracker, hydra_config_for_threshold, roster_names};
 pub use start::{Start, StartConfig};
+pub use sweep::{
+    run_sweep, SweepCell, SweepGrid, SweepOutcome, SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,
+};
 pub use tracker::{ActStats, ArenaAdapter, BoxedTracker, Tracker, TrackerDecision};

@@ -1,13 +1,16 @@
-//! The sweep determinism gate, as a test: `hydra sweep --smoke` with four
-//! workers must produce exactly the rows, Pareto frontier, and trend
-//! verdicts of the sequential run — only `wall_secs` may differ, and the
-//! deterministic projection strips it.
+//! The determinism gate of both experiment front ends, as a test: the
+//! smoke sweep and the smoke arena race with four workers must produce
+//! exactly the rows, Pareto frontier, and gate verdicts of the sequential
+//! run — only `wall_secs` may differ, and the deterministic projection
+//! strips it. The projections are also pinned byte for byte against
+//! committed fixtures, so a refactor of the shared core cannot drift
+//! either wire format.
 //!
-//! This is the same invariant CI's `sweep-smoke` job and
-//! `hydra-audit --sweep` enforce on the shipped binaries; here it runs
-//! in-process so a regression is caught by `cargo test` before either.
+//! This is the same invariant CI's `experiment-smoke` job enforces on the
+//! shipped binary by diffing `--jobs 4` against `--jobs 1`; here it runs
+//! in-process so a regression is caught by `cargo test` first.
 
-use hydra_engine::sweep::{run_sweep, SweepGrid, SWEEP_SCHEMA_VERSION};
+use hydra_arena::{run_arena, run_sweep, ArenaGrid, SweepGrid, SWEEP_SCHEMA_VERSION};
 use hydra_sim::batch::BatchConfig;
 use std::time::Duration;
 
@@ -22,28 +25,49 @@ fn batch(jobs: usize) -> BatchConfig {
 }
 
 #[test]
-fn smoke_sweep_is_identical_across_worker_counts() {
-    let grid = SweepGrid::smoke();
-    let sequential = run_sweep(&grid, batch(1)).expect("sequential sweep");
-    let parallel = run_sweep(&grid, batch(4)).expect("parallel sweep");
-
-    assert!(sequential.failures.is_empty(), "{:?}", sequential.failures);
-    assert!(parallel.failures.is_empty(), "{:?}", parallel.failures);
+fn smoke_grids_are_identical_across_worker_counts() {
     // Whole-row equality would compare wall_secs too; everything except
     // the wall clock must match, which is exactly the deterministic
     // projection.
-    for (s, p) in sequential.rows.iter().zip(parallel.rows.iter()) {
-        assert_eq!(s.deterministic_json(), p.deterministic_json());
-    }
+    let sweep = |jobs| run_sweep(&SweepGrid::smoke(), batch(jobs)).expect("smoke sweep");
+    let (sequential, parallel) = (sweep(1), sweep(4));
+    assert!(sequential.failures.is_empty(), "{:?}", sequential.failures);
+    assert!(parallel.failures.is_empty(), "{:?}", parallel.failures);
     assert_eq!(
         sequential.deterministic_lines(),
         parallel.deterministic_lines(),
-        "deterministic projections must be byte-identical"
+        "sweep projections must be byte-identical"
     );
     assert_eq!(sequential.pareto(), parallel.pareto());
+    assert_eq!(sequential.trend_checks(), parallel.trend_checks());
+
+    let arena = |jobs| run_arena(&ArenaGrid::smoke(), batch(jobs)).expect("smoke arena");
+    let (sequential, parallel) = (arena(1), arena(4));
+    assert!(sequential.failures.is_empty(), "{:?}", sequential.failures);
+    assert!(parallel.failures.is_empty(), "{:?}", parallel.failures);
     assert_eq!(
-        sequential.trend_checks().len(),
-        parallel.trend_checks().len()
+        sequential.deterministic_lines(),
+        parallel.deterministic_lines(),
+        "arena projections must be byte-identical"
+    );
+    assert_eq!(sequential.pareto(), parallel.pareto());
+    assert_eq!(sequential.fig5_checks(), parallel.fig5_checks());
+}
+
+#[test]
+fn smoke_projections_match_the_committed_fixtures() {
+    let text = |lines: Vec<String>| lines.join("\n") + "\n";
+    let sweep = run_sweep(&SweepGrid::smoke(), batch(2)).expect("smoke sweep");
+    assert_eq!(
+        text(sweep.deterministic_lines()),
+        include_str!("fixtures/sweep_smoke.deterministic.jsonl"),
+        "hydra-sweep-v1 drifted from the committed projection"
+    );
+    let arena = run_arena(&ArenaGrid::smoke(), batch(2)).expect("smoke arena");
+    assert_eq!(
+        text(arena.deterministic_lines()),
+        include_str!("fixtures/arena_smoke.deterministic.jsonl"),
+        "hydra-arena-v1 drifted from the committed projection"
     );
 }
 

@@ -4,11 +4,12 @@
 //! Hydra's headline results are *design-space* results: sensitivity sweeps
 //! over GCT size, RCC size, `T_G`, and the Row-Hammer threshold (Figures
 //! 9–12, Tables 4–6), each point a full (config × workload) simulation.
-//! Running hundreds of cells one at a time is what made the seed repo's
-//! sweeps impractical; this crate makes them parallel without giving up the
-//! property every other subsystem leans on — determinism.
+//! This crate makes simulation parallel without giving up the property
+//! every other subsystem leans on — determinism. (The sweep grids
+//! themselves run in `hydra-arena`'s experiment core, on the batch
+//! harness's workers.)
 //!
-//! Three layers, bottom up:
+//! Two layers, bottom up:
 //!
 //! - [`pool`] — a hand-rolled worker pool (plain `std`, no registry
 //!   dependencies): scoped threads over a bounded MPSC queue, results
@@ -20,12 +21,6 @@
 //!   tracker per memory channel, per-channel substreams replayed
 //!   concurrently, merged with order-insensitive reductions so the
 //!   parallel run is bit-identical to the sequential reference.
-//! - [`sweep`] — the design-space exploration driver behind `hydra sweep`:
-//!   a declarative grid fanned across the parallel batch harness
-//!   (`hydra_sim::batch`, keeping its panic isolation, watchdog, and
-//!   retries per cell), emitting schema-versioned
-//!   [`hydra-sweep-v1`](sweep::SWEEP_SCHEMA_VERSION) JSONL plus a
-//!   Pareto-frontier summary over (SRAM bytes, slowdown, mitigations).
 //!
 //! Threading discipline: `repo-lint`'s `thread-spawn-layer` rule confines
 //! thread spawning to this crate and the batch harness, the same way
@@ -38,19 +33,15 @@ use std::fmt;
 pub mod pool;
 pub mod protocol;
 pub mod shard;
-pub mod sweep;
 
 pub use pool::{CellOutcome, WorkerPool};
 pub use shard::{
     merge_shards, merge_tracker_shards, partition_by_channel, MergedRun, ShardResult,
     ShardTrackerFactory, ShardedSim, TrackerMergedRun, TrackerShardResult, TrackerShardedSim,
 };
-pub use sweep::{
-    run_sweep, SweepCell, SweepGrid, SweepOutcome, SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,
-};
 
-/// An engine-level failure: an invalid shard plan, a sweep grid that
-/// resolves to nothing, or a shard that died mid-run.
+/// An engine-level failure: an invalid shard plan or a shard that died
+/// mid-run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineError {
     message: String,

@@ -9,7 +9,7 @@
 //! field pins the format.
 
 use crate::classify::{AttackClass, Classification, WindowSignals};
-use hydra_telemetry::json::escape_into;
+use hydra_types::json::escape_into;
 use hydra_types::RowAddr;
 use std::fmt::Write as _;
 

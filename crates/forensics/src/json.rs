@@ -283,10 +283,10 @@ mod tests {
 
     #[test]
     fn roundtrips_the_telemetry_escaper() {
-        // Whatever hydra_telemetry::json::escape writes, this parser reads
+        // Whatever hydra_types::json::escape writes, this parser reads
         // back verbatim.
         let hostile = "große\"行列\\x\n\t\u{1}end";
-        let quoted = hydra_telemetry::json::quote(hostile);
+        let quoted = hydra_types::json::quote(hostile);
         let v = parse(&quoted).expect("escaper output is valid JSON");
         assert_eq!(v.as_str(), Some(hostile));
     }

@@ -1,6 +1,7 @@
 //! Exporters: folded stacks, schema-versioned JSON, and the human table.
 
 use crate::tree::{ProfileNode, ProfileTree};
+use hydra_types::json::quote;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -55,7 +56,7 @@ impl ProfileTree {
                 out,
                 "{{\"phase\":{},\"count\":{},\"total_nanos\":{},\"self_nanos\":{},\
                  \"min_nanos\":{},\"max_nanos\":{},\"children\":[",
-                json_str(phase),
+                quote(phase),
                 node.count,
                 node.total_nanos,
                 node.self_nanos(),
@@ -75,7 +76,7 @@ impl ProfileTree {
             out,
             "{{\"schema\":{},{extra}\"unbalanced_exits\":{},\"total_nanos\":{},\
              \"total_self_nanos\":{},\"roots\":[",
-            json_str(PROFILE_SCHEMA_VERSION),
+            quote(PROFILE_SCHEMA_VERSION),
             self.unbalanced_exits,
             self.total_nanos(),
             self.total_self_nanos()
@@ -128,27 +129,6 @@ impl ProfileTree {
         }
         out
     }
-}
-
-/// Minimal JSON string encoder (the workspace has no serde).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A parsed folded-stack export: semicolon-joined stack paths mapped to

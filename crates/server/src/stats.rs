@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use hydra_forensics::json::JsonValue;
 use hydra_telemetry::histogram::LatencyHistogram;
-use hydra_telemetry::json::quote;
+use hydra_types::json::quote;
 use hydra_types::Stopwatch;
 
 use crate::frame::RejectReason;

@@ -51,6 +51,21 @@ impl ActivationSimReport {
         }
     }
 
+    /// Simulated slowdown proxy: extra DRAM operations per demand
+    /// activation, as a percentage (0.0 for an empty run).
+    pub fn slowdown_pct(&self) -> f64 {
+        (self.bandwidth_inflation() - 1.0) * 100.0
+    }
+
+    /// Exact slowdown comparison: is `self` strictly slower than `other`?
+    /// Cross-multiplied integer ratios, so the answer never depends on
+    /// floating-point rounding.
+    pub fn slower_than(&self, other: &ActivationSimReport) -> bool {
+        let ops = |r: &ActivationSimReport| u128::from(r.total_ops());
+        let acts = |r: &ActivationSimReport| u128::from(r.demand_acts.max(1));
+        ops(self) * acts(other) > ops(other) * acts(self)
+    }
+
     /// Merges another shard's report into `self` (counter-wise sum).
     ///
     /// Commutative and associative, so per-channel shard reports can be
@@ -280,6 +295,22 @@ mod tests {
         assert_eq!(report.demand_acts, 1000);
         assert_eq!(report.total_ops(), 1000);
         assert!((report.bandwidth_inflation() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn slowdown_comparison_is_exact_where_floats_tie() {
+        let report = |demand_acts, side_reads| ActivationSimReport {
+            demand_acts,
+            side_reads,
+            ..ActivationSimReport::default()
+        };
+        assert_eq!(ActivationSimReport::default().slowdown_pct(), 0.0);
+        assert!((report(1000, 250).slowdown_pct() - 25.0).abs() < 1e-12);
+        // 1/3 and 1/3 + 1e-17 round to the same f64; the ratios do not.
+        let (a, b) = (report(3, 1), report(3 * 10u64.pow(17), 10u64.pow(17) + 1));
+        assert_eq!(a.slowdown_pct(), b.slowdown_pct());
+        assert!(b.slower_than(&a) && !a.slower_than(&b));
+        assert!(!a.slower_than(&a));
     }
 
     #[test]

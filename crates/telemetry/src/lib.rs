@@ -47,7 +47,6 @@
 pub mod bounded;
 pub mod event;
 pub mod histogram;
-pub mod json;
 pub mod metrics;
 pub mod sink;
 

@@ -233,7 +233,7 @@ impl JsonlSink {
             self.out,
             "{{\"schema\":\"{TRACE_SCHEMA_VERSION}\",\"workload\":\"",
         );
-        crate::json::escape_into(workload, &mut self.out);
+        hydra_types::json::escape_into(workload, &mut self.out);
         let _ = write!(self.out, "\",\"t_h\":{t_h}}}");
         self.out.push('\n');
         self

@@ -121,6 +121,18 @@ impl MemGeometry {
         }
     }
 
+    /// Resolves a preset by its command-line name: `tiny`,
+    /// `isca22` ([`isca22_baseline`](Self::isca22_baseline)) or `ddr5`
+    /// ([`ddr5_32gb`](Self::ddr5_32gb)). `None` for any other name.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "tiny" => Some(Self::tiny()),
+            "isca22" => Some(Self::isca22_baseline()),
+            "ddr5" => Some(Self::ddr5_32gb()),
+            _ => None,
+        }
+    }
+
     /// The [`tiny`](Self::tiny) geometry widened to `channels` memory
     /// channels — the shape used by the sharded multi-channel engine tests,
     /// where each channel gets its own tracker instance.
@@ -319,6 +331,18 @@ mod tests {
         assert_eq!(g.total_rows(), 4 * 1024 * 1024);
         assert_eq!(g.lines_per_row(), 128);
         assert_eq!(g.rows_per_channel(), 2 * 1024 * 1024);
+    }
+
+    #[test]
+    fn by_name_resolves_exactly_the_three_presets() {
+        assert_eq!(MemGeometry::by_name("tiny"), Some(MemGeometry::tiny()));
+        assert_eq!(
+            MemGeometry::by_name("isca22"),
+            Some(MemGeometry::isca22_baseline())
+        );
+        assert_eq!(MemGeometry::by_name("ddr5"), Some(MemGeometry::ddr5_32gb()));
+        assert_eq!(MemGeometry::by_name("ddr4"), None);
+        assert_eq!(MemGeometry::by_name("Tiny"), None);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Minimal JSON string escaping shared by every hand-rolled JSON writer.
 //!
-//! The telemetry exporters (and the CLI's bench/report writers) emit JSON
-//! by hand to stay dependency-free. Numeric payloads need no escaping, but
-//! anything user-influenced — workload names in trace headers, failure
-//! messages in bench reports — must survive quotes, backslashes, and
-//! control characters. Non-ASCII text is passed through verbatim as UTF-8
-//! (valid JSON), not `\u`-escaped.
+//! Every JSON writer in the workspace — telemetry traces, forensics
+//! incidents, daemon stats, profiler exports, audit and lint reports, the
+//! experiment JSONL and the CLI's bench reports — emits JSON by hand to
+//! stay dependency-free, and all of them escape strings here. Numeric
+//! payloads need no escaping, but anything user-influenced — workload
+//! names in trace headers, failure messages in bench reports — must
+//! survive quotes, backslashes, and control characters. Non-ASCII text is
+//! passed through verbatim as UTF-8 (valid JSON), not `\u`-escaped.
 
 use std::fmt::Write as _;
 

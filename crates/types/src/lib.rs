@@ -16,6 +16,7 @@
 //!   traffic such as counter-table reads/writes) whose bandwidth cost the
 //!   controller must model.
 //! * [`mitigation`] — victim-refresh mitigation policy types.
+//! * [`json`] — the JSON string escaper every hand-rolled writer shares.
 //!
 //! # Example
 //!
@@ -36,6 +37,7 @@ pub mod clock;
 pub mod deadline;
 pub mod error;
 pub mod geometry;
+pub mod json;
 pub mod mitigation;
 pub mod tracker;
 

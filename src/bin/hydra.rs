@@ -23,12 +23,11 @@
 //! ```
 
 use hydra_repro::analysis::faults::{run_case, FaultCaseReport, FaultCaseSpec};
-use hydra_repro::arena::{run_arena, ArenaGrid};
+use hydra_repro::arena::{run_arena, run_sweep, ArenaGrid, SweepGrid};
 use hydra_repro::baselines::storage::{Scheme, DDR4_BANKS_PER_RANK};
 use hydra_repro::core::degrade::DegradationPolicy;
 use hydra_repro::core::{Hydra, HydraConfig, HydraStorage};
 use hydra_repro::dram::DramTiming;
-use hydra_repro::engine::{run_sweep, SweepGrid};
 use hydra_repro::faults::FaultPlan;
 use hydra_repro::forensics::{
     compare_reports, incidents_to_jsonl, parse_bench_report, parse_trace_meta, replay_trace,
@@ -41,8 +40,8 @@ use hydra_repro::sim::batch::{BatchConfig, BatchJob, BatchRunner, JobStatus};
 use hydra_repro::sim::{
     run_windowed, run_windowed_profiled, ActivationSim, ActivationSimReport, WindowSeries,
 };
-use hydra_repro::telemetry::json::escape_into;
 use hydra_repro::telemetry::{EventKind, JsonlSink, KindFilterSink, TeeSink};
+use hydra_repro::types::json::escape_into;
 use hydra_repro::types::{ActivationKind, ActivationTracker, MemGeometry, RowAddr};
 use hydra_repro::workloads::{registry, AttackPattern, TraceSource, TraceWriter};
 use std::collections::{HashMap, HashSet};
@@ -1707,12 +1706,17 @@ fn parse_list<T>(
     }
 }
 
+/// `hydra sweep`: Hydra's design space (hydra-sweep-v1), or with `--arena`
+/// the whole tracker roster (Hydra, the baselines, and the
+/// CoMeT/ABACuS/MINT/START successors) raced under the shadow oracle
+/// (hydra-arena-v1). Both run through the same experiment core; the flags
+/// that name a shared axis set it on both grids, and only the selected
+/// grid runs.
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    if args.iter().any(|a| a == "--arena") {
-        let rest: Vec<String> = args.iter().filter(|a| *a != "--arena").cloned().collect();
-        return cmd_sweep_arena(&rest);
-    }
-    let mut grid = SweepGrid::smoke();
+    let arena = args.iter().any(|a| a == "--arena");
+    let tag = if arena { "arena" } else { "sweep" };
+    let mut sweep = SweepGrid::smoke();
+    let mut race = ArenaGrid::full();
     let mut smoke = false;
     let mut jobs: usize = 1;
     let mut out: Option<PathBuf> = None;
@@ -1728,6 +1732,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match flag {
+            "--arena" => {}
             "--smoke" => smoke = true,
             "--jobs" => {
                 jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
@@ -1737,207 +1742,168 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             }
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--deterministic" => deterministic = true,
-            "--geometry" => grid.geometry = value("--geometry")?,
+            "--geometry" => {
+                sweep.geometry = value("--geometry")?;
+                race.geometry = sweep.geometry.clone();
+            }
             "--workloads" => {
-                grid.workloads = parse_list("--workloads", &value("--workloads")?, |s| {
+                sweep.workloads = parse_list("--workloads", &value("--workloads")?, |s| {
                     Some(s.to_string())
                 })?;
-            }
-            "--gct" => {
-                grid.gct_entries = parse_list("--gct", &value("--gct")?, |s| s.parse().ok())?;
-            }
-            "--rcc" => {
-                grid.rcc_entries = parse_list("--rcc", &value("--rcc")?, |s| s.parse().ok())?;
+                race.workloads = sweep.workloads.clone();
             }
             "--t-rh" => {
-                grid.t_rh = parse_list("--t-rh", &value("--t-rh")?, |s| s.parse().ok())?;
+                sweep.t_rh = parse_list("--t-rh", &value("--t-rh")?, |s| s.parse().ok())?;
+                race.t_rh = sweep.t_rh.clone();
             }
-            "--tg-pct" => {
-                grid.tg_pct = parse_list("--tg-pct", &value("--tg-pct")?, |s| s.parse().ok())?;
+            "--acts" => {
+                sweep.acts = value("--acts")?.parse().map_err(|_| "bad --acts")?;
+                race.acts = sweep.acts;
             }
-            "--acts" => grid.acts = value("--acts")?.parse().map_err(|_| "bad --acts")?,
-            "--seed" => grid.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
-            other => return Err(format!("unknown sweep flag {other}")),
-        }
-        i += 1;
-    }
-    // --smoke pins the CI grid; without it the same defaults apply but any
-    // axis may be overridden. (The flag exists so scripts can say what they
-    // mean and fail loudly if they also try to override an axis.)
-    if smoke
-        && args.iter().any(|a| {
-            matches!(
-                a.as_str(),
-                "--geometry"
-                    | "--workloads"
-                    | "--gct"
-                    | "--rcc"
-                    | "--t-rh"
-                    | "--tg-pct"
-                    | "--acts"
-                    | "--seed"
-            )
-        })
-    {
-        return Err("--smoke pins the grid; drop it to customize axes".into());
-    }
-
-    let cells = grid.cells().map_err(|e| e.to_string())?;
-    eprintln!(
-        "sweep: {} cell(s) on geometry {}, {} act(s) each, {jobs} job(s)",
-        cells.len(),
-        grid.geometry,
-        grid.acts
-    );
-    let outcome = run_sweep(
-        &grid,
-        BatchConfig {
-            retries: 1,
-            backoff_base: Duration::from_millis(50),
-            watchdog: Duration::from_secs(300),
-            artifact_dir: None,
-            jobs,
-        },
-    )
-    .map_err(|e| e.to_string())?;
-
-    let lines = if deterministic {
-        outcome.deterministic_lines()
-    } else {
-        outcome.jsonl_lines()
-    };
-    match &out {
-        Some(path) => {
-            let mut text = lines.join("\n");
-            text.push('\n');
-            std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
-            eprintln!("sweep: wrote {} line(s) to {}", lines.len(), path.display());
-        }
-        None => {
-            for line in &lines {
-                println!("{line}");
+            "--seed" => {
+                sweep.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?;
+                race.seed = sweep.seed;
             }
-        }
-    }
-
-    for t in outcome.trend_checks() {
-        eprintln!(
-            "  trend {}/t_rh{}: gct {} → {}: mitigations {} → {}, slowdown {:.3}% → {:.3}% [{}]",
-            t.workload,
-            t.t_rh,
-            t.gct_low,
-            t.gct_high,
-            t.mitigations_low,
-            t.mitigations_high,
-            t.slowdown_low_pct,
-            t.slowdown_high_pct,
-            if t.ok { "ok" } else { "REGRESSED" },
-        );
-    }
-    if !outcome.failures.is_empty() {
-        return Err(format!("{} sweep cell(s) failed", outcome.failures.len()));
-    }
-    if !outcome.trend_ok() {
-        return Err(
-            "GCT-size trend regressed: growing the GCT increased mitigations or slowdown".into(),
-        );
-    }
-    Ok(())
-}
-
-/// `hydra sweep --arena`: race the whole tracker roster (Hydra, the
-/// baselines, and the CoMeT/ABACuS/MINT/START successors) under the
-/// shadow oracle and emit the hydra-arena-v1 leaderboard.
-fn cmd_sweep_arena(args: &[String]) -> Result<(), String> {
-    let mut grid = ArenaGrid::full();
-    let mut smoke = false;
-    let mut jobs: usize = 1;
-    let mut out: Option<PathBuf> = None;
-    let mut deterministic = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = |name: &str| {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag {
-            "--smoke" => smoke = true,
-            "--jobs" => {
-                jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--out" => out = Some(PathBuf::from(value("--out")?)),
-            "--deterministic" => deterministic = true,
-            "--geometry" => grid.geometry = value("--geometry")?,
-            "--trackers" => {
-                grid.trackers =
+            "--trackers" if arena => {
+                race.trackers =
                     parse_list("--trackers", &value("--trackers")?, |s| Some(s.to_string()))?;
             }
-            "--workloads" => {
-                grid.workloads = parse_list("--workloads", &value("--workloads")?, |s| {
-                    Some(s.to_string())
-                })?;
+            "--gct" if !arena => {
+                sweep.gct_entries = parse_list("--gct", &value("--gct")?, |s| s.parse().ok())?;
             }
-            "--t-rh" => {
-                grid.t_rh = parse_list("--t-rh", &value("--t-rh")?, |s| s.parse().ok())?;
+            "--rcc" if !arena => {
+                sweep.rcc_entries = parse_list("--rcc", &value("--rcc")?, |s| s.parse().ok())?;
             }
-            "--acts" => grid.acts = value("--acts")?.parse().map_err(|_| "bad --acts")?,
-            "--seed" => grid.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
-            other => return Err(format!("unknown arena flag {other}")),
+            "--tg-pct" if !arena => {
+                sweep.tg_pct = parse_list("--tg-pct", &value("--tg-pct")?, |s| s.parse().ok())?;
+            }
+            other => return Err(format!("unknown {tag} flag {other}")),
         }
         i += 1;
     }
-    // Same contract as the design-space sweep: --smoke pins the CI grid.
-    if smoke {
-        if args.iter().any(|a| {
-            matches!(
-                a.as_str(),
-                "--geometry" | "--trackers" | "--workloads" | "--t-rh" | "--acts" | "--seed"
-            )
-        }) {
-            return Err("--smoke pins the arena grid; drop it to customize axes".into());
-        }
-        grid = ArenaGrid::smoke();
-    }
-
-    let cells = grid.cells().map_err(|e| e.to_string())?;
-    eprintln!(
-        "arena: {} cell(s) — {} tracker(s) × {} workload(s) × {} threshold(s), {} act(s) each, {jobs} job(s)",
-        cells.len(),
-        grid.trackers.len(),
-        grid.workloads.len(),
-        grid.t_rh.len(),
-        grid.acts,
-    );
-    let outcome = run_arena(
-        &grid,
-        BatchConfig {
-            retries: 1,
-            backoff_base: Duration::from_millis(50),
-            watchdog: Duration::from_secs(300),
-            artifact_dir: None,
-            jobs,
-        },
-    )
-    .map_err(|e| e.to_string())?;
-
-    let lines = if deterministic {
-        outcome.deterministic_lines()
-    } else {
-        outcome.jsonl_lines()
+    // --smoke pins the CI grid; without it the defaults apply but any axis
+    // may be overridden. (The flag exists so scripts can say what they mean
+    // and fail loudly if they also try to override an axis.)
+    let axis = |a: &str| match a {
+        "--geometry" | "--workloads" | "--t-rh" | "--acts" | "--seed" => true,
+        "--trackers" => arena,
+        "--gct" | "--rcc" | "--tg-pct" => !arena,
+        _ => false,
     };
+    if smoke && args.iter().any(|a| axis(a)) {
+        return Err(format!(
+            "--smoke pins the {tag} grid; drop it to customize axes"
+        ));
+    }
+    let batch = BatchConfig {
+        retries: 1,
+        backoff_base: Duration::from_millis(50),
+        watchdog: Duration::from_secs(300),
+        artifact_dir: None,
+        jobs,
+    };
+
+    // Each front end runs its grid and renders its gate: the stderr check
+    // lines, and the error a failed gate exits with.
+    let (lines, checks, failed, gate) = if arena {
+        if smoke {
+            race = ArenaGrid::smoke();
+        }
+        let cells = race.cells().map_err(|e| e.to_string())?;
+        eprintln!(
+            "arena: {} cell(s) — {} tracker(s) × {} workload(s) × {} threshold(s), {} act(s) each, {jobs} job(s)",
+            cells.len(),
+            race.trackers.len(),
+            race.workloads.len(),
+            race.t_rh.len(),
+            race.acts,
+        );
+        let outcome = run_arena(&race, batch).map_err(|e| e.to_string())?;
+        let checks: Vec<String> = outcome
+            .fig5_checks()
+            .iter()
+            .map(|c| {
+                format!(
+                    "  fig5 {}/t_rh{}: sram hydra {} vs graphene {} bits, slowdown {:.3}% vs {:.3}% [{}]",
+                    c.workload,
+                    c.t_rh,
+                    c.hydra_sram_bits,
+                    c.graphene_sram_bits,
+                    c.hydra_slowdown_pct,
+                    c.graphene_slowdown_pct,
+                    if c.ok { "ok" } else { "REGRESSED" },
+                )
+            })
+            .collect();
+        // Fig. 5's claim is gated at the paper's design point (T_RH = 500),
+        // where both Hydra and Graphene raced. (At relaxed thresholds
+        // Graphene's table is legitimately small; the claim is not
+        // expected to hold there.)
+        let gate_at = 500;
+        let gate = if !outcome.oracle_clean() {
+            Some("shadow oracle flagged a tracker: a row crossed T_RH unmitigated or a clean row was refreshed".to_string())
+        } else if race.t_rh.contains(&gate_at)
+            && race.trackers.iter().any(|t| t == "hydra")
+            && race.trackers.iter().any(|t| t == "graphene")
+            && !outcome.fig5_ok_at(gate_at)
+        {
+            Some(format!(
+                "Fig. 5 regressed at T_RH = {gate_at}: Hydra must undercut Graphene's SRAM without slowing down more"
+            ))
+        } else {
+            None
+        };
+        let lines = if deterministic {
+            outcome.deterministic_lines()
+        } else {
+            outcome.jsonl_lines()
+        };
+        (lines, checks, outcome.failures.len(), gate)
+    } else {
+        let cells = sweep.cells().map_err(|e| e.to_string())?;
+        eprintln!(
+            "sweep: {} cell(s) on geometry {}, {} act(s) each, {jobs} job(s)",
+            cells.len(),
+            sweep.geometry,
+            sweep.acts
+        );
+        let outcome = run_sweep(&sweep, batch).map_err(|e| e.to_string())?;
+        let trends = outcome.trend_checks();
+        let checks = trends
+            .iter()
+            .map(|t| {
+                format!(
+                    "  trend {}/t_rh{}: gct {} → {}: mitigations {} → {}, slowdown {:.3}% → {:.3}% [{}]",
+                    t.workload,
+                    t.t_rh,
+                    t.gct_low,
+                    t.gct_high,
+                    t.mitigations_low,
+                    t.mitigations_high,
+                    t.slowdown_low_pct,
+                    t.slowdown_high_pct,
+                    if t.ok { "ok" } else { "REGRESSED" },
+                )
+            })
+            .collect();
+        let gate = (!trends.iter().all(|t| t.ok)).then(|| {
+            "GCT-size trend regressed: growing the GCT increased mitigations or slowdown"
+                .to_string()
+        });
+        let lines = if deterministic {
+            outcome.deterministic_lines()
+        } else {
+            outcome.jsonl_lines()
+        };
+        (lines, checks, outcome.failures.len(), gate)
+    };
+
     match &out {
         Some(path) => {
             let mut text = lines.join("\n");
             text.push('\n');
             std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
-            eprintln!("arena: wrote {} line(s) to {}", lines.len(), path.display());
+            eprintln!("{tag}: wrote {} line(s) to {}", lines.len(), path.display());
         }
         None => {
             for line in &lines {
@@ -1945,38 +1911,11 @@ fn cmd_sweep_arena(args: &[String]) -> Result<(), String> {
             }
         }
     }
-
-    for c in outcome.fig5_checks() {
-        eprintln!(
-            "  fig5 {}/t_rh{}: sram hydra {} vs graphene {} bits, slowdown {:.3}% vs {:.3}% [{}]",
-            c.workload,
-            c.t_rh,
-            c.hydra_sram_bits,
-            c.graphene_sram_bits,
-            c.hydra_slowdown_pct,
-            c.graphene_slowdown_pct,
-            if c.ok { "ok" } else { "REGRESSED" },
-        );
+    for check in &checks {
+        eprintln!("{check}");
     }
-    if !outcome.failures.is_empty() {
-        return Err(format!("{} arena cell(s) failed", outcome.failures.len()));
+    if failed > 0 {
+        return Err(format!("{failed} {tag} cell(s) failed"));
     }
-    if !outcome.oracle_clean() {
-        return Err("shadow oracle flagged a tracker: a row crossed T_RH unmitigated or a clean row was refreshed".into());
-    }
-    // Fig. 5's claim is gated at the paper's design point (T_RH = 500),
-    // where both Hydra and Graphene raced. (At relaxed thresholds
-    // Graphene's table is legitimately small; the claim is not expected
-    // to hold there.)
-    let gate_at = 500;
-    if grid.t_rh.contains(&gate_at)
-        && grid.trackers.iter().any(|t| t == "hydra")
-        && grid.trackers.iter().any(|t| t == "graphene")
-        && !outcome.fig5_ok_at(gate_at)
-    {
-        return Err(format!(
-            "Fig. 5 regressed at T_RH = {gate_at}: Hydra must undercut Graphene's SRAM without slowing down more"
-        ));
-    }
-    Ok(())
+    gate.map_or(Ok(()), Err)
 }

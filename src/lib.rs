@@ -7,11 +7,12 @@
 //! * [`analysis`] — static config auditor, shadow-oracle sanitizer, repo lint
 //! * [`arena`] — cross-tracker arena: CoMeT/ABACuS/MINT/START and the
 //!   existing baselines behind one `Tracker` trait, raced on a Pareto
-//!   leaderboard (`hydra sweep --arena`)
+//!   leaderboard (`hydra sweep --arena`); the same experiment core runs
+//!   Hydra's design-space sweeps (`hydra sweep`)
 //! * [`core`] — the Hydra hybrid tracker (the paper's contribution)
 //! * [`baselines`] — Graphene, CRA, PARA, OCPR, D-CBF, storage models
 //! * [`dram`] — DDR4 device timing, refresh and power models
-//! * [`engine`] — worker pool, sharded multi-channel simulation, design-space sweeps
+//! * [`engine`] — worker pool, sharded multi-channel simulation
 //! * [`faults`] — deterministic fault injection around the tracker
 //! * [`forensics`] — attack attribution, window classification, incident reports
 //! * [`profiler`] — zero-cost span seam, per-phase call-tree time attribution
