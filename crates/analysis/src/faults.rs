@@ -13,10 +13,10 @@
 //! what `hydra-audit --faults` prints: fault rate → worst-case excess
 //! activations, with vs. without the graceful-degradation layer.
 
-use crate::oracle::{OracleReport, ShadowOracle};
 use hydra_core::degrade::{DegradationPolicy, HealthReport};
 use hydra_core::HydraConfig;
 use hydra_faults::{faulty_hydra, FaultLog, FaultPlan};
+use hydra_sim::oracle::{OracleReport, ShadowOracle};
 use hydra_types::error::ConfigError;
 use hydra_types::{ActivationKind, ActivationTracker, MemGeometry, RowAddr};
 use rand::rngs::SmallRng;

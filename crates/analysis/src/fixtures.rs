@@ -2,7 +2,7 @@
 //!
 //! A sanitizer that never fires is worthless; these fixtures give the test
 //! suite known-bad trackers with *predictable* failure modes, so tests can
-//! assert the [`crate::oracle::ShadowOracle`] has no false negatives
+//! assert the [`hydra_sim::oracle::ShadowOracle`] has no false negatives
 //! (it flags these) alongside no false positives (it stays clean on Hydra).
 
 use hydra_types::{ActivationKind, ActivationTracker, MemCycle, RowAddr, TrackerResponse};

@@ -13,15 +13,16 @@
 //!    (secure, or insecure with a witness bound) plus a human-readable
 //!    report. The `hydra-audit` binary exposes it on the command line.
 //!
-//! 2. [`oracle`] — a **shadow-oracle sanitizer**: [`oracle::ShadowOracle`]
+//! 2. **Shadow-oracle sanitizer** checks: [`hydra_sim::oracle::ShadowOracle`]
 //!    wraps any [`hydra_types::ActivationTracker`] (think thread-sanitizer,
 //!    but for Row-Hammer trackers), maintains ground-truth per-row
-//!    activation counts, and records a structured [`oracle::Violation`]
-//!    whenever the wrapped tracker lets a row cross the Row-Hammer
-//!    threshold unmitigated or mitigates a row that was never activated.
-//!    (The implementation lives in [`hydra_sim::oracle`] — the simulator
-//!    layer — so the `hydra-arena` leaderboard can sanitize every tracker
-//!    it races; this crate re-exports it unchanged.)
+//!    activation counts, and records a structured
+//!    [`hydra_sim::oracle::Violation`] whenever the wrapped tracker lets a
+//!    row cross the Row-Hammer threshold unmitigated or mitigates a row
+//!    that was never activated. It lives in the simulator layer so the
+//!    `hydra-arena` leaderboard can sanitize every tracker it races; this
+//!    crate supplies the leaky [`fixtures`] that prove it has no false
+//!    negatives.
 //!
 //! 3. [`lint`] — a **syntax-aware repository lint gate**: a hand-rolled
 //!    Rust lexer ([`lex`]) feeds a token-based rule engine enforcing
@@ -44,7 +45,7 @@
 //!
 //! 5. [`faults`] — a **fault-resilience evaluator**: deterministic
 //!    [`faults::FaultCaseSpec`] runs driving a fault-injected Hydra
-//!    (`hydra-faults`) under the [`oracle::ShadowOracle`] referee, the
+//!    (`hydra-faults`) under the shadow-oracle referee, the
 //!    degradation table behind `hydra-audit --faults`, and the replay
 //!    artifact format used by the batch harness.
 //!
@@ -74,8 +75,5 @@ pub mod fixtures;
 pub mod lex;
 pub mod lint;
 
-pub use hydra_sim::oracle;
-
 pub use audit::{audit_hydra, AuditCheck, AuditReport, SecurityVerdict};
 pub use faults::{degradation_table, run_case, FaultCaseReport, FaultCaseSpec};
-pub use hydra_sim::oracle::{OracleReport, ShadowOracle, Violation, ViolationKind};

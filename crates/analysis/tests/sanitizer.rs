@@ -13,10 +13,10 @@
 //!   be flagged on the very streams that exploit their leaks.
 
 use hydra_analysis::fixtures::{LeakMode, LeakyTracker};
-use hydra_analysis::oracle::{ShadowOracle, ViolationKind};
 use hydra_baselines::{Cra, CraConfig, Graphene, GrapheneConfig, Para};
 use hydra_core::{Hydra, HydraConfig};
 use hydra_dram::DramTiming;
+use hydra_sim::oracle::{ShadowOracle, ViolationKind};
 use hydra_sim::ActivationSim;
 use hydra_types::{ActivationKind, ActivationTracker, MemGeometry, RowAddr};
 use hydra_workloads::AttackPattern;

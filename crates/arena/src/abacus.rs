@@ -30,8 +30,10 @@
 //! sound provisioning (`entries ≥ 2·ACT_max / T_RH`, mirroring the paper's
 //! `N_RH_entries`) shows up as a zero in the leaderboard.
 
-use crate::tracker::{ActStats, Tracker, TrackerDecision};
-use hydra_types::{ActivationKind, ConfigError, MemCycle, MemGeometry, MitigationRequest, RowAddr};
+use hydra_types::{
+    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, MitigationRequest,
+    RowAddr, TrackerResponse,
+};
 use std::collections::HashMap;
 
 /// ABACuS configuration.
@@ -149,10 +151,30 @@ impl Abacus {
     pub fn table_full_mitigations(&self) -> u64 {
         self.table_full_mitigations
     }
+
+    /// On-chip state in bits: the instance size model behind
+    /// [`ActivationTracker::sram_bytes`].
+    pub fn sram_bits(&self) -> u64 {
+        // Per entry: a row id (17 bits at the paper's 128 K rows/bank), a
+        // RAC wide enough for T_H, and two bank bitmasks (SAV + dirty). See
+        // `hydra_baselines::storage::abacus_bytes_per_rank` for the
+        // paper-scale analytic model.
+        let rac_bits = u64::from(u32::BITS - self.config.t_h.leading_zeros());
+        let masks = 2 * u64::from(self.banks_per_rank);
+        let entry_bits = 17 + rac_bits + masks;
+        (self.ranks.len() as u64)
+            .saturating_mul(self.config.entries_per_rank as u64)
+            .saturating_mul(entry_bits)
+    }
 }
 
-impl Tracker for Abacus {
-    fn activate(&mut self, row: RowAddr, _now: MemCycle, _kind: ActivationKind) -> TrackerDecision {
+impl ActivationTracker for Abacus {
+    fn on_activation(
+        &mut self,
+        row: RowAddr,
+        _now: MemCycle,
+        _kind: ActivationKind,
+    ) -> TrackerResponse {
         debug_assert_eq!(row.channel, self.channel);
         let t_h = self.config.t_h;
         let entries = self.config.entries_per_rank;
@@ -168,10 +190,7 @@ impl Tracker for Abacus {
                     // accounted for (a mitigated row restarts from zero).
                     self.table_full_mitigations += 1;
                     self.mitigations += 1;
-                    return TrackerDecision::mitigate(row).with_stats(ActStats {
-                        estimate: 1,
-                        tracked: false,
-                    });
+                    return TrackerResponse::mitigate(row);
                 }
                 table.insert(
                     row.row,
@@ -185,7 +204,7 @@ impl Tracker for Abacus {
                     Some(e) => e,
                     // Unreachable: the key was just inserted.
                     None => {
-                        return TrackerDecision::none();
+                        return TrackerResponse::none();
                     }
                 }
             }
@@ -199,8 +218,6 @@ impl Tracker for Abacus {
         } else {
             entry.sav |= bank_bit;
         }
-        let estimate = u64::from(entry.rac) + 1;
-
         if entry.rac + 1 >= t_h {
             // Some bank may be one activation away from T_H: mitigate every
             // bank that touched this row id this window, then retire the
@@ -219,23 +236,16 @@ impl Tracker for Abacus {
                 }
             }
             self.mitigations += mitigations.len() as u64;
-            return TrackerDecision {
+            return TrackerResponse {
                 mitigations,
                 side_requests: Vec::new(),
-                stats: ActStats {
-                    estimate,
-                    tracked: false,
-                },
             };
         }
 
-        TrackerDecision::none().with_stats(ActStats {
-            estimate,
-            tracked: true,
-        })
+        TrackerResponse::none()
     }
 
-    fn window_reset(&mut self, _now: MemCycle) {
+    fn reset_window(&mut self, _now: MemCycle) {
         for table in &mut self.ranks {
             table.clear();
         }
@@ -252,17 +262,8 @@ impl Tracker for Abacus {
         )
     }
 
-    fn sram_bits(&self) -> u64 {
-        // Per entry: a row id (17 bits at the paper's 128 K rows/bank), a
-        // RAC wide enough for T_H, and two bank bitmasks (SAV + dirty). See
-        // `hydra_baselines::storage::abacus_bytes_per_rank` for the
-        // paper-scale analytic model.
-        let rac_bits = u64::from(u32::BITS - self.config.t_h.leading_zeros());
-        let masks = 2 * u64::from(self.banks_per_rank);
-        let entry_bits = 17 + rac_bits + masks;
-        (self.ranks.len() as u64)
-            .saturating_mul(self.config.entries_per_rank as u64)
-            .saturating_mul(entry_bits)
+    fn sram_bytes(&self) -> u64 {
+        self.sram_bits().div_ceil(8)
     }
 }
 
@@ -288,7 +289,7 @@ mod tests {
         let row = RowAddr::new(0, 0, 0, 42);
         let mut when = Vec::new();
         for i in 1..=24u64 {
-            if !a.activate(row, i, Demand).mitigations.is_empty() {
+            if !a.on_activation(row, i, Demand).mitigations.is_empty() {
                 when.push(i);
             }
         }
@@ -306,7 +307,7 @@ mod tests {
         let mut mitigated_banks = Vec::new();
         'outer: for round in 0..16u64 {
             for bank in 0..4u8 {
-                let d = a.activate(RowAddr::new(0, 0, bank, 42), round, Demand);
+                let d = a.on_activation(RowAddr::new(0, 0, bank, 42), round, Demand);
                 if !d.mitigations.is_empty() {
                     mitigated_banks = d.mitigations.iter().map(|m| m.aggressor.bank).collect();
                     break 'outer;
@@ -322,8 +323,8 @@ mod tests {
         let mut a = abacus(4, 64);
         // Only banks 0 and 2 touch row 7.
         loop {
-            a.activate(RowAddr::new(0, 0, 2, 7), 0, Demand);
-            let d = a.activate(RowAddr::new(0, 0, 0, 7), 0, Demand);
+            a.on_activation(RowAddr::new(0, 0, 2, 7), 0, Demand);
+            let d = a.on_activation(RowAddr::new(0, 0, 0, 7), 0, Demand);
             if !d.mitigations.is_empty() {
                 let banks: Vec<u8> = d.mitigations.iter().map(|m| m.aggressor.bank).collect();
                 assert_eq!(banks, vec![0, 2]);
@@ -335,9 +336,9 @@ mod tests {
     #[test]
     fn full_table_mitigates_the_incoming_row() {
         let mut a = abacus(8, 2);
-        a.activate(RowAddr::new(0, 0, 0, 1), 0, Demand);
-        a.activate(RowAddr::new(0, 0, 0, 2), 0, Demand);
-        let d = a.activate(RowAddr::new(0, 0, 0, 3), 0, Demand);
+        a.on_activation(RowAddr::new(0, 0, 0, 1), 0, Demand);
+        a.on_activation(RowAddr::new(0, 0, 0, 2), 0, Demand);
+        let d = a.on_activation(RowAddr::new(0, 0, 0, 3), 0, Demand);
         assert_eq!(d.mitigations.len(), 1);
         assert_eq!(d.mitigations[0].aggressor.row, 3);
         assert_eq!(a.table_full_mitigations(), 1);
@@ -348,11 +349,11 @@ mod tests {
         let mut a = abacus(8, 64);
         let row = RowAddr::new(0, 0, 0, 42);
         for i in 0..7u64 {
-            a.activate(row, i, Demand);
+            a.on_activation(row, i, Demand);
         }
-        a.window_reset(100);
+        a.reset_window(100);
         for i in 0..7u64 {
-            assert!(a.activate(row, 100 + i, Demand).mitigations.is_empty());
+            assert!(a.on_activation(row, 100 + i, Demand).mitigations.is_empty());
         }
     }
 

@@ -26,9 +26,10 @@
 //! tiers cleared at every window reset, the window-split argument bounds
 //! unmitigated accumulation by `2·(T_H − 1) < T_RH`.
 
-use crate::tracker::{ActStats, Tracker, TrackerDecision};
 use hydra_baselines::sketch::CountMinSketch;
-use hydra_types::{ActivationKind, ConfigError, MemCycle, MemGeometry, RowAddr};
+use hydra_types::{
+    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
+};
 use std::collections::HashMap;
 
 /// CoMeT configuration. See the module docs for the roles of the fields.
@@ -152,10 +153,33 @@ impl Comet {
     fn bank_index(&self, row: RowAddr) -> usize {
         usize::from(row.rank) * usize::from(self.banks_per_rank) + usize::from(row.bank)
     }
+
+    /// On-chip state in bits: the instance size model behind
+    /// [`ActivationTracker::sram_bytes`].
+    pub fn sram_bits(&self) -> u64 {
+        // Per bank: width × depth sketch counters at 16 bits (saturating at
+        // T_H ≤ 2400 for every swept threshold) plus RAT entries holding a
+        // row id (~17 bits in the paper's geometry, kept at 17 here) and an
+        // exact counter (up to 2^ceil(log2 T_H)); see
+        // `hydra_baselines::storage::comet_bytes_per_rank` for the analytic
+        // paper-scale model this instance model mirrors.
+        let counter_bits = 16u64;
+        let sketch_bits = (self.config.width as u64)
+            .saturating_mul(self.config.depth as u64)
+            .saturating_mul(counter_bits);
+        let rat_entry_bits = 17 + u64::from(u32::BITS - self.config.t_h.leading_zeros());
+        let rat_bits = (self.config.rat_entries as u64).saturating_mul(rat_entry_bits);
+        (self.banks.len() as u64).saturating_mul(sketch_bits.saturating_add(rat_bits))
+    }
 }
 
-impl Tracker for Comet {
-    fn activate(&mut self, row: RowAddr, _now: MemCycle, _kind: ActivationKind) -> TrackerDecision {
+impl ActivationTracker for Comet {
+    fn on_activation(
+        &mut self,
+        row: RowAddr,
+        _now: MemCycle,
+        _kind: ActivationKind,
+    ) -> TrackerResponse {
         debug_assert_eq!(row.channel, self.channel);
         let t_h = u64::from(self.config.t_h);
         let idx = self.bank_index(row);
@@ -165,28 +189,18 @@ impl Tracker for Comet {
         if let Some(count) = bank.rat.get_mut(&row.row) {
             // Tier 2: exact recounting.
             *count = count.saturating_add(1);
-            let estimate = *count;
-            if estimate >= t_h {
+            if *count >= t_h {
                 *count = 0;
                 self.mitigations += 1;
-                return TrackerDecision::mitigate(row).with_stats(ActStats {
-                    estimate,
-                    tracked: true,
-                });
+                return TrackerResponse::mitigate(row);
             }
-            return TrackerDecision::none().with_stats(ActStats {
-                estimate,
-                tracked: true,
-            });
+            return TrackerResponse::none();
         }
 
         // Tier 1: sketch counting.
         let estimate = bank.sketch.increment(u64::from(row.row));
         if estimate < u64::from(self.config.t_early) {
-            return TrackerDecision::none().with_stats(ActStats {
-                estimate,
-                tracked: false,
-            });
+            return TrackerResponse::none();
         }
         // Promotion. A sketch estimate at/above T_H mitigates right away
         // (the seed would trip the exact tier on its next activation
@@ -196,27 +210,18 @@ impl Tracker for Comet {
             // this very activation touched it.
             self.rat_full_mitigations += 1;
             self.mitigations += 1;
-            return TrackerDecision::mitigate(row).with_stats(ActStats {
-                estimate,
-                tracked: false,
-            });
+            return TrackerResponse::mitigate(row);
         }
         if estimate >= t_h {
             bank.rat.insert(row.row, 0);
             self.mitigations += 1;
-            return TrackerDecision::mitigate(row).with_stats(ActStats {
-                estimate,
-                tracked: true,
-            });
+            return TrackerResponse::mitigate(row);
         }
         bank.rat.insert(row.row, estimate);
-        TrackerDecision::none().with_stats(ActStats {
-            estimate,
-            tracked: true,
-        })
+        TrackerResponse::none()
     }
 
-    fn window_reset(&mut self, _now: MemCycle) {
+    fn reset_window(&mut self, _now: MemCycle) {
         for bank in &mut self.banks {
             bank.sketch.clear();
             bank.rat.clear();
@@ -238,20 +243,8 @@ impl Tracker for Comet {
         )
     }
 
-    fn sram_bits(&self) -> u64 {
-        // Per bank: width × depth sketch counters at 16 bits (saturating at
-        // T_H ≤ 2400 for every swept threshold) plus RAT entries holding a
-        // row id (~17 bits in the paper's geometry, kept at 17 here) and an
-        // exact counter (up to 2^ceil(log2 T_H)); see
-        // `hydra_baselines::storage::comet_bytes_per_rank` for the analytic
-        // paper-scale model this instance model mirrors.
-        let counter_bits = 16u64;
-        let sketch_bits = (self.config.width as u64)
-            .saturating_mul(self.config.depth as u64)
-            .saturating_mul(counter_bits);
-        let rat_entry_bits = 17 + u64::from(u32::BITS - self.config.t_h.leading_zeros());
-        let rat_bits = (self.config.rat_entries as u64).saturating_mul(rat_entry_bits);
-        (self.banks.len() as u64).saturating_mul(sketch_bits.saturating_add(rat_bits))
+    fn sram_bytes(&self) -> u64 {
+        self.sram_bits().div_ceil(8)
     }
 
     fn max_spillover(&self) -> u64 {
@@ -288,7 +281,7 @@ mod tests {
         let row = RowAddr::new(0, 0, 0, 7);
         let mut first_mitigation = None;
         for i in 1..=64u64 {
-            let d = c.activate(row, i, Demand);
+            let d = c.on_activation(row, i, Demand);
             if !d.mitigations.is_empty() && first_mitigation.is_none() {
                 first_mitigation = Some(i);
             }
@@ -298,19 +291,21 @@ mod tests {
         assert!(c.mitigations() >= 1);
     }
 
+    /// The 1-based activations of `row`, out of `n`, that mitigated.
+    fn firings(c: &mut Comet, row: RowAddr, n: u64) -> Vec<u64> {
+        (1..=n)
+            .filter(|&i| !c.on_activation(row, i, Demand).mitigations.is_empty())
+            .collect()
+    }
+
     #[test]
     fn promotion_seeds_the_rat_with_the_estimate() {
         let mut c = comet(64); // t_h = 32, t_early = 8
         let row = RowAddr::new(0, 0, 0, 7);
-        for i in 1..=8u64 {
-            let d = c.activate(row, i, Demand);
-            let expected_tracked = i >= 8;
-            assert_eq!(d.stats.tracked, expected_tracked, "act {i}");
-        }
-        // Exactly at promotion the estimate equals the true count (no
-        // collisions with a single key): the seed is exact here.
-        let d = c.activate(row, 9, Demand);
-        assert_eq!(d.stats.estimate, 9);
+        // A single key has no collisions, so the row is promoted at its 8th
+        // activation seeded with the exact count 8 and fires at its 32nd.
+        // A zero seed would fire at the 40th.
+        assert_eq!(firings(&mut c, row, 63), vec![32]);
     }
 
     #[test]
@@ -329,9 +324,9 @@ mod tests {
         // Three distinct rows, t_early = 1: the third promotion finds the
         // RAT full and must mitigate instead of going untracked.
         for r in 0..2u32 {
-            c.activate(RowAddr::new(0, 0, 0, r), 0, Demand);
+            c.on_activation(RowAddr::new(0, 0, 0, r), 0, Demand);
         }
-        let d = c.activate(RowAddr::new(0, 0, 0, 2), 0, Demand);
+        let d = c.on_activation(RowAddr::new(0, 0, 0, 2), 0, Demand);
         assert_eq!(d.mitigations.len(), 1);
         assert_eq!(c.rat_full_mitigations(), 1);
     }
@@ -341,12 +336,15 @@ mod tests {
         let mut c = comet(64);
         let row = RowAddr::new(0, 0, 0, 7);
         for i in 0..20u64 {
-            c.activate(row, i, Demand);
+            c.on_activation(row, i, Demand);
         }
-        c.window_reset(100);
-        let d = c.activate(row, 101, Demand);
-        assert_eq!(d.stats.estimate, 1, "fresh window starts from scratch");
-        assert!(!d.stats.tracked);
+        c.reset_window(100);
+        // Without the reset the RAT count (20) would fire 12 activations on.
+        assert_eq!(
+            firings(&mut c, row, 32),
+            vec![32],
+            "fresh window starts from scratch"
+        );
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! sound tracker in each of the ways the oracle is supposed to catch, and
 //! a test matrix (`tests/oracle_matrix.rs`) asserting the oracle *does*
 //! catch them. The pattern follows the `LeakyTracker` fixture the Hydra
-//! oracle suite has always used, generalized over any [`Tracker`].
+//! oracle suite has always used, generalized over any
+//! [`ActivationTracker`].
 
-use crate::tracker::{Tracker, TrackerDecision};
-use hydra_types::{ActivationKind, MemCycle, RowAddr};
+use hydra_types::{ActivationKind, ActivationTracker, MemCycle, RowAddr, TrackerResponse};
 
 /// The ways [`Sabotage`] can break a tracker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub struct Sabotage<T> {
     dropped: u64,
 }
 
-impl<T: Tracker> Sabotage<T> {
+impl<T: ActivationTracker> Sabotage<T> {
     /// Wraps `inner`.
     pub fn new(inner: T, mode: SabotageMode) -> Self {
         Sabotage {
@@ -69,15 +69,20 @@ impl<T: Tracker> Sabotage<T> {
     }
 }
 
-impl<T: Tracker> Tracker for Sabotage<T> {
-    fn activate(&mut self, row: RowAddr, now: MemCycle, kind: ActivationKind) -> TrackerDecision {
+impl<T: ActivationTracker> ActivationTracker for Sabotage<T> {
+    fn on_activation(
+        &mut self,
+        row: RowAddr,
+        now: MemCycle,
+        kind: ActivationKind,
+    ) -> TrackerResponse {
         self.seen += 1;
         match self.mode {
             SabotageMode::DropMitigations { every } => {
-                let mut decision = self.inner.activate(row, now, kind);
+                let mut response = self.inner.on_activation(row, now, kind);
                 let every = every.max(1);
                 let mut kept = Vec::new();
-                for m in decision.mitigations.drain(..) {
+                for m in response.mitigations.drain(..) {
                     self.mitigations_seen += 1;
                     if self.mitigations_seen.is_multiple_of(every) {
                         self.dropped += 1;
@@ -85,43 +90,43 @@ impl<T: Tracker> Tracker for Sabotage<T> {
                         kept.push(m);
                     }
                 }
-                decision.mitigations = kept;
-                decision
+                response.mitigations = kept;
+                response
             }
             SabotageMode::WrongRow { patsy } => {
-                let mut decision = self.inner.activate(row, now, kind);
-                for m in &mut decision.mitigations {
+                let mut response = self.inner.on_activation(row, now, kind);
+                for m in &mut response.mitigations {
                     if m.aggressor.row != patsy {
                         self.dropped += 1;
                         m.aggressor.row = patsy;
                     }
                 }
-                decision
+                response
             }
             SabotageMode::Undercount { one_in } => {
                 if one_in > 1 && !self.seen.is_multiple_of(one_in) {
                     self.dropped += 1;
-                    return TrackerDecision::none();
+                    return TrackerResponse::none();
                 }
-                self.inner.activate(row, now, kind)
+                self.inner.on_activation(row, now, kind)
             }
         }
     }
 
-    fn window_reset(&mut self, now: MemCycle) {
-        self.inner.window_reset(now);
+    fn reset_window(&mut self, now: MemCycle) {
+        self.inner.reset_window(now);
     }
 
     fn name(&self) -> &str {
         "sabotage"
     }
 
-    fn params(&self) -> String {
-        format!("{:?} over {}", self.mode, self.inner.name())
+    fn sram_bytes(&self) -> u64 {
+        self.inner.sram_bytes()
     }
 
-    fn sram_bits(&self) -> u64 {
-        self.inner.sram_bits()
+    fn params(&self) -> String {
+        format!("{:?} over {}", self.mode, self.inner.name())
     }
 
     fn max_spillover(&self) -> u64 {
@@ -154,7 +159,7 @@ mod tests {
         let row = RowAddr::new(0, 0, 0, 42);
         let mut mitigations = 0;
         for i in 0..64u64 {
-            mitigations += s.activate(row, i, Demand).mitigations.len();
+            mitigations += s.on_activation(row, i, Demand).mitigations.len();
         }
         assert_eq!(mitigations, 0);
         assert!(s.dropped() >= 8);
@@ -165,7 +170,7 @@ mod tests {
         let mut s = Sabotage::new(sound(), SabotageMode::WrongRow { patsy: 999 });
         let row = RowAddr::new(0, 0, 0, 42);
         for i in 0..8u64 {
-            let d = s.activate(row, i, Demand);
+            let d = s.on_activation(row, i, Demand);
             for m in &d.mitigations {
                 assert_eq!(m.aggressor.row, 999);
             }
@@ -179,7 +184,7 @@ mod tests {
         let row = RowAddr::new(0, 0, 0, 42);
         let mut mitigations = 0;
         for i in 0..16u64 {
-            mitigations += s.activate(row, i, Demand).mitigations.len();
+            mitigations += s.on_activation(row, i, Demand).mitigations.len();
         }
         // 16 true activations, 8 forwarded, T_H = 8 → exactly one firing
         // where a sound tracker would have fired twice.
@@ -192,6 +197,6 @@ mod tests {
         let s = Sabotage::new(sound(), SabotageMode::Undercount { one_in: 2 });
         assert_eq!(s.name(), "sabotage");
         assert!(s.params().contains("start"));
-        assert!(s.sram_bits() > 0);
+        assert!(s.sram_bytes() > 0);
     }
 }

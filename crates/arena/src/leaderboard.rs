@@ -35,7 +35,6 @@
 
 use crate::experiment::{self, Experiment, Outcome, Row};
 use crate::roster::{build_tracker, roster_names, CRA_CACHE_BYTES};
-use crate::tracker::{ArenaAdapter, Tracker};
 use hydra_baselines::storage;
 use hydra_core::HydraStorage;
 use hydra_sim::batch::{BatchConfig, BatchJob};
@@ -43,6 +42,7 @@ use hydra_sim::oracle::ShadowOracle;
 use hydra_sim::ActivationSimReport;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
+use hydra_types::tracker::ActivationTracker;
 use std::fmt::Write as _;
 
 /// Version tag stamped on every `hydra sweep --arena` JSONL line. This
@@ -200,13 +200,12 @@ impl BatchJob for ArenaCell {
             window_acts,
         )
         .map_err(|e| e.to_string())?;
-        let params = Tracker::params(&tracker);
+        let params = tracker.params();
         let sram_bits = paper_sram_bits(&self.tracker, self.t_rh).map_err(|e| e.to_string())?;
-        let oracle = ShadowOracle::new(ArenaAdapter::new(tracker), self.t_rh);
+        let oracle = ShadowOracle::new(tracker, self.t_rh);
         let (oracle, report, wall_secs) =
             experiment::replay(oracle, self.geometry, &self.workload, self.acts, self.seed)?;
         let oracle_report = oracle.report();
-        let tracker = oracle.into_inner().into_inner();
         Ok(ArenaRow {
             tracker: self.tracker.clone(),
             params,
@@ -217,7 +216,7 @@ impl BatchJob for ArenaCell {
             seed: self.seed,
             sram_bits,
             report,
-            max_spillover: Tracker::max_spillover(&tracker),
+            max_spillover: oracle.max_spillover(),
             oracle_violations: oracle_report.violations_total,
             worst_unmitigated: oracle_report.worst_unmitigated,
             wall_secs,
@@ -236,7 +235,7 @@ impl BatchJob for ArenaCell {
 /// The paper-scale SRAM cost of a roster tracker at `t_rh`, in bits: the
 /// analytic storage model from [`hydra_baselines::storage`] (or Hydra's own
 /// [`HydraStorage`]) evaluated at DDR4 provisioning. This is the
-/// leaderboard's SRAM axis — instance `sram_bits()` would mix bench-scaled
+/// leaderboard's SRAM axis — instance `sram_bytes()` would mix bench-scaled
 /// and paper-scaled numbers (see the module docs).
 ///
 /// # Errors
@@ -305,7 +304,7 @@ pub struct ArenaRow {
     /// mitigations and window resets.
     pub report: ActivationSimReport,
     /// The tracker's worst counting spillover (tracker-specific; see
-    /// [`crate::tracker::Tracker::max_spillover`]).
+    /// [`hydra_types::ActivationTracker::max_spillover`]).
     pub max_spillover: u64,
     /// Shadow-oracle contract breaches — **0 for every sound tracker**.
     pub oracle_violations: u64,

@@ -1,5 +1,6 @@
 //! Cross-tracker arena: every Row-Hammer tracker in the workspace behind
-//! one [`Tracker`] trait, raced on a schema-versioned Pareto leaderboard.
+//! the one [`hydra_types::ActivationTracker`] contract, raced on a
+//! schema-versioned Pareto leaderboard.
 //!
 //! The Hydra paper (ISCA 2022) argues its hybrid SRAM/DRAM design by
 //! comparing against a *generation* of trackers — per-bank frequent-item
@@ -10,20 +11,15 @@
 //! counters into shared all-bank entries, MINT (MICRO 2024) shows how far
 //! pure interval sampling goes inside the DRAM die, and START (HPCA 2024)
 //! allocates counter storage lazily at cache-line granularity. This crate
-//! puts all of them on one footing:
+//! puts all of them on one footing. Hydra and the baselines implement
+//! [`hydra_types::ActivationTracker`] in their own crates; the four
+//! successors implement it here. The simulator
+//! ([`hydra_sim::ActivationSim`]) and the sanitizer
+//! ([`hydra_sim::oracle::ShadowOracle`]) therefore run every contender
+//! unchanged.
 //!
-//! * [`tracker`] — the [`Tracker`] trait ([`TrackerDecision`],
-//!   [`ActStats`]), the [`BoxedTracker`] object type, and
-//!   [`ArenaAdapter`], which lifts any arena tracker into a
-//!   [`hydra_types::ActivationTracker`] so the existing simulator
-//!   ([`hydra_sim::ActivationSim`]), sanitizer
-//!   ([`hydra_sim::oracle::ShadowOracle`]), and sharded engine run it
-//!   unchanged.
-//! * [`adapters`] — shims over the trackers the workspace already ships:
-//!   Hydra itself plus the Graphene/CRA/PARA/TRR baselines. The Hydra shim
-//!   is proven call-for-call identical to the concrete path
-//!   (`tests/adapter_equivalence.rs`), so racing Hydra in the arena cannot
-//!   disturb any existing gate.
+//! * [`tracker`] — the [`BoxedTracker`] object type, plus two names kept
+//!   for the repository benchmark ([`ArenaAdapter`], [`HydraTracker`]).
 //! * [`comet`], [`abacus`], [`mint`], [`start`] — the four successor
 //!   trackers as first-class citizens, each with its documented safety
 //!   argument.
@@ -51,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod abacus;
-pub mod adapters;
 pub mod comet;
 mod experiment;
 pub mod fixtures;
@@ -63,7 +58,6 @@ pub mod sweep;
 pub mod tracker;
 
 pub use abacus::{Abacus, AbacusConfig};
-pub use adapters::{CraTracker, GrapheneTracker, HydraTracker, ParaTracker, TrrTracker};
 pub use comet::{Comet, CometConfig};
 pub use leaderboard::{
     paper_sram_bits, run_arena, ArenaGrid, ArenaOutcome, ArenaRow, Fig5Check, ARENA_SCHEMA_VERSION,
@@ -74,4 +68,4 @@ pub use start::{Start, StartConfig};
 pub use sweep::{
     run_sweep, SweepCell, SweepGrid, SweepOutcome, SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,
 };
-pub use tracker::{ActStats, ArenaAdapter, BoxedTracker, Tracker, TrackerDecision};
+pub use tracker::{ArenaAdapter, BoxedTracker, HydraTracker};

@@ -22,8 +22,9 @@
 //! [`SmallRng`]: a seed fully determines the run, so leaderboard cells and
 //! oracle fixtures are reproducible.
 
-use crate::tracker::{ActStats, Tracker, TrackerDecision};
-use hydra_types::{ActivationKind, ConfigError, MemCycle, MemGeometry, RowAddr};
+use hydra_types::{
+    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,10 +127,24 @@ impl Mint {
     fn bank_index(&self, row: RowAddr) -> usize {
         usize::from(row.rank) * usize::from(self.banks_per_rank) + usize::from(row.bank)
     }
+
+    /// On-chip state in bits: the instance size model behind
+    /// [`ActivationTracker::sram_bytes`].
+    pub fn sram_bits(&self) -> u64 {
+        // Per bank: the slot cursor and the chosen slot, each
+        // ceil(log2 interval) bits, plus one shared 256-bit xoshiro state.
+        let slot_bits = u64::from(u32::BITS - self.config.interval.leading_zeros()).max(1);
+        (self.banks.len() as u64).saturating_mul(2 * slot_bits) + 256
+    }
 }
 
-impl Tracker for Mint {
-    fn activate(&mut self, row: RowAddr, _now: MemCycle, _kind: ActivationKind) -> TrackerDecision {
+impl ActivationTracker for Mint {
+    fn on_activation(
+        &mut self,
+        row: RowAddr,
+        _now: MemCycle,
+        _kind: ActivationKind,
+    ) -> TrackerResponse {
         debug_assert_eq!(row.channel, self.channel);
         let interval = self.config.interval;
         let idx = self.bank_index(row);
@@ -141,16 +156,13 @@ impl Tracker for Mint {
         }
         if sampled {
             self.mitigations += 1;
-            TrackerDecision::mitigate(row).with_stats(ActStats {
-                estimate: 0,
-                tracked: false,
-            })
+            TrackerResponse::mitigate(row)
         } else {
-            TrackerDecision::none()
+            TrackerResponse::none()
         }
     }
 
-    fn window_reset(&mut self, _now: MemCycle) {
+    fn reset_window(&mut self, _now: MemCycle) {
         // Restart every bank's interval; the RNG keeps advancing (the seed
         // determines the whole run, not each window).
         let interval = self.config.interval;
@@ -171,11 +183,8 @@ impl Tracker for Mint {
         )
     }
 
-    fn sram_bits(&self) -> u64 {
-        // Per bank: the slot cursor and the chosen slot, each
-        // ceil(log2 interval) bits, plus one shared 256-bit xoshiro state.
-        let slot_bits = u64::from(u32::BITS - self.config.interval.leading_zeros()).max(1);
-        (self.banks.len() as u64).saturating_mul(2 * slot_bits) + 256
+    fn sram_bytes(&self) -> u64 {
+        self.sram_bits().div_ceil(8)
     }
 }
 
@@ -199,7 +208,7 @@ mod tests {
         for interval in 0..50u64 {
             let mut hits = 0;
             for i in 0..16u64 {
-                let d = m.activate(row, interval * 16 + i, Demand);
+                let d = m.on_activation(row, interval * 16 + i, Demand);
                 hits += d.mitigations.len();
             }
             assert_eq!(hits, 1, "interval {interval}");
@@ -212,7 +221,7 @@ mod tests {
         let mut m = mint(8, 3);
         for i in 0..500u64 {
             let row = RowAddr::new(0, 0, (i % 4) as u8, (i % 97) as u32);
-            for mitigation in &m.activate(row, i, Demand).mitigations {
+            for mitigation in &m.on_activation(row, i, Demand).mitigations {
                 assert_eq!(mitigation.aggressor, row);
             }
         }
@@ -225,7 +234,7 @@ mod tests {
             let mut hits = Vec::new();
             for i in 0..200u64 {
                 let row = RowAddr::new(0, 0, 0, (i % 13) as u32);
-                if !m.activate(row, i, Demand).mitigations.is_empty() {
+                if !m.on_activation(row, i, Demand).mitigations.is_empty() {
                     hits.push(i);
                 }
             }
@@ -240,7 +249,7 @@ mod tests {
         let mut m = mint(4, 11);
         // Drive only bank 2; bank 0's cursor must not advance.
         for i in 0..12u64 {
-            m.activate(RowAddr::new(0, 0, 2, 5), i, Demand);
+            m.on_activation(RowAddr::new(0, 0, 2, 5), i, Demand);
         }
         assert_eq!(m.banks[0].pos, 0);
         assert_eq!(m.banks[2].pos, 0); // 12 acts = 3 full intervals

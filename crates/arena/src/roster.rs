@@ -25,13 +25,13 @@
 //! as extra activations (at `T_H ≥ 8` total traffic stays under `2·ACT_max`).
 
 use crate::abacus::{Abacus, AbacusConfig};
-use crate::adapters::{CraTracker, GrapheneTracker, HydraTracker, ParaTracker, TrrTracker};
 use crate::comet::{Comet, CometConfig};
 use crate::mint::{Mint, MintConfig};
 use crate::start::{Start, StartConfig};
 use crate::tracker::BoxedTracker;
+use hydra_baselines::{Cra, CraConfig, Graphene, GrapheneConfig, Para, VendorTrr};
 use hydra_core::config::defaults;
-use hydra_core::HydraConfig;
+use hydra_core::{Hydra, HydraConfig};
 use hydra_types::{ConfigError, MemGeometry};
 
 /// Every tracker the arena races, in leaderboard order.
@@ -123,31 +123,40 @@ pub fn build_tracker(
     window_acts: u64,
 ) -> Result<BoxedTracker, ConfigError> {
     let tracker: BoxedTracker = match name {
-        "hydra" => Box::new(HydraTracker::new(hydra_config_for_threshold(
+        "hydra" => Box::new(Hydra::new(hydra_config_for_threshold(
             geometry, channel, t_rh,
         )?)?),
-        "graphene" => Box::new(GrapheneTracker::for_threshold(
+        "graphene" => Box::new(Graphene::new(GrapheneConfig::for_threshold(
             geometry,
             channel,
             t_rh,
             window_acts,
-        )?),
+        )?)),
         "cra" => {
             // CRA's per-row DRAM counters are one byte, like Hydra's RCT:
             // clamp the tracking threshold to the counter ceiling (strictly
             // safer — rows are mitigated earlier than T_RH requires).
             let t_rh = t_rh.min(510);
-            Box::new(CraTracker::for_threshold(
+            Box::new(Cra::new(CraConfig::for_threshold(
                 geometry,
                 channel,
                 t_rh,
                 CRA_CACHE_BYTES,
-            )?)
+            )?)?)
         }
-        "para" => Box::new(ParaTracker::for_threshold(t_rh, PARA_P_FAIL, seed)?),
+        "para" => Box::new(Para::for_threshold(t_rh, PARA_P_FAIL, seed)?),
         "vendor-trr" => {
+            // The shipped sampler is deliberately weak (1–16 tracked rows,
+            // the TRRespass narrative). Provisioned to track every distinct
+            // row a window can produce — the only way a first-come sampler
+            // meets the security contract — it shows what honest TRR costs.
             let capacity = usize::try_from(2 * window_acts).unwrap_or(usize::MAX);
-            Box::new(TrrTracker::provisioned(geometry, channel, t_rh, capacity)?)
+            Box::new(VendorTrr::new(
+                geometry,
+                channel,
+                (t_rh / 2).max(1),
+                capacity,
+            )?)
         }
         "comet" => Box::new(Comet::new(
             geometry,
@@ -192,7 +201,6 @@ pub fn build_tracker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::Tracker;
     use hydra_types::ActivationKind::Demand;
     use hydra_types::RowAddr;
 
@@ -207,9 +215,9 @@ mod tests {
             assert_eq!(&t.name(), name, "roster key must match tracker name");
             assert!(!t.params().is_empty());
             // One activation round-trips without panicking.
-            let d = t.activate(RowAddr::new(0, 0, 0, 7), 0, Demand);
+            let d = t.on_activation(RowAddr::new(0, 0, 0, 7), 0, Demand);
             assert!(d.mitigations.len() <= 1);
-            t.window_reset(1);
+            t.reset_window(1);
         }
     }
 
@@ -237,14 +245,14 @@ mod tests {
         // The arena's whole point: per-tracker SRAM responds differently to
         // T_RH. Graphene's table grows as T_RH falls; MINT's stays flat.
         let geometry = MemGeometry::tiny();
-        let bits = |name: &str, t_rh: u32| -> u64 {
+        let bytes = |name: &str, t_rh: u32| -> u64 {
             match build_tracker(name, geometry, 0, t_rh, 42, 1360) {
-                Ok(t) => t.sram_bits(),
+                Ok(t) => t.sram_bytes(),
                 Err(e) => panic!("{name}@{t_rh}: {e}"),
             }
         };
-        assert!(bits("graphene", 500) > bits("graphene", 4800));
-        assert!(bits("mint", 500) <= bits("mint", 4800));
-        assert_eq!(bits("para", 500), 0);
+        assert!(bytes("graphene", 500) > bytes("graphene", 4800));
+        assert!(bytes("mint", 500) <= bytes("mint", 4800));
+        assert_eq!(bytes("para", 500), 0);
     }
 }

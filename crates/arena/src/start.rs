@@ -21,7 +21,7 @@
 //!   safe, never spurious (the row was just activated) — and is counted in
 //!   [`Start::pool_full_mitigations`] so the leaderboard exposes
 //!   under-provisioning instead of hiding it.
-//! * `window_reset` frees every group, so the reported SRAM high-water
+//! * `reset_window` frees every group, so the reported SRAM high-water
 //!   mark ([`Start::peak_groups`]) is a per-window figure — the analogue
 //!   of START's observation that its worst measured workload used ~4% of
 //!   the LLC while the reserved fraction covers the adversarial bound.
@@ -32,8 +32,9 @@
 //! fallback mitigates rather than drops, so exhaustion degrades
 //! performance, never security.
 
-use crate::tracker::{ActStats, Tracker, TrackerDecision};
-use hydra_types::{ActivationKind, ConfigError, MemCycle, MemGeometry, RowAddr};
+use hydra_types::{
+    ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
+};
 use std::collections::HashMap;
 
 /// START configuration.
@@ -158,10 +159,28 @@ impl Start {
     pub fn live_groups(&self) -> usize {
         self.groups.len()
     }
+
+    /// On-chip state in bits: the instance size model behind
+    /// [`ActivationTracker::sram_bytes`].
+    pub fn sram_bits(&self) -> u64 {
+        // The reserved pool, whether or not it is currently allocated:
+        // max_groups lines of group_rows counters at ceil(log2 T_H) bits,
+        // plus a tag per line (17-bit group id at paper scale). See
+        // `hydra_baselines::storage::start_bytes_per_rank` for the
+        // paper-scale analytic model.
+        let counter_bits = u64::from(u32::BITS - self.config.t_h.leading_zeros());
+        let line_bits = u64::from(self.config.group_rows) * counter_bits + 17;
+        (self.config.max_groups as u64).saturating_mul(line_bits)
+    }
 }
 
-impl Tracker for Start {
-    fn activate(&mut self, row: RowAddr, _now: MemCycle, _kind: ActivationKind) -> TrackerDecision {
+impl ActivationTracker for Start {
+    fn on_activation(
+        &mut self,
+        row: RowAddr,
+        _now: MemCycle,
+        _kind: ActivationKind,
+    ) -> TrackerResponse {
         debug_assert_eq!(row.channel, self.channel);
         let t_h = self.config.t_h;
         let group_rows = self.config.group_rows;
@@ -174,10 +193,7 @@ impl Tracker for Start {
                 // tracking it. Safe — this very activation touched it.
                 self.pool_full_mitigations += 1;
                 self.mitigations += 1;
-                return TrackerDecision::mitigate(row).with_stats(ActStats {
-                    estimate: 1,
-                    tracked: false,
-                });
+                return TrackerResponse::mitigate(row);
             }
             self.groups.insert(key, vec![0u32; group_rows as usize]);
             self.peak_groups = self.peak_groups.max(self.groups.len());
@@ -185,25 +201,18 @@ impl Tracker for Start {
         let counters = match self.groups.get_mut(&key) {
             Some(c) => c,
             // Unreachable: the group was allocated above.
-            None => return TrackerDecision::none(),
+            None => return TrackerResponse::none(),
         };
         counters[slot] += 1;
-        let estimate = u64::from(counters[slot]);
         if counters[slot] >= t_h {
             counters[slot] = 0;
             self.mitigations += 1;
-            return TrackerDecision::mitigate(row).with_stats(ActStats {
-                estimate,
-                tracked: true,
-            });
+            return TrackerResponse::mitigate(row);
         }
-        TrackerDecision::none().with_stats(ActStats {
-            estimate,
-            tracked: true,
-        })
+        TrackerResponse::none()
     }
 
-    fn window_reset(&mut self, _now: MemCycle) {
+    fn reset_window(&mut self, _now: MemCycle) {
         self.groups.clear();
     }
 
@@ -218,15 +227,8 @@ impl Tracker for Start {
         )
     }
 
-    fn sram_bits(&self) -> u64 {
-        // The reserved pool, whether or not it is currently allocated:
-        // max_groups lines of group_rows counters at ceil(log2 T_H) bits,
-        // plus a tag per line (17-bit group id at paper scale). See
-        // `hydra_baselines::storage::start_bytes_per_rank` for the
-        // paper-scale analytic model.
-        let counter_bits = u64::from(u32::BITS - self.config.t_h.leading_zeros());
-        let line_bits = u64::from(self.config.group_rows) * counter_bits + 17;
-        (self.config.max_groups as u64).saturating_mul(line_bits)
+    fn sram_bytes(&self) -> u64 {
+        self.sram_bits().div_ceil(8)
     }
 }
 
@@ -247,17 +249,20 @@ mod tests {
         }
     }
 
+    /// The 1-based activations of `row`, out of `n`, that mitigated.
+    fn firings(s: &mut Start, row: RowAddr, n: u64) -> Vec<u64> {
+        (1..=n)
+            .filter(|&i| !s.on_activation(row, i, Demand).mitigations.is_empty())
+            .collect()
+    }
+
     #[test]
     fn exact_counting_mitigates_at_every_t_h() {
         let mut s = start(8, 64);
-        let row = RowAddr::new(0, 0, 0, 42);
-        let mut when = Vec::new();
-        for i in 1..=24u64 {
-            if !s.activate(row, i, Demand).mitigations.is_empty() {
-                when.push(i);
-            }
-        }
-        assert_eq!(when, vec![8, 16, 24]);
+        assert_eq!(
+            firings(&mut s, RowAddr::new(0, 0, 0, 42), 24),
+            vec![8, 16, 24]
+        );
     }
 
     #[test]
@@ -265,42 +270,45 @@ mod tests {
         let mut s = start(8, 64);
         assert_eq!(s.live_groups(), 0);
         // Rows 0 and 7 share group 0; row 8 opens group 1.
-        s.activate(RowAddr::new(0, 0, 0, 0), 0, Demand);
-        s.activate(RowAddr::new(0, 0, 0, 7), 1, Demand);
+        s.on_activation(RowAddr::new(0, 0, 0, 0), 0, Demand);
+        s.on_activation(RowAddr::new(0, 0, 0, 7), 1, Demand);
         assert_eq!(s.live_groups(), 1);
-        s.activate(RowAddr::new(0, 0, 0, 8), 2, Demand);
+        s.on_activation(RowAddr::new(0, 0, 0, 8), 2, Demand);
         assert_eq!(s.live_groups(), 2);
-        // Row 0's count is still 1 (row 7 did not alias it).
-        let d = s.activate(RowAddr::new(0, 0, 0, 0), 3, Demand);
-        assert_eq!(d.stats.estimate, 2);
+        // Row 0's count is still 1 (row 7 did not alias it): it reaches
+        // T_H = 8 on its 7th further activation.
+        assert_eq!(firings(&mut s, RowAddr::new(0, 0, 0, 0), 7), vec![7]);
     }
 
     #[test]
     fn pool_exhaustion_mitigates_instead_of_dropping() {
         let mut s = start(8, 2);
-        s.activate(RowAddr::new(0, 0, 0, 0), 0, Demand); // group 0
-        s.activate(RowAddr::new(0, 0, 0, 8), 1, Demand); // group 1
-        let d = s.activate(RowAddr::new(0, 0, 0, 16), 2, Demand); // group 2: full
+        s.on_activation(RowAddr::new(0, 0, 0, 0), 0, Demand); // group 0
+        s.on_activation(RowAddr::new(0, 0, 0, 8), 1, Demand); // group 1
+        let d = s.on_activation(RowAddr::new(0, 0, 0, 16), 2, Demand); // group 2: full
         assert_eq!(d.mitigations.len(), 1);
         assert_eq!(d.mitigations[0].aggressor.row, 16);
         assert_eq!(s.pool_full_mitigations(), 1);
         // Rows in already-allocated groups still count exactly.
-        let d = s.activate(RowAddr::new(0, 0, 0, 0), 3, Demand);
-        assert_eq!(d.stats.estimate, 2);
+        assert_eq!(firings(&mut s, RowAddr::new(0, 0, 0, 0), 7), vec![7]);
     }
 
     #[test]
     fn window_reset_frees_every_group_but_keeps_the_peak() {
         let mut s = start(8, 64);
         for g in 0..5u32 {
-            s.activate(RowAddr::new(0, 0, 0, g * 8), 0, Demand);
+            s.on_activation(RowAddr::new(0, 0, 0, g * 8), 0, Demand);
         }
         assert_eq!(s.live_groups(), 5);
-        s.window_reset(1);
+        s.reset_window(1);
         assert_eq!(s.live_groups(), 0);
         assert_eq!(s.peak_groups(), 5);
-        let d = s.activate(RowAddr::new(0, 0, 0, 0), 2, Demand);
-        assert_eq!(d.stats.estimate, 1, "fresh window recounts from zero");
+        // Row 0 had one activation before the reset; it now needs all 8.
+        assert_eq!(
+            firings(&mut s, RowAddr::new(0, 0, 0, 0), 8),
+            vec![8],
+            "fresh window recounts from zero"
+        );
     }
 
     #[test]

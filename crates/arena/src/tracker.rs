@@ -1,202 +1,51 @@
-//! The arena [`Tracker`] trait and its bridge onto the simulator.
+//! The arena's tracker currency.
 //!
-//! # Trait contract
+//! Every contender implements [`hydra_types::ActivationTracker`] directly,
+//! the same contract the memory controller, the simulators, and the
+//! [`hydra_sim::oracle::ShadowOracle`] sanitizer already drive. The
+//! leaderboard's introspection (`params`, `max_spillover`) lives on that
+//! trait as defaulted methods, so the arena needs no trait of its own.
 //!
-//! A [`Tracker`] is a Row-Hammer mitigation mechanism viewed from the
-//! memory controller: it observes every row activation and decides which
-//! aggressor rows to mitigate (neighbor-refresh) and what metadata traffic
-//! to issue. The contract mirrors
-//! [`hydra_types::ActivationTracker`] — the trait every production tracker
-//! in this workspace already implements — and adds the introspection the
-//! leaderboard needs (`sram_bits`, `params`, `max_spillover`):
-//!
-//! * [`Tracker::activate`] is called once per activation (demand, victim
-//!   refresh, or tracker side traffic — all three disturb neighbors) and
-//!   returns a [`TrackerDecision`].
-//! * [`Tracker::window_reset`] is called once per 64 ms tracking window.
-//! * Implementations must be deterministic given the call sequence;
-//!   probabilistic trackers (MINT, PARA) take a seed at construction.
-//!
-//! # Bridging
-//!
-//! [`ArenaAdapter`] lifts any [`Tracker`] into an
-//! [`hydra_types::ActivationTracker`], so the existing
-//! [`hydra_sim::ActivationSim`] replayer, the
-//! [`hydra_sim::oracle::ShadowOracle`] sanitizer, and the sharded engine
-//! all run arena trackers unchanged. The adapter is a zero-cost shim: it
-//! moves the decision's mitigation/side-request vectors straight into the
-//! [`hydra_types::TrackerResponse`] without copying, so the proptest in
-//! `tests/adapter_equivalence.rs` can require the adapter path to be
-//! *byte-identical* to driving the wrapped tracker directly.
+//! [`ArenaAdapter`] and [`HydraTracker`] are kept only because the
+//! repository benchmark (`perfbench/src/arena_race.rs`) names them; the
+//! arena itself uses neither.
 
-use hydra_types::{
-    ActivationKind, ActivationTracker, MemCycle, MitigationRequest, RowAddr, SideRequest,
-    TrackerResponse,
-};
-
-/// Per-activation introspection a tracker reports alongside its decision.
-///
-/// Diagnostic only: nothing downstream branches on these values, so a
-/// tracker that cannot produce them cheaply reports zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ActStats {
-    /// The tracker's best post-activation count estimate for the reported
-    /// row (0 when the tracker does not expose one).
-    pub estimate: u64,
-    /// Whether the row is resident in the tracker's tables after this
-    /// activation.
-    pub tracked: bool,
-}
-
-/// A tracker's reply to one activation: what to mitigate, what metadata
-/// traffic to issue, and what it believes about the row.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TrackerDecision {
-    /// Rows that reached the tracker's threshold and must be mitigated.
-    pub mitigations: Vec<MitigationRequest>,
-    /// Extra DRAM traffic (metadata reads/writes) to schedule.
-    pub side_requests: Vec<SideRequest>,
-    /// Per-activation introspection.
-    pub stats: ActStats,
-}
-
-impl TrackerDecision {
-    /// A decision requesting nothing.
-    pub fn none() -> Self {
-        TrackerDecision::default()
-    }
-
-    /// A decision requesting a single mitigation and no side traffic.
-    pub fn mitigate(aggressor: RowAddr) -> Self {
-        TrackerDecision {
-            mitigations: vec![MitigationRequest::new(aggressor)],
-            side_requests: Vec::new(),
-            stats: ActStats::default(),
-        }
-    }
-
-    /// Wraps an existing [`TrackerResponse`] (from an
-    /// [`ActivationTracker`]) without copying its vectors.
-    pub fn from_response(response: TrackerResponse, stats: ActStats) -> Self {
-        TrackerDecision {
-            mitigations: response.mitigations,
-            side_requests: response.side_requests,
-            stats,
-        }
-    }
-
-    /// Attaches stats to the decision.
-    pub fn with_stats(mut self, stats: ActStats) -> Self {
-        self.stats = stats;
-        self
-    }
-
-    /// Converts into the simulator-facing response, dropping the stats.
-    pub fn into_response(self) -> TrackerResponse {
-        TrackerResponse {
-            mitigations: self.mitigations,
-            side_requests: self.side_requests,
-        }
-    }
-}
-
-/// A Row-Hammer tracker as raced in the arena. See the module docs for the
-/// full contract.
-pub trait Tracker {
-    /// Reports one activation of `row` at time `now`; returns the tracker's
-    /// decision.
-    fn activate(&mut self, row: RowAddr, now: MemCycle, kind: ActivationKind) -> TrackerDecision;
-
-    /// Starts a new tracking window (called once per 64 ms refresh window).
-    fn window_reset(&mut self, now: MemCycle);
-
-    /// Stable tracker name (the leaderboard's row key).
-    fn name(&self) -> &str;
-
-    /// Human-readable parameter summary (threshold, table sizes, seed, …).
-    fn params(&self) -> String;
-
-    /// On-chip state in bits (the leaderboard's instance-SRAM axis).
-    fn sram_bits(&self) -> u64;
-
-    /// Worst counting over-estimate the tracker has accrued (Misra-Gries
-    /// spillover, sketch collision slack, …). Exact trackers report 0.
-    fn max_spillover(&self) -> u64 {
-        0
-    }
-}
-
-impl<T: Tracker + ?Sized> Tracker for Box<T> {
-    fn activate(&mut self, row: RowAddr, now: MemCycle, kind: ActivationKind) -> TrackerDecision {
-        (**self).activate(row, now, kind)
-    }
-
-    fn window_reset(&mut self, now: MemCycle) {
-        (**self).window_reset(now)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn params(&self) -> String {
-        (**self).params()
-    }
-
-    fn sram_bits(&self) -> u64 {
-        (**self).sram_bits()
-    }
-
-    fn max_spillover(&self) -> u64 {
-        (**self).max_spillover()
-    }
-}
+use hydra_types::{ActivationKind, ActivationTracker, MemCycle, RowAddr, TrackerResponse};
 
 /// A boxed arena tracker (the roster's common currency). `Send` so a
-/// boxed contender can be built inside an engine shard worker.
-pub type BoxedTracker = Box<dyn Tracker + Send>;
+/// boxed contender can be built on a batch worker.
+pub type BoxedTracker = Box<dyn ActivationTracker + Send>;
 
-/// Lifts an arena [`Tracker`] into an [`ActivationTracker`], so the
-/// existing simulator, sanitizer, and sharded engine run it unchanged.
+/// Hydra under the name the repository benchmark imports:
+/// `HydraTracker::new(config)` is [`hydra_core::Hydra::new`].
+pub type HydraTracker = hydra_core::Hydra;
+
+/// A forwarding newtype over any [`ActivationTracker`], kept for the
+/// repository benchmark, which times it against the bare tracker.
 #[derive(Debug, Clone)]
 pub struct ArenaAdapter<T> {
     inner: T,
 }
 
-impl<T: Tracker> ArenaAdapter<T> {
+impl<T: ActivationTracker> ArenaAdapter<T> {
     /// Wraps `inner`.
     pub fn new(inner: T) -> Self {
         ArenaAdapter { inner }
     }
-
-    /// The wrapped tracker.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The wrapped tracker, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    /// Unwraps.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
 }
 
-impl<T: Tracker> ActivationTracker for ArenaAdapter<T> {
+impl<T: ActivationTracker> ActivationTracker for ArenaAdapter<T> {
     fn on_activation(
         &mut self,
         row: RowAddr,
         now: MemCycle,
         kind: ActivationKind,
     ) -> TrackerResponse {
-        self.inner.activate(row, now, kind).into_response()
+        self.inner.on_activation(row, now, kind)
     }
 
     fn reset_window(&mut self, now: MemCycle) {
-        self.inner.window_reset(now);
+        self.inner.reset_window(now);
     }
 
     fn name(&self) -> &str {
@@ -204,89 +53,14 @@ impl<T: Tracker> ActivationTracker for ArenaAdapter<T> {
     }
 
     fn sram_bytes(&self) -> u64 {
-        self.inner.sram_bits().div_ceil(8)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Mitigates every `n`-th activation of any row.
-    struct EveryNth {
-        n: u64,
-        seen: u64,
+        self.inner.sram_bytes()
     }
 
-    impl Tracker for EveryNth {
-        fn activate(
-            &mut self,
-            row: RowAddr,
-            _now: MemCycle,
-            _kind: ActivationKind,
-        ) -> TrackerDecision {
-            self.seen += 1;
-            if self.seen.is_multiple_of(self.n) {
-                TrackerDecision::mitigate(row).with_stats(ActStats {
-                    estimate: self.seen,
-                    tracked: true,
-                })
-            } else {
-                TrackerDecision::none()
-            }
-        }
-
-        fn window_reset(&mut self, _now: MemCycle) {
-            self.seen = 0;
-        }
-
-        fn name(&self) -> &str {
-            "every-nth"
-        }
-
-        fn params(&self) -> String {
-            format!("n={}", self.n)
-        }
-
-        fn sram_bits(&self) -> u64 {
-            12
-        }
+    fn params(&self) -> String {
+        self.inner.params()
     }
 
-    #[test]
-    fn adapter_forwards_decisions_and_rounds_sram_up() {
-        let mut a = ArenaAdapter::new(EveryNth { n: 2, seen: 0 });
-        let row = RowAddr::new(0, 0, 0, 7);
-        assert!(a.on_activation(row, 0, ActivationKind::Demand).is_empty());
-        let r = a.on_activation(row, 1, ActivationKind::Demand);
-        assert_eq!(r.mitigations.len(), 1);
-        assert_eq!(r.mitigations[0].aggressor, row);
-        assert_eq!(a.name(), "every-nth");
-        // 12 bits → 2 bytes.
-        assert_eq!(a.sram_bytes(), 2);
-        a.reset_window(5);
-        assert_eq!(a.inner().seen, 0);
-    }
-
-    #[test]
-    fn boxed_tracker_delegates() {
-        let mut b: BoxedTracker = Box::new(EveryNth { n: 1, seen: 0 });
-        assert_eq!(b.name(), "every-nth");
-        assert_eq!(b.params(), "n=1");
-        assert_eq!(b.sram_bits(), 12);
-        assert_eq!(b.max_spillover(), 0);
-        let d = b.activate(RowAddr::new(0, 0, 0, 1), 0, ActivationKind::Demand);
-        assert_eq!(d.mitigations.len(), 1);
-        assert_eq!(d.stats.estimate, 1);
-        b.window_reset(1);
-    }
-
-    #[test]
-    fn decision_round_trips_a_response() {
-        let row = RowAddr::new(0, 0, 1, 9);
-        let mut resp = TrackerResponse::mitigate(row);
-        resp.side_requests.push(SideRequest::read(row));
-        let d = TrackerDecision::from_response(resp.clone(), ActStats::default());
-        assert_eq!(d.into_response(), resp);
+    fn max_spillover(&self) -> u64 {
+        self.inner.max_spillover()
     }
 }

@@ -11,7 +11,7 @@
 //! oracle flags every one.
 
 use hydra_arena::fixtures::{Sabotage, SabotageMode};
-use hydra_arena::{build_tracker, roster_names, ArenaAdapter, Tracker};
+use hydra_arena::{build_tracker, roster_names, BoxedTracker};
 use hydra_dram::DramTiming;
 use hydra_sim::oracle::ShadowOracle;
 use hydra_sim::ActivationSim;
@@ -56,12 +56,12 @@ fn attack_rows(name: &str, geometry: MemGeometry, acts: u64) -> Vec<RowAddr> {
 /// Runs `tracker` under the oracle against `rows`; returns total violations
 /// and the worst unmitigated count.
 fn oracle_run(
-    tracker: Box<dyn Tracker + Send>,
+    tracker: BoxedTracker,
     t_rh: u32,
     geometry: MemGeometry,
     rows: Vec<RowAddr>,
 ) -> (u64, u64) {
-    let oracle = ShadowOracle::new(ArenaAdapter::new(tracker), t_rh);
+    let oracle = ShadowOracle::new(tracker, t_rh);
     let mut sim = ActivationSim::new(geometry, oracle).with_timing(scaled_timing());
     sim.run(rows);
     let report = sim.tracker().report();
@@ -115,7 +115,7 @@ fn dropped_mitigations_are_flagged_for_every_tracker() {
             Ok(t) => t,
             Err(e) => panic!("{name}: {e}"),
         };
-        let sabotaged: Box<dyn Tracker + Send> = Box::new(Sabotage::new(
+        let sabotaged: BoxedTracker = Box::new(Sabotage::new(
             tracker,
             SabotageMode::DropMitigations { every: 1 },
         ));
@@ -144,7 +144,7 @@ fn wrong_row_mitigations_are_flagged_for_every_tracker() {
             Ok(t) => t,
             Err(e) => panic!("{name}: {e}"),
         };
-        let sabotaged: Box<dyn Tracker + Send> = Box::new(Sabotage::new(
+        let sabotaged: BoxedTracker = Box::new(Sabotage::new(
             tracker,
             SabotageMode::WrongRow { patsy: 1_000 },
         ));
@@ -174,7 +174,7 @@ fn undercounting_is_flagged_for_every_exact_tracker() {
             Ok(t) => t,
             Err(e) => panic!("{name}: {e}"),
         };
-        let sabotaged: Box<dyn Tracker + Send> = Box::new(Sabotage::new(
+        let sabotaged: BoxedTracker = Box::new(Sabotage::new(
             tracker,
             SabotageMode::Undercount { one_in: 3 },
         ));

@@ -281,6 +281,13 @@ impl ActivationTracker for Cra {
     fn sram_bytes(&self) -> u64 {
         self.config.cache_bytes as u64
     }
+
+    fn params(&self) -> String {
+        format!(
+            "threshold={} cache_bytes={}",
+            self.config.threshold, self.config.cache_bytes
+        )
+    }
 }
 
 #[cfg(test)]

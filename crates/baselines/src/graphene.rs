@@ -128,17 +128,6 @@ impl Graphene {
         self.activations
     }
 
-    /// Worst Misra-Gries spillover across the per-bank tables: the maximum
-    /// amount by which any summary's estimates over-count the truth. The
-    /// arena leaderboard reports this as Graphene's counting slack.
-    pub fn max_spillover(&self) -> u64 {
-        self.tables
-            .iter()
-            .map(MisraGries::spillover)
-            .max()
-            .unwrap_or(0)
-    }
-
     fn table_index(&self, row: RowAddr) -> usize {
         usize::from(row.rank) * usize::from(self.config.geometry.banks_per_rank())
             + usize::from(row.bank)
@@ -183,6 +172,24 @@ impl ActivationTracker for Graphene {
             1_360_000,
             u32::from(self.config.geometry.banks_per_rank()),
         ) * u64::from(self.config.geometry.ranks_per_channel())
+    }
+
+    fn params(&self) -> String {
+        format!(
+            "threshold={} entries_per_bank={}",
+            self.config.threshold, self.config.entries_per_bank
+        )
+    }
+
+    /// Worst Misra-Gries spillover across the per-bank tables: the maximum
+    /// amount by which any summary's estimates over-count the truth. The
+    /// arena leaderboard reports this as Graphene's counting slack.
+    fn max_spillover(&self) -> u64 {
+        self.tables
+            .iter()
+            .map(MisraGries::spillover)
+            .max()
+            .unwrap_or(0)
     }
 }
 

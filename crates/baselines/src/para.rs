@@ -33,6 +33,9 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct Para {
     probability: f64,
+    /// The failure target `p` was sized for ([`Para::for_threshold`] only).
+    p_fail: Option<f64>,
+    seed: u64,
     rng: SmallRng,
     mitigations: u64,
     activations: u64,
@@ -52,6 +55,8 @@ impl Para {
         }
         Ok(Para {
             probability,
+            p_fail: None,
+            seed,
             rng: SmallRng::seed_from_u64(seed),
             mitigations: 0,
             activations: 0,
@@ -73,7 +78,9 @@ impl Para {
             return Err(ConfigError::new("failure probability must be in (0, 1)"));
         }
         let p = 1.0 - p_fail.powf(2.0 / f64::from(t_rh));
-        Para::new(p.clamp(f64::MIN_POSITIVE, 1.0), seed)
+        let mut para = Para::new(p.clamp(f64::MIN_POSITIVE, 1.0), seed)?;
+        para.p_fail = Some(p_fail);
+        Ok(para)
     }
 
     /// The per-activation mitigation probability.
@@ -113,6 +120,16 @@ impl ActivationTracker for Para {
 
     fn sram_bytes(&self) -> u64 {
         0
+    }
+
+    fn params(&self) -> String {
+        match self.p_fail {
+            Some(p_fail) => format!(
+                "p={:.6} p_fail={:e} seed={}",
+                self.probability, p_fail, self.seed
+            ),
+            None => format!("p={:.6} seed={}", self.probability, self.seed),
+        }
     }
 }
 

@@ -133,6 +133,10 @@ impl ActivationTracker for VendorTrr {
         // row address (~17 bits) + counter (~9 bits) per entry, per bank.
         (self.tables.len() * self.capacity) as u64 * 4
     }
+
+    fn params(&self) -> String {
+        format!("threshold={} capacity={}", self.threshold, self.capacity)
+    }
 }
 
 #[cfg(test)]

@@ -690,6 +690,20 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> ActivationTracker for Hydra<R, P,
     fn sram_bytes(&self) -> u64 {
         self.storage().total_sram_bytes()
     }
+
+    fn params(&self) -> String {
+        let c = &self.config;
+        format!(
+            "t_h={} t_g={} gct={} rcc={}",
+            c.t_h, c.t_g, c.gct_entries, c.rcc_entries
+        )
+    }
+
+    fn max_spillover(&self) -> u64 {
+        // GCT group counts over-attribute per-row activity by design; the
+        // number of group spills bounds how often that slack bit.
+        self.stats.group_spills
+    }
 }
 
 #[cfg(test)]

@@ -35,10 +35,7 @@ pub mod protocol;
 pub mod shard;
 
 pub use pool::{CellOutcome, WorkerPool};
-pub use shard::{
-    merge_shards, merge_tracker_shards, partition_by_channel, MergedRun, ShardResult,
-    ShardTrackerFactory, ShardedSim, TrackerMergedRun, TrackerShardResult, TrackerShardedSim,
-};
+pub use shard::{merge_shards, partition_by_channel, MergedRun, ShardResult, ShardedSim};
 
 /// An engine-level failure: an invalid shard plan or a shard that died
 /// mid-run.

@@ -23,11 +23,9 @@ use crate::pool::{CellOutcome, WorkerPool};
 use crate::EngineError;
 use hydra_core::{Hydra, HydraConfig, HydraStats};
 use hydra_dram::DramTiming;
-use hydra_profiler::{phase, ProfileTree, SpanSink, TreeProfiler};
 use hydra_sim::{ActivationSim, ActivationSimReport};
 use hydra_types::addr::RowAddr;
 use hydra_types::geometry::MemGeometry;
-use hydra_types::tracker::ActivationTracker;
 
 /// The outcome of one channel shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,81 +198,6 @@ impl ShardedSim {
         }
         Ok(merge_shards(results))
     }
-
-    /// [`run_parallel`](Self::run_parallel) with per-worker span profiling:
-    /// each shard gets its own thread-local
-    /// [`TreeProfiler`](hydra_profiler::TreeProfiler) (the profiler handle
-    /// is deliberately not `Send`; only the exported [`ProfileTree`] crosses
-    /// threads), its tracker phases nest under a `shard` root span, and the
-    /// per-shard trees fold into one tree with the order-insensitive
-    /// [`ProfileTree::merge`] — commutative and associative by the proptest
-    /// in `hydra-profiler/tests/merge_laws.rs`, so the merged profile is
-    /// deterministic up to timing noise regardless of completion order.
-    ///
-    /// The simulation outcome is unaffected: the [`MergedRun`] is
-    /// bit-identical to the unprofiled paths on the same stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] under the same conditions as
-    /// [`run_parallel`](Self::run_parallel).
-    pub fn run_parallel_profiled(
-        &self,
-        pool: &WorkerPool,
-        rows: &[RowAddr],
-    ) -> Result<(MergedRun, ProfileTree), EngineError> {
-        let shards = self.partition_by_channel(rows);
-        let items: Vec<(HydraConfig, Vec<RowAddr>)> =
-            self.configs.iter().cloned().zip(shards).collect();
-        let geometry = self.geometry;
-        let timing = self.timing;
-        let outcomes = pool.run_ordered(items, move |_, (config, sub)| {
-            run_shard_profiled(geometry, timing, config, &sub)
-        });
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut profile = ProfileTree::new();
-        for (channel, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                CellOutcome::Done(Ok((result, tree))) => {
-                    results.push(result);
-                    profile.merge(&tree);
-                }
-                CellOutcome::Done(Err(e)) => {
-                    return Err(EngineError::new(format!("shard {channel} failed: {e}")));
-                }
-                CellOutcome::Panicked(msg) => {
-                    return Err(EngineError::new(format!("shard {channel} panicked: {msg}")));
-                }
-                CellOutcome::Skipped => {
-                    return Err(EngineError::new(format!("shard {channel} never ran")));
-                }
-            }
-        }
-        Ok((merge_shards(results), profile))
-    }
-
-    /// [`run_sequential`](Self::run_sequential) with span profiling — the
-    /// reference for [`run_parallel_profiled`](Self::run_parallel_profiled).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if a shard's tracker cannot be built.
-    pub fn run_sequential_profiled(
-        &self,
-        rows: &[RowAddr],
-    ) -> Result<(MergedRun, ProfileTree), EngineError> {
-        let shards = self.partition_by_channel(rows);
-        let mut results = Vec::with_capacity(shards.len());
-        let mut profile = ProfileTree::new();
-        for (config, sub) in self.configs.iter().cloned().zip(shards) {
-            let channel = config.channel;
-            let (result, tree) = run_shard_profiled(self.geometry, self.timing, config, &sub)
-                .map_err(|e| EngineError::new(format!("shard {channel} failed: {e}")))?;
-            results.push(result);
-            profile.merge(&tree);
-        }
-        Ok((merge_shards(results), profile))
-    }
 }
 
 /// Splits `rows` into per-channel substreams, preserving arrival order
@@ -309,36 +232,6 @@ fn run_shard(
     })
 }
 
-/// Replays one channel's substream through a fresh span-instrumented
-/// tracker, returning the shard result plus its profile tree. The
-/// [`TreeProfiler`] lives and dies on the calling (worker) thread; the
-/// bracketing `shard` root span makes each tracker phase's ancestry
-/// explicit in the folded export (`shard;activate;rcc_probe …`).
-fn run_shard_profiled(
-    geometry: MemGeometry,
-    timing: DramTiming,
-    config: HydraConfig,
-    rows: &[RowAddr],
-) -> Result<(ShardResult, ProfileTree), String> {
-    let channel = config.channel;
-    let profiler = TreeProfiler::new();
-    let tracker = Hydra::with_spans(config, profiler.clone()).map_err(|e| e.to_string())?;
-    let mut sim = ActivationSim::new(geometry, tracker).with_timing(timing);
-    let mut driver = profiler.clone();
-    driver.enter(phase::SHARD);
-    let report = sim.run(rows.iter().copied());
-    driver.exit(phase::SHARD);
-    let mitigated = sim.drain_mitigated();
-    let result = ShardResult {
-        channel,
-        shard_acts: rows.len() as u64,
-        stats: sim.tracker().stats(),
-        report,
-        mitigated,
-    };
-    Ok((result, profiler.tree()))
-}
-
 /// Merges shard results with order-insensitive reductions: shards are
 /// reordered by channel, counters are summed (u64 addition is commutative
 /// and associative), and the union of mitigated rows is sorted. Feeding the
@@ -357,195 +250,6 @@ pub fn merge_shards(mut shards: Vec<ShardResult>) -> MergedRun {
     MergedRun {
         shards,
         stats,
-        report,
-        mitigated,
-    }
-}
-
-/// A factory building one tracker per channel shard. The factory is called
-/// once per channel (on whichever worker runs that shard), so trackers
-/// never cross threads — only the factory and the results do.
-pub type ShardTrackerFactory =
-    Box<dyn Fn(u8) -> Result<Box<dyn ActivationTracker + Send>, String> + Send + Sync>;
-
-/// The outcome of one tracker-generic channel shard. The Hydra-specific
-/// [`ShardResult`] additionally carries [`HydraStats`]; a generic tracker
-/// has no common stats surface beyond the simulator's report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackerShardResult {
-    /// The channel this shard covered.
-    pub channel: u8,
-    /// Demand activations routed to this shard.
-    pub shard_acts: u64,
-    /// The shard simulator's report.
-    pub report: ActivationSimReport,
-    /// Rows mitigated in this shard, in mitigation order.
-    pub mitigated: Vec<RowAddr>,
-}
-
-/// A tracker-generic multi-channel run after the deterministic merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackerMergedRun {
-    /// Per-shard results, ordered by channel.
-    pub shards: Vec<TrackerShardResult>,
-    /// System-wide simulator counters (order-insensitive sum over shards).
-    pub report: ActivationSimReport,
-    /// Every mitigated row across all shards, sorted.
-    pub mitigated: Vec<RowAddr>,
-}
-
-/// [`ShardedSim`] generalized over the tracker: the same channel-sharded,
-/// deterministically-merged simulation for **any** [`ActivationTracker`] —
-/// the hook `hydra-arena` uses to race its whole roster on the engine.
-///
-/// The Hydra-specific [`ShardedSim`] is untouched by this type (its
-/// per-shard computation, merge, and profiled paths are shared code only
-/// below the tracker boundary), so every existing Hydra gate keeps its
-/// byte-identical output.
-pub struct TrackerShardedSim {
-    geometry: MemGeometry,
-    factory: ShardTrackerFactory,
-    timing: DramTiming,
-}
-
-impl TrackerShardedSim {
-    /// Builds a sharded simulator that constructs `factory(c)` for channel
-    /// `c`. Every channel's tracker is built once up front to surface
-    /// invalid configurations at construction, not mid-run on a worker.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if the factory rejects any channel.
-    pub fn new(geometry: MemGeometry, factory: ShardTrackerFactory) -> Result<Self, EngineError> {
-        for channel in 0..geometry.channels() {
-            factory(channel)
-                .map_err(|e| EngineError::new(format!("channel {channel} config rejected: {e}")))?;
-        }
-        Ok(TrackerShardedSim {
-            geometry,
-            factory,
-            timing: DramTiming::ddr4_3200(),
-        })
-    }
-
-    /// Overrides the DRAM timing used by every shard (e.g. a scaled window).
-    pub fn with_timing(mut self, timing: DramTiming) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// The simulated geometry.
-    pub fn geometry(&self) -> MemGeometry {
-        self.geometry
-    }
-
-    /// Runs every shard on the pool and merges. Deterministic: bit-identical
-    /// to [`run_sequential`](Self::run_sequential) on the same stream
-    /// regardless of worker count or completion order, provided the factory
-    /// builds deterministic trackers (every roster tracker does — PARA and
-    /// MINT take their RNG seed at construction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if any shard fails, panics, or is skipped.
-    pub fn run_parallel(
-        &self,
-        pool: &WorkerPool,
-        rows: &[RowAddr],
-    ) -> Result<TrackerMergedRun, EngineError> {
-        let shards = partition_by_channel(self.geometry.channels(), rows);
-        let items: Vec<(u8, Vec<RowAddr>)> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(c, sub)| (c as u8, sub))
-            .collect();
-        let geometry = self.geometry;
-        let timing = self.timing;
-        let factory = &self.factory;
-        let outcomes = pool.run_ordered(items, move |_, (channel, sub)| {
-            run_tracker_shard(geometry, timing, channel, factory, &sub)
-        });
-        let mut results = Vec::with_capacity(outcomes.len());
-        for (channel, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                CellOutcome::Done(Ok(result)) => results.push(result),
-                CellOutcome::Done(Err(e)) => {
-                    return Err(EngineError::new(format!("shard {channel} failed: {e}")));
-                }
-                CellOutcome::Panicked(msg) => {
-                    return Err(EngineError::new(format!("shard {channel} panicked: {msg}")));
-                }
-                CellOutcome::Skipped => {
-                    return Err(EngineError::new(format!("shard {channel} never ran")));
-                }
-            }
-        }
-        Ok(merge_tracker_shards(results))
-    }
-
-    /// The sequential reference: runs each shard one at a time, in channel
-    /// order, on the calling thread, then merges identically to
-    /// [`run_parallel`](Self::run_parallel).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError`] if a shard's tracker cannot be built.
-    pub fn run_sequential(&self, rows: &[RowAddr]) -> Result<TrackerMergedRun, EngineError> {
-        let shards = partition_by_channel(self.geometry.channels(), rows);
-        let mut results = Vec::with_capacity(shards.len());
-        for (channel, sub) in shards.into_iter().enumerate() {
-            let channel = channel as u8;
-            results.push(
-                run_tracker_shard(self.geometry, self.timing, channel, &self.factory, &sub)
-                    .map_err(|e| EngineError::new(format!("shard {channel} failed: {e}")))?,
-            );
-        }
-        Ok(merge_tracker_shards(results))
-    }
-}
-
-impl std::fmt::Debug for TrackerShardedSim {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TrackerShardedSim")
-            .field("geometry", &self.geometry)
-            .field("timing", &self.timing)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Replays one channel's substream through a freshly built tracker.
-fn run_tracker_shard(
-    geometry: MemGeometry,
-    timing: DramTiming,
-    channel: u8,
-    factory: &ShardTrackerFactory,
-    rows: &[RowAddr],
-) -> Result<TrackerShardResult, String> {
-    let tracker = factory(channel)?;
-    let mut sim = ActivationSim::new(geometry, tracker).with_timing(timing);
-    let report = sim.run(rows.iter().copied());
-    let mitigated = sim.drain_mitigated();
-    Ok(TrackerShardResult {
-        channel,
-        shard_acts: rows.len() as u64,
-        report,
-        mitigated,
-    })
-}
-
-/// Merges tracker-generic shard results exactly like [`merge_shards`]:
-/// shards reordered by channel, counters summed, mitigated rows sorted.
-pub fn merge_tracker_shards(mut shards: Vec<TrackerShardResult>) -> TrackerMergedRun {
-    shards.sort_by_key(|s| s.channel);
-    let mut report = ActivationSimReport::default();
-    let mut mitigated = Vec::new();
-    for shard in &shards {
-        report.merge(&shard.report);
-        mitigated.extend_from_slice(&shard.mitigated);
-    }
-    mitigated.sort_unstable();
-    TrackerMergedRun {
-        shards,
         report,
         mitigated,
     }
@@ -665,45 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn profiled_runs_match_unprofiled_bit_for_bit() {
-        let geometry = tiny2();
-        let sim = sharded(geometry);
-        let rows = interleaved_hammer(geometry, 6000);
-        let pool = WorkerPool::new(4);
-        let seq = match sim.run_sequential(&rows) {
-            Ok(s) => s,
-            Err(e) => panic!("sequential run: {e}"),
-        };
-        let (par_profiled, par_tree) = match sim.run_parallel_profiled(&pool, &rows) {
-            Ok(r) => r,
-            Err(e) => panic!("parallel profiled run: {e}"),
-        };
-        let (seq_profiled, seq_tree) = match sim.run_sequential_profiled(&rows) {
-            Ok(r) => r,
-            Err(e) => panic!("sequential profiled run: {e}"),
-        };
-        // Instrumentation changes nothing the merge can observe.
-        assert_eq!(par_profiled, seq);
-        assert_eq!(seq_profiled, seq);
-        // The merged tree has one `shard` root carrying every shard's spans
-        // (span counts are deterministic; only the timings are not).
-        for tree in [&par_tree, &seq_tree] {
-            let roots: Vec<&str> = tree.roots.keys().map(String::as_str).collect();
-            assert_eq!(roots, vec!["shard"]);
-            let shard = &tree.roots["shard"];
-            assert_eq!(shard.count, u64::from(geometry.channels()));
-            assert_eq!(
-                shard.children["activate"].count,
-                seq.report.total_ops(),
-                "one activate span per activation fed to any shard tracker"
-            );
-            if let Err(e) = tree.check_conservation(0.0) {
-                panic!("conservation: {e}");
-            }
-        }
-    }
-
-    #[test]
     fn merged_totals_cover_every_shard() {
         let geometry = tiny2();
         let sim = sharded(geometry);
@@ -719,65 +384,5 @@ mod tests {
         let mut sorted = merged.mitigated.clone();
         sorted.sort_unstable();
         assert_eq!(merged.mitigated, sorted, "mitigated set is sorted");
-    }
-
-    /// A factory building the same per-channel Hydra the concrete
-    /// [`ShardedSim`] tests use, behind the generic trait object.
-    fn hydra_factory(geometry: MemGeometry) -> ShardTrackerFactory {
-        Box::new(move |channel| {
-            let mut b = HydraConfig::builder(geometry, channel);
-            b.thresholds(16, 12).gct_entries(64).rcc_entries(32);
-            let config = b.build().map_err(|e| e.to_string())?;
-            let tracker = Hydra::new(config).map_err(|e| e.to_string())?;
-            Ok(Box::new(tracker) as Box<dyn ActivationTracker + Send>)
-        })
-    }
-
-    #[test]
-    fn generic_path_matches_the_concrete_hydra_path() {
-        let geometry = tiny2();
-        let rows = interleaved_hammer(geometry, 6000);
-        let concrete = match sharded(geometry).run_sequential(&rows) {
-            Ok(m) => m,
-            Err(e) => panic!("concrete run: {e}"),
-        };
-        let generic_sim = match TrackerShardedSim::new(geometry, hydra_factory(geometry)) {
-            Ok(s) => s,
-            Err(e) => panic!("generic sim: {e}"),
-        };
-        let generic = match generic_sim.run_sequential(&rows) {
-            Ok(m) => m,
-            Err(e) => panic!("generic run: {e}"),
-        };
-        assert_eq!(generic.report, concrete.report);
-        assert_eq!(generic.mitigated, concrete.mitigated);
-        assert!(generic.report.mitigations > 0, "non-vacuous comparison");
-    }
-
-    #[test]
-    fn generic_parallel_matches_generic_sequential() {
-        let geometry = tiny2();
-        let rows = interleaved_hammer(geometry, 6000);
-        let sim = match TrackerShardedSim::new(geometry, hydra_factory(geometry)) {
-            Ok(s) => s,
-            Err(e) => panic!("generic sim: {e}"),
-        };
-        let par = match sim.run_parallel(&WorkerPool::new(4), &rows) {
-            Ok(m) => m,
-            Err(e) => panic!("parallel run: {e}"),
-        };
-        let seq = match sim.run_sequential(&rows) {
-            Ok(m) => m,
-            Err(e) => panic!("sequential run: {e}"),
-        };
-        assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn generic_factory_rejection_surfaces_at_construction() {
-        let geometry = tiny2();
-        let factory: ShardTrackerFactory =
-            Box::new(|channel| Err(format!("channel {channel} refused")));
-        assert!(TrackerShardedSim::new(geometry, factory).is_err());
     }
 }

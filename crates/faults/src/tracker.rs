@@ -220,6 +220,14 @@ impl<T: ActivationTracker> ActivationTracker for FaultyTracker<T> {
     fn sram_bytes(&self) -> u64 {
         self.inner.sram_bytes()
     }
+
+    fn params(&self) -> String {
+        self.inner.params()
+    }
+
+    fn max_spillover(&self) -> u64 {
+        self.inner.max_spillover()
+    }
 }
 
 impl<T: ActivationTracker + fmt::Debug> fmt::Debug for FaultyTracker<T> {

@@ -16,7 +16,7 @@
 //! work over plain integers. The engine is cleared at every window reset,
 //! matching the tracker's own per-window counting semantics.
 
-use crate::sketch::{CountMinSketch, DEFAULT_DEPTH, DEFAULT_WIDTH};
+use hydra_baselines::sketch::{CountMinSketch, DEFAULT_DEPTH, DEFAULT_WIDTH};
 use hydra_baselines::MisraGries;
 use hydra_types::RowAddr;
 

@@ -25,7 +25,7 @@
 //! - [`trace`] — offline replay: `hydra forensics FILE` re-runs the
 //!   analyzers over a recorded trace and reproduces live classification
 //!   exactly.
-//! - [`report`] — `hydra-bench-v1` report parsing and regression
+//! - [`report`] — `hydra-bench-v2` report parsing and regression
 //!   comparison for `hydra bench --compare`.
 //! - [`json`] — the dependency-free JSON parser the offline paths share.
 
@@ -38,7 +38,6 @@ pub mod incident;
 pub mod json;
 pub mod probe;
 pub mod report;
-pub mod sketch;
 pub mod trace;
 
 pub use attribution::AttributionEngine;
@@ -47,7 +46,6 @@ pub use incident::{incidents_to_jsonl, Incident, INCIDENT_SCHEMA_VERSION};
 pub use probe::{ForensicsProbe, RunVerdict, WindowReport};
 pub use report::{
     compare_reports, parse_bench_report, BenchCellData, BenchComparison, BenchReportData,
-    CompareConfig, BENCH_SCHEMA_VERSION, BENCH_SCHEMA_VERSION_V2, CV_GATE_SIGMAS,
+    CompareConfig, BENCH_SCHEMA_VERSION_V2, CV_GATE_SIGMAS,
 };
-pub use sketch::CountMinSketch;
 pub use trace::{parse_event_line, parse_trace_meta, replay_trace, ReplaySummary, TraceMeta};

@@ -1,8 +1,7 @@
 //! Bench-report regression comparison (`hydra bench --compare`).
 //!
-//! Parses two bench reports (the JSON that `hydra bench` writes to
-//! `BENCH_hydra.json` — `hydra-bench-v2`, or the older `hydra-bench-v1`
-//! without variance columns), joins their cells by `workload/geometry`,
+//! Parses two bench reports (the `hydra-bench-v2` JSON that `hydra bench`
+//! writes to `BENCH_hydra.json`), joins their cells by `workload/geometry`,
 //! and flags regressions beyond a tolerance:
 //!
 //! - **slowdown**: the cell's simulated bandwidth inflation grew by ≥
@@ -26,17 +25,12 @@
 use crate::json::{parse, JsonValue};
 use std::fmt::Write as _;
 
-/// Schema identifier of legacy `hydra bench` reports (no variance columns).
-///
-/// This is the single definition of the literal; the CLI imports it and
-/// `repo-lint` enforces that no other library source repeats it.
-pub const BENCH_SCHEMA_VERSION: &str = "hydra-bench-v1";
-
-/// Schema identifier of current `hydra bench` reports: v1 plus per-cell
+/// Schema identifier of `hydra bench` reports, including the per-cell
 /// throughput variance (`repeats`, `acts_per_sec_stddev`,
 /// `acts_per_sec_cv_pct`) from `hydra bench --repeats N`.
 ///
-/// Single definition of the literal, like [`BENCH_SCHEMA_VERSION`].
+/// This is the single definition of the literal; the CLI imports it and
+/// `repo-lint` enforces that no other library source repeats it.
 pub const BENCH_SCHEMA_VERSION_V2: &str = "hydra-bench-v2";
 
 /// Throughput gating width in units of the measured coefficient of
@@ -63,13 +57,13 @@ pub struct BenchCellData {
     pub mitigations: u64,
     /// Whether the per-window delta-sum invariant held.
     pub delta_sum_ok: bool,
-    /// Timed runs behind the throughput figures (1 in v1 reports).
+    /// Timed runs behind the throughput figures.
     pub repeats: u64,
     /// Population standard deviation of per-repeat `acts_per_sec`
-    /// (0 in v1 reports and single-repeat runs).
+    /// (0 in single-repeat runs).
     pub acts_per_sec_stddev: f64,
     /// Coefficient of variation of throughput, percent
-    /// (`stddev / mean × 100`; 0 in v1 reports).
+    /// (`stddev / mean × 100`).
     pub acts_per_sec_cv_pct: f64,
 }
 
@@ -80,7 +74,7 @@ impl BenchCellData {
     }
 }
 
-/// A parsed `hydra-bench-v1` report.
+/// A parsed `hydra-bench-v2` report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReportData {
     /// Whether the report came from a `--smoke` run.
@@ -93,83 +87,59 @@ pub struct BenchReportData {
     pub failures: Vec<String>,
 }
 
-/// Parses a bench report, checking the schema stamp. Accepts the current
-/// `hydra-bench-v2` format and the legacy v1 format (variance columns
-/// default to zero so every v2 consumer sees a well-formed cell).
+/// Parses a `hydra-bench-v2` report, checking the schema stamp. Every
+/// field the comparison reads is required: a missing or mistyped one is a
+/// parse error naming it, never a default that could switch a gate off.
 pub fn parse_bench_report(text: &str) -> Result<BenchReportData, String> {
     let v = parse(text)?;
-    let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or("");
-    if schema != BENCH_SCHEMA_VERSION && schema != BENCH_SCHEMA_VERSION_V2 {
+    let schema = required(&v, "schema", JsonValue::as_str)?;
+    if schema != BENCH_SCHEMA_VERSION_V2 {
         return Err(format!(
-            "not a {BENCH_SCHEMA_VERSION_V2} (or {BENCH_SCHEMA_VERSION}) report (schema {schema:?})"
+            "not a {BENCH_SCHEMA_VERSION_V2} report (schema {schema:?})"
         ));
     }
-    let cells = v
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .ok_or("report has no cells array")?
+    let cells = required(&v, "cells", JsonValue::as_array)?
         .iter()
-        .map(parse_cell)
+        .enumerate()
+        .map(|(i, cell)| parse_cell(cell).map_err(|e| format!("cell {i}: {e}")))
         .collect::<Result<Vec<_>, String>>()?;
-    let failures = v
-        .get("failures")
-        .and_then(JsonValue::as_array)
-        .map(|items| {
-            items
-                .iter()
-                .filter_map(|f| f.as_str().map(str::to_owned))
-                .collect()
-        })
-        .unwrap_or_default();
+    let failures = required(&v, "failures", JsonValue::as_array)?
+        .iter()
+        .filter_map(|f| f.as_str().map(str::to_owned))
+        .collect();
     Ok(BenchReportData {
-        smoke: v.get("smoke").and_then(JsonValue::as_bool).unwrap_or(false),
-        acts_per_cell: v
-            .get("acts_per_cell")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0),
+        smoke: required(&v, "smoke", JsonValue::as_bool)?,
+        acts_per_cell: required(&v, "acts_per_cell", JsonValue::as_u64)?,
         cells,
         failures,
     })
 }
 
+/// The field `key` of `v`, converted by `as_type`; an error naming the
+/// field when it is missing or of the wrong type.
+fn required<'a, T>(
+    v: &'a JsonValue,
+    key: &str,
+    as_type: impl FnOnce(&'a JsonValue) -> Option<T>,
+) -> Result<T, String> {
+    v.get(key)
+        .and_then(as_type)
+        .ok_or_else(|| format!("missing or mistyped field {key:?}"))
+}
+
 fn parse_cell(v: &JsonValue) -> Result<BenchCellData, String> {
-    let field = |key: &str| {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("cell missing numeric field {key:?}"))
-    };
     Ok(BenchCellData {
-        workload: v
-            .get("workload")
-            .and_then(JsonValue::as_str)
-            .ok_or("cell missing workload")?
-            .to_string(),
-        geometry: v
-            .get("geometry")
-            .and_then(JsonValue::as_str)
-            .ok_or("cell missing geometry")?
-            .to_string(),
-        acts: v.get("acts").and_then(JsonValue::as_u64).unwrap_or(0),
-        acts_per_sec: field("acts_per_sec")?,
-        bandwidth_inflation: field("bandwidth_inflation")?,
-        slowdown_pct: field("slowdown_pct")?,
-        mitigations: v
-            .get("mitigations")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0),
-        delta_sum_ok: v
-            .get("delta_sum_ok")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false),
-        repeats: v.get("repeats").and_then(JsonValue::as_u64).unwrap_or(1),
-        acts_per_sec_stddev: v
-            .get("acts_per_sec_stddev")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0),
-        acts_per_sec_cv_pct: v
-            .get("acts_per_sec_cv_pct")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0),
+        workload: required(v, "workload", JsonValue::as_str)?.to_string(),
+        geometry: required(v, "geometry", JsonValue::as_str)?.to_string(),
+        acts: required(v, "acts", JsonValue::as_u64)?,
+        acts_per_sec: required(v, "acts_per_sec", JsonValue::as_f64)?,
+        bandwidth_inflation: required(v, "bandwidth_inflation", JsonValue::as_f64)?,
+        slowdown_pct: required(v, "slowdown_pct", JsonValue::as_f64)?,
+        mitigations: required(v, "mitigations", JsonValue::as_u64)?,
+        delta_sum_ok: required(v, "delta_sum_ok", JsonValue::as_bool)?,
+        repeats: required(v, "repeats", JsonValue::as_u64)?,
+        acts_per_sec_stddev: required(v, "acts_per_sec_stddev", JsonValue::as_f64)?,
+        acts_per_sec_cv_pct: required(v, "acts_per_sec_cv_pct", JsonValue::as_f64)?,
     })
 }
 
@@ -398,44 +368,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parses_the_cli_report_format() {
-        let text = concat!(
-            "{\"schema\":\"hydra-bench-v1\",\"smoke\":true,\"acts_per_cell\":20000,",
-            "\"cells\":[{\"workload\":\"gups\",\"geometry\":\"tiny\",\"acts\":20000,",
-            "\"wall_secs\":0.001,\"acts_per_sec\":15525503.4,",
-            "\"bandwidth_inflation\":1.014,\"slowdown_pct\":1.4,\"windows\":14,",
-            "\"mitigations\":56,\"delta_sum_ok\":true}],\"failures\":[],",
-            "\"summary\":{\"cells\":1,\"ok\":1,\"failed\":0,",
-            "\"mean_acts_per_sec\":1.0,\"max_slowdown_pct\":1.4,",
-            "\"all_delta_sums_ok\":true}}"
-        );
-        let r = parse_bench_report(text).expect("parses");
-        assert!(r.smoke);
-        assert_eq!(r.cells.len(), 1);
-        assert_eq!(r.cells[0].key(), "gups/tiny");
-        assert_eq!(r.cells[0].mitigations, 56);
-        // v1 reports default the variance columns to a zero-noise cell.
-        assert_eq!(r.cells[0].repeats, 1);
-        assert_eq!(r.cells[0].acts_per_sec_stddev, 0.0);
-        assert_eq!(r.cells[0].acts_per_sec_cv_pct, 0.0);
+    /// One v2 cell as `hydra bench` writes it.
+    const CELL: &str = concat!(
+        "{\"workload\":\"gups\",\"geometry\":\"tiny\",\"acts\":20000,",
+        "\"wall_secs\":0.005,\"acts_per_sec\":15000000.0,",
+        "\"acts_per_sec_stddev\":750000.0,\"acts_per_sec_cv_pct\":5.0,",
+        "\"repeats\":5,\"bandwidth_inflation\":1.014,\"slowdown_pct\":1.4,",
+        "\"windows\":14,\"mitigations\":56,\"delta_sum_ok\":true}"
+    );
+
+    fn report_text(schema: &str, cell: &str) -> String {
+        format!(
+            "{{\"schema\":\"{schema}\",\"smoke\":true,\"acts_per_cell\":20000,\
+             \"cells\":[{cell}],\"failures\":[]}}"
+        )
     }
 
     #[test]
-    fn parses_v2_variance_columns() {
-        let text = concat!(
-            "{\"schema\":\"hydra-bench-v2\",\"smoke\":true,\"acts_per_cell\":20000,",
-            "\"cells\":[{\"workload\":\"gups\",\"geometry\":\"tiny\",\"acts\":20000,",
-            "\"wall_secs\":0.005,\"acts_per_sec\":15000000.0,",
-            "\"acts_per_sec_stddev\":750000.0,\"acts_per_sec_cv_pct\":5.0,",
-            "\"repeats\":5,\"bandwidth_inflation\":1.014,\"slowdown_pct\":1.4,",
-            "\"windows\":14,\"mitigations\":56,\"delta_sum_ok\":true}],",
-            "\"failures\":[]}"
-        );
-        let r = parse_bench_report(text).expect("parses");
+    fn parses_the_cli_report_format() {
+        let r = parse_bench_report(&report_text("hydra-bench-v2", CELL)).expect("parses");
+        assert!(r.smoke);
+        assert_eq!(r.acts_per_cell, 20_000);
+        assert_eq!(r.cells.len(), 1);
+        assert_eq!(r.cells[0].key(), "gups/tiny");
+        assert_eq!(r.cells[0].mitigations, 56);
+        assert!(r.cells[0].delta_sum_ok);
         assert_eq!(r.cells[0].repeats, 5);
         assert_eq!(r.cells[0].acts_per_sec_stddev, 750_000.0);
         assert_eq!(r.cells[0].acts_per_sec_cv_pct, 5.0);
+    }
+
+    #[test]
+    fn rejects_v1_reports() {
+        let err = parse_bench_report(&report_text("hydra-bench-v1", CELL)).unwrap_err();
+        assert!(err.contains("hydra-bench-v1"), "{err}");
+    }
+
+    /// A missing field must not read as a default: 0 mitigations would
+    /// mask drift, and `delta_sum_ok: false` would switch off the
+    /// delta-sum gate for the cell.
+    #[test]
+    fn rejects_cells_missing_a_gated_field() {
+        for field in ["\"mitigations\":56,", "\"delta_sum_ok\":true"] {
+            let cell = CELL.replace(field, "").replace(",}", "}");
+            let err = parse_bench_report(&report_text("hydra-bench-v2", &cell)).unwrap_err();
+            let key = field.split('"').nth(1).unwrap_or_default();
+            assert!(err.contains(key), "{field}: {err}");
+        }
     }
 
     #[test]

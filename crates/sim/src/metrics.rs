@@ -18,9 +18,9 @@
 //! [`WindowSeries::to_csv`] shorthands.
 
 use crate::fastsim::{ActivationSim, ActivationSimReport};
-use crate::histogram::LatencyHistogram;
 use hydra_core::{Hydra, HydraStats, RctBackend};
 use hydra_profiler::{phase, SpanSink};
+use hydra_telemetry::LatencyHistogram;
 use hydra_telemetry::{EventSink, MetricsRegistry, MetricsRow};
 use hydra_types::clock::MemCycle;
 use hydra_types::tracker::ActivationTracker;

@@ -271,6 +271,14 @@ impl<T: ActivationTracker> ActivationTracker for ShadowOracle<T> {
     fn sram_bytes(&self) -> u64 {
         self.inner.sram_bytes()
     }
+
+    fn params(&self) -> String {
+        self.inner.params()
+    }
+
+    fn max_spillover(&self) -> u64 {
+        self.inner.max_spillover()
+    }
 }
 
 impl Default for ShadowOracle<NullTracker> {

@@ -5,7 +5,6 @@
 //! reuse it for wire-path latency metrics — batch-ingest→Ack latency,
 //! shard-queue wait, and incident publish lag — without `hydra-server`
 //! growing a dependency on the memory-controller simulator internals.
-//! `hydra_sim::histogram` re-exports it, so existing paths keep working.
 //!
 //! Percentile queries drive tail-latency reporting in the examples and
 //! extension experiments (mean latency alone hides the queueing effects

@@ -128,8 +128,9 @@ impl TrackerResponse {
 
 /// A Row-Hammer activation tracker.
 ///
-/// Implemented by Hydra ([`hydra-core`]), Graphene, CRA, PARA and the OCPR
-/// oracle ([`hydra-baselines`]). The memory controller drives it:
+/// Implemented by Hydra ([`hydra-core`]), Graphene, CRA, PARA, vendor TRR
+/// and the OCPR oracle ([`hydra-baselines`]), and the successor trackers
+/// the arena races (`hydra-arena`). The memory controller drives it:
 ///
 /// 1. Every row activation (demand, mitigation refresh, or tracker-side) is
 ///    reported through [`on_activation`](Self::on_activation).
@@ -138,6 +139,11 @@ impl TrackerResponse {
 ///
 /// Implementations must be deterministic given the call sequence (PARA takes
 /// a seeded RNG at construction), so experiments are reproducible.
+///
+/// [`params`](Self::params) and [`max_spillover`](Self::max_spillover) are
+/// introspection for result rows, with defaults. A wrapper that forwards
+/// the required methods must forward these too, or every tracker behind
+/// it reports the defaults.
 pub trait ActivationTracker {
     /// Reports that `row` was activated at time `now`, and returns the
     /// mitigations and side traffic the tracker requires.
@@ -164,6 +170,19 @@ pub trait ActivationTracker {
     /// Total SRAM bytes this tracker's on-chip structures occupy (for the
     /// storage tables). Analytic models may return 0 when not meaningful.
     fn sram_bytes(&self) -> u64;
+
+    /// A human-readable parameter summary (threshold, table sizes, seed, …)
+    /// for result rows. Empty when the tracker has nothing to report.
+    fn params(&self) -> String {
+        String::new()
+    }
+
+    /// The worst counting over-estimate the tracker has accrued so far
+    /// (Misra-Gries spillover, sketch collision slack, group spills, …).
+    /// Exact trackers report 0.
+    fn max_spillover(&self) -> u64 {
+        0
+    }
 }
 
 impl<T: ActivationTracker + ?Sized> ActivationTracker for Box<T> {
@@ -186,6 +205,14 @@ impl<T: ActivationTracker + ?Sized> ActivationTracker for Box<T> {
 
     fn sram_bytes(&self) -> u64 {
         (**self).sram_bytes()
+    }
+
+    fn params(&self) -> String {
+        (**self).params()
+    }
+
+    fn max_spillover(&self) -> u64 {
+        (**self).max_spillover()
     }
 }
 
@@ -275,6 +302,49 @@ mod tests {
     fn trait_is_object_safe() {
         let mut boxed: Box<dyn ActivationTracker> = Box::new(NullTracker);
         let _ = boxed.on_activation(RowAddr::default(), 0, ActivationKind::Demand);
+    }
+
+    /// Overrides every defaulted method, so a missed forward shows.
+    struct Introspective;
+
+    impl ActivationTracker for Introspective {
+        fn on_activation(
+            &mut self,
+            _row: RowAddr,
+            _now: MemCycle,
+            _kind: ActivationKind,
+        ) -> TrackerResponse {
+            TrackerResponse::none()
+        }
+
+        fn reset_window(&mut self, _now: MemCycle) {}
+
+        fn name(&self) -> &str {
+            "introspective"
+        }
+
+        fn sram_bytes(&self) -> u64 {
+            3
+        }
+
+        fn params(&self) -> String {
+            "k=v".to_string()
+        }
+
+        fn max_spillover(&self) -> u64 {
+            7
+        }
+    }
+
+    #[test]
+    fn defaults_are_empty_and_box_forwards_overrides() {
+        assert_eq!(NullTracker.params(), "");
+        assert_eq!(NullTracker.max_spillover(), 0);
+        let boxed: Box<dyn ActivationTracker> = Box::new(Introspective);
+        assert_eq!(boxed.name(), "introspective");
+        assert_eq!(boxed.sram_bytes(), 3);
+        assert_eq!(boxed.params(), "k=v");
+        assert_eq!(boxed.max_spillover(), 7);
     }
 
     #[test]

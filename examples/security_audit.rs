@@ -12,8 +12,8 @@
 //! Run with: `cargo run --release --example security_audit`
 
 use hydra_repro::analysis::audit::audit_hydra;
-use hydra_repro::analysis::oracle::ShadowOracle;
 use hydra_repro::core::{GroupIndexer, Hydra, HydraConfig};
+use hydra_repro::sim::oracle::ShadowOracle;
 use hydra_repro::sim::ActivationSim;
 use hydra_repro::types::{MemGeometry, RowAddr};
 use hydra_repro::workloads::AttackPattern;

@@ -5,10 +5,10 @@
 //!
 //! * [`types`] — shared addressing/geometry/tracker vocabulary
 //! * [`analysis`] — static config auditor, shadow-oracle sanitizer, repo lint
-//! * [`arena`] — cross-tracker arena: CoMeT/ABACuS/MINT/START and the
-//!   existing baselines behind one `Tracker` trait, raced on a Pareto
-//!   leaderboard (`hydra sweep --arena`); the same experiment core runs
-//!   Hydra's design-space sweeps (`hydra sweep`)
+//! * [`arena`] — cross-tracker arena: CoMeT/ABACuS/MINT/START, Hydra and
+//!   the existing baselines behind the one `ActivationTracker` contract,
+//!   raced on a Pareto leaderboard (`hydra sweep --arena`); the same
+//!   experiment core runs Hydra's design-space sweeps (`hydra sweep`)
 //! * [`core`] — the Hydra hybrid tracker (the paper's contribution)
 //! * [`baselines`] — Graphene, CRA, PARA, OCPR, D-CBF, storage models
 //! * [`dram`] — DDR4 device timing, refresh and power models

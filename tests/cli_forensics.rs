@@ -106,9 +106,10 @@ fn trace_forensics_emits_incidents_and_forensics_replays_them() {
 fn bench_report(inflation: f64, mitigations: u64) -> String {
     format!(
         concat!(
-            "{{\"schema\":\"hydra-bench-v1\",\"smoke\":true,\"acts_per_cell\":20000,",
+            "{{\"schema\":\"hydra-bench-v2\",\"smoke\":true,\"acts_per_cell\":20000,",
             "\"cells\":[{{\"workload\":\"double_sided\",\"geometry\":\"tiny\",",
             "\"acts\":20000,\"wall_secs\":0.01,\"acts_per_sec\":1000000.0,",
+            "\"acts_per_sec_stddev\":0.0,\"acts_per_sec_cv_pct\":0.0,\"repeats\":1,",
             "\"bandwidth_inflation\":{:.6},\"slowdown_pct\":{:.3},\"windows\":14,",
             "\"mitigations\":{},\"delta_sum_ok\":true}}],\"failures\":[],",
             "\"summary\":{{\"cells\":1,\"ok\":1,\"failed\":0,",

@@ -5,9 +5,9 @@
 //! activation-level simulator (hydra-sim): Hydra must never mitigate *later*
 //! than the oracle allows, for any pattern and any Hydra variant.
 
-use hydra_repro::analysis::oracle::ShadowOracle;
 use hydra_repro::baselines::Ocpr;
 use hydra_repro::core::{Hydra, HydraConfig};
+use hydra_repro::sim::oracle::ShadowOracle;
 use hydra_repro::sim::ActivationSim;
 use hydra_repro::types::{ActivationTracker, MemGeometry, RowAddr};
 use hydra_repro::workloads::AttackPattern;
