@@ -4,9 +4,14 @@
 //! Memory is bounded regardless of run length: the attribution engine's
 //! sketches are fixed-size and cleared per window, the mitigated-row set
 //! is capped, and at most [`ForensicsProbe::MAX_WINDOWS`] per-window
-//! reports are retained (older windows are summarized in the overflow
-//! counter; incidents from retained windows are never dropped silently —
-//! the verdict exposes the overflow).
+//! reports are retained. Windows closed past the cap are not kept and
+//! yield no incident; they are counted in the verdict's
+//! `overflow_windows`, so the loss is never silent.
+//!
+//! Reports only append, so a report index is a stable cursor:
+//! [`ForensicsProbe::incidents_from`] builds the incidents of the reports
+//! from a cursor on, which lets a live consumer publish each incident
+//! once instead of rebuilding every retained incident per call.
 //!
 //! The probe is attach-only: it never perturbs the tracker. The
 //! probe-identity proptest in `tests/probe_identity.rs` proves a
@@ -120,11 +125,21 @@ impl ForensicsProbe {
 
     /// Incident records for every retained attack-labeled window.
     pub fn incidents(&self) -> Vec<Incident> {
+        self.incidents_from(0).collect()
+    }
+
+    /// Incident records for the retained attack-labeled windows whose
+    /// report index is `first_report` or later, in order. A caller that
+    /// publishes incidents as they finalize keeps `reports().len()` as
+    /// its cursor, so each batch builds only the incidents of the
+    /// windows it closed. Past the retention cap nothing new is yielded.
+    pub fn incidents_from(&self, first_report: usize) -> impl Iterator<Item = Incident> + '_ {
         self.reports
+            .get(first_report..)
+            .unwrap_or_default()
             .iter()
             .filter(|r| r.classification.class.is_attack())
             .map(|r| Incident::from_window(&r.signals, &r.classification, self.workload.as_deref()))
-            .collect()
     }
 
     /// The whole-run verdict. Call [`Self::finish`] first so the tail
@@ -299,6 +314,61 @@ mod tests {
         let v = p.verdict();
         assert_eq!(v.windows, 1);
         assert!(!v.is_attack());
+    }
+
+    #[test]
+    fn retention_cap_stops_incidents_and_counts_overflow() {
+        let t_h = 16;
+        let windows = ForensicsProbe::MAX_WINDOWS + 100;
+        let hot = row(2, 200);
+        let mut p = ForensicsProbe::new(t_h).with_workload("cap");
+        let mut now = 0u64;
+        for w in 0..windows {
+            // Every third window is quiet, so report and incident
+            // indices diverge; the rest hammer `hot` past T_H.
+            let acts = if w % 3 == 2 { 1 } else { 64 };
+            for _ in 0..acts {
+                now += 1;
+                p.emit(
+                    now,
+                    TelemetryEvent::RctAccess {
+                        row: hot,
+                        count: t_h,
+                    },
+                );
+            }
+            if w % 3 != 2 {
+                p.emit(now, TelemetryEvent::Mitigation { row: hot });
+            }
+            p.emit(
+                now,
+                TelemetryEvent::WindowReset {
+                    window: w as u64 + 1,
+                },
+            );
+        }
+        p.finish();
+
+        let all = p.incidents();
+        let attack_windows = (0..ForensicsProbe::MAX_WINDOWS)
+            .filter(|w| w % 3 != 2)
+            .count();
+        assert_eq!(p.reports().len(), ForensicsProbe::MAX_WINDOWS);
+        assert_eq!(all.len(), attack_windows, "no incident past the cap");
+        let v = p.verdict();
+        assert_eq!(
+            v.overflow_windows,
+            (windows - ForensicsProbe::MAX_WINDOWS) as u64
+        );
+        assert_eq!(v.attack_windows, attack_windows);
+
+        for cursor in [0, 1, 2, 3, 1_000, 4_095, 4_096, 5_000] {
+            let skipped = (0..cursor.min(ForensicsProbe::MAX_WINDOWS))
+                .filter(|w| w % 3 != 2)
+                .count();
+            let from: Vec<Incident> = p.incidents_from(cursor).collect();
+            assert_eq!(from, all[skipped..], "cursor {cursor}");
+        }
     }
 
     #[test]

@@ -152,11 +152,19 @@ impl ServeReport {
     }
 
     /// Grep-friendly exit report: stats counters, per-tenant summary
-    /// lines, and crash attributions.
+    /// lines, forensics retention overflow, and crash attributions.
     pub fn to_kv_lines(&self) -> String {
         let mut out = self.stats.to_kv_lines();
         for t in &self.tenants {
             out.push_str(&format!("serve.tenant {}\n", t.summary_line));
+        }
+        // A tenant past the probe's retention cap stops publishing
+        // incidents; say so here, outside the canonical summary line.
+        for t in self.tenants.iter().filter(|t| t.overflow_windows > 0) {
+            out.push_str(&format!(
+                "serve.tenant_overflow tenant={} windows={}\n",
+                t.tenant, t.overflow_windows
+            ));
         }
         for c in &self.crashed {
             out.push_str(&format!(
@@ -1049,6 +1057,34 @@ mod tests {
         Hub {
             subs: Mutex::new(Vec::new()),
         }
+    }
+
+    #[test]
+    fn exit_report_names_tenants_past_the_retention_cap() {
+        let summary = |tenant: &str, overflow_windows| TenantSummary {
+            tenant: tenant.to_string(),
+            batches: 1,
+            rows: 1,
+            invalid_rows: 0,
+            incidents: Vec::new(),
+            overflow_windows,
+            summary_line: format!("tenant={tenant}"),
+        };
+        let report = ServeReport {
+            stats: ServeStats::default(),
+            tenants: vec![summary("a", 0), summary("b", 7)],
+            crashed: Vec::new(),
+            session: None,
+            profile: None,
+        };
+        let text = report.to_kv_lines();
+        assert!(text.contains("serve.tenant tenant=a\n"), "{text}");
+        assert!(text.contains("serve.tenant tenant=b\n"), "{text}");
+        assert!(
+            text.contains("serve.tenant_overflow tenant=b windows=7\n"),
+            "{text}"
+        );
+        assert!(!text.contains("serve.tenant_overflow tenant=a"), "{text}");
     }
 
     #[test]

@@ -288,6 +288,7 @@ fn close_output(
         rows,
         invalid_rows,
         incidents: canon[1..].to_vec(),
+        overflow_windows: 0,
         summary_line,
     };
     if summary.digest() != digest {

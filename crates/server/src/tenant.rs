@@ -8,6 +8,12 @@
 //! ordered accepted batches — the daemon's session recorder stores those
 //! batches, and replay re-runs this same code to reproduce the outputs
 //! byte for byte (`hydra replay-session`).
+//!
+//! Cost: a batch costs O(its rows + the windows it closes). The pipeline
+//! keeps a cursor over the probe's retained reports and renders only the
+//! incidents of reports past it, so each incident is built and published
+//! once. Past the probe's retention cap no new incident is published;
+//! [`TenantSummary::overflow_windows`] counts what was not kept.
 
 use hydra_core::{Hydra, HydraConfig, RowCountTable};
 use hydra_dram::DramTiming;
@@ -54,6 +60,12 @@ pub struct TenantSummary {
     pub invalid_rows: u64,
     /// All incident JSONL lines, in finalization order.
     pub incidents: Vec<String>,
+    /// Windows closed past the probe's retention cap
+    /// ([`ForensicsProbe::MAX_WINDOWS`]); their incidents were never
+    /// built or published. Reported on the daemon's exit report only:
+    /// it is not part of [`canon_text`](Self::canon_text), so a summary
+    /// parsed back from a session file carries 0.
+    pub overflow_windows: u64,
     /// Canonical summary line (first line of [`canon_text`]).
     ///
     /// [`canon_text`]: TenantSummary::canon_text
@@ -98,7 +110,9 @@ pub struct TenantPipeline {
     geometry: MemGeometry,
     sim: ActivationSim<Hydra<RowCountTable, ForensicsProbe>>,
     last_seq: Option<u64>,
-    published: usize,
+    /// Probe reports whose incidents have been published; the drain
+    /// cursor, so a batch renders only the windows it closed.
+    reports_seen: usize,
     batches: u64,
     rows: u64,
     invalid_rows: u64,
@@ -123,7 +137,7 @@ impl TenantPipeline {
             geometry,
             sim: ActivationSim::new(geometry, tracker).with_timing(timing),
             last_seq: None,
-            published: 0,
+            reports_seen: 0,
             batches: 0,
             rows: 0,
             invalid_rows: 0,
@@ -182,12 +196,12 @@ impl TenantPipeline {
     }
 
     fn drain_new_incidents(&mut self) -> Vec<String> {
-        let incidents = self.sim.tracker().probe().incidents();
-        let fresh: Vec<String> = incidents[self.published.min(incidents.len())..]
-            .iter()
+        let probe = self.sim.tracker().probe();
+        let fresh = probe
+            .incidents_from(self.reports_seen)
             .map(|inc| inc.to_json())
             .collect();
-        self.published = incidents.len();
+        self.reports_seen = probe.reports().len();
         fresh
     }
 
@@ -201,12 +215,8 @@ impl TenantPipeline {
         let report = self.sim.report();
         let mut tracker = self.sim.into_tracker();
         tracker.probe_mut().finish();
-        let incidents: Vec<String> = tracker
-            .into_probe()
-            .incidents()
-            .iter()
-            .map(|inc| inc.to_json())
-            .collect();
+        let probe = tracker.into_probe();
+        let incidents: Vec<String> = probe.incidents_from(0).map(|inc| inc.to_json()).collect();
         let summary_line = format!(
             "tenant={} batches={} rows={} invalid={} acts={} mitigation_acts={} \
              mitigations={} side_reads={} side_writes={} window_resets={} incidents={}",
@@ -228,6 +238,7 @@ impl TenantPipeline {
             rows: self.rows,
             invalid_rows: self.invalid_rows,
             incidents,
+            overflow_windows: probe.verdict().overflow_windows,
             summary_line,
         }
     }
@@ -297,12 +308,39 @@ mod tests {
     }
 
     #[test]
+    fn streaming_past_the_retention_cap_is_counted_not_silent() {
+        let mut p = pipeline();
+        let mut seq = 0;
+        while p.sim.tracker().probe().reports().len() < ForensicsProbe::MAX_WINDOWS {
+            seq += 1;
+            p.apply_batch(seq, &hammer_rows(512)).expect("accepted");
+        }
+        for _ in 0..4 {
+            seq += 1;
+            let out = p.apply_batch(seq, &hammer_rows(512)).expect("accepted");
+            assert!(
+                out.new_incidents.is_empty(),
+                "nothing publishes past the cap"
+            );
+        }
+        // Every reset closes one probe window; finish closes the tail.
+        let windows = p.sim.report().window_resets + 1;
+        let summary = p.finish();
+        assert_eq!(
+            summary.overflow_windows,
+            windows - ForensicsProbe::MAX_WINDOWS as u64
+        );
+        assert!(summary.overflow_windows > 0);
+        assert!(!summary.summary_line.contains("overflow"));
+    }
+
+    #[test]
     fn hammering_yields_incidents_in_summary() {
         let mut p = pipeline();
-        let mut published = 0;
+        let mut published = Vec::new();
         for seq in 1..=16u64 {
             let out = p.apply_batch(seq, &hammer_rows(256)).expect("accepted");
-            published += out.new_incidents.len();
+            published.extend(out.new_incidents);
         }
         let summary = p.finish();
         assert!(
@@ -310,8 +348,17 @@ mod tests {
             "sustained hammering must classify as an attack"
         );
         assert!(
-            published <= summary.incidents.len(),
+            published.len() <= summary.incidents.len(),
             "incremental publishing never exceeds the final incident set"
+        );
+        assert_eq!(
+            published,
+            summary.incidents[..published.len()],
+            "each incident is published once, in finalization order"
+        );
+        assert!(
+            summary.incidents.len() - published.len() <= 1,
+            "only the tail window closed by finish may be unpublished"
         );
     }
 }

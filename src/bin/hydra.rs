@@ -1219,7 +1219,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         print!("{}", sink.as_str());
         // Incident records share stdout; their "schema" stamp keeps them
         // distinguishable from the "ev"-keyed trace lines.
-        print!("{}", incidents_to_jsonl(&probe.incidents()));
+        let incidents = probe.incidents();
+        print!("{}", incidents_to_jsonl(&incidents));
         report_trace_sink(&sink, filtered);
         let verdict = probe.verdict();
         eprintln!(
@@ -1227,7 +1228,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             verdict.windows,
             verdict.attack_windows,
             verdict.dominant.name(),
-            probe.incidents().len()
+            incidents.len()
         );
     } else {
         let tracker = Hydra::with_probe(config, recorder).map_err(|e| e.to_string())?;
