@@ -272,7 +272,7 @@ pub fn findings_to_json(findings: &[Finding]) -> String {
 /// (literal, constant to import, workspace-relative defining file). The
 /// defining file is the only library source allowed to spell the literal
 /// out; this table (and the engine source carrying it) is exempt.
-pub const SCHEMA_LITERALS: [(&str, &str, &str); 8] = [
+pub const SCHEMA_LITERALS: [(&str, &str, &str); 7] = [
     (
         "hydra-trace-v1",
         "hydra_telemetry::TRACE_SCHEMA_VERSION",
@@ -282,11 +282,6 @@ pub const SCHEMA_LITERALS: [(&str, &str, &str); 8] = [
         "hydra-forensics-v1",
         "hydra_forensics::INCIDENT_SCHEMA_VERSION",
         "crates/forensics/src/incident.rs",
-    ),
-    (
-        "hydra-bench-v2",
-        "hydra_forensics::BENCH_SCHEMA_VERSION_V2",
-        "crates/forensics/src/report.rs",
     ),
     (
         "hydra-sweep-v1",
@@ -1663,15 +1658,15 @@ mod tests {
             "schemadup",
             "sim",
             "other.rs",
-            "pub fn schema() -> &'static str { \"hydra-bench-v2\" }\n",
+            "pub fn schema() -> &'static str { \"hydra-sweep-v1\" }\n",
         );
         let schema: Vec<_> = diags
             .iter()
             .filter(|d| d.rule == "schema-single-source")
             .collect();
         assert_eq!(schema.len(), 1, "{diags:?}");
-        assert!(schema[0].message.contains("hydra-bench-v2"));
-        assert!(schema[0].message.contains("BENCH_SCHEMA_VERSION_V2"));
+        assert!(schema[0].message.contains("hydra-sweep-v1"));
+        assert!(schema[0].message.contains("SWEEP_SCHEMA_VERSION"));
     }
 
     #[test]

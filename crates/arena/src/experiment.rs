@@ -1,10 +1,12 @@
 //! The experiment core behind both grid front ends: [`crate::sweep`]
-//! (`hydra sweep`, Hydra's own design space) and [`crate::leaderboard`]
-//! (`hydra sweep --arena`, the cross-tracker race).
+//! (`hydra sweep`, Hydra's own design space, and `hydra bench`, its
+//! paper-design-point matrix) and [`crate::leaderboard`] (`hydra sweep
+//! --arena`, the cross-tracker race).
 //!
 //! A front end owns its grid, cell, row, JSON bodies and gate. This module
 //! owns what they share, once: geometry, axis and workload validation; the
-//! channel-0 activation stream every cell replays, under a refresh window
+//! channel-0 activation stream every cell replays ([`workload_rows`], also
+//! `hydra profile`'s stream), under a refresh window
 //! compressed by [`WINDOW_SCALE`]; the batch run and its failure
 //! collection; the [`Outcome`] and its JSONL framing; and the Pareto
 //! frontier with exact slowdown comparison.
@@ -30,8 +32,8 @@ use hydra_workloads::registry;
 use hydra_workloads::TraceSource as _;
 use std::fmt::{self, Write as _};
 
-/// Refresh-window compression applied to every cell, matching the bench
-/// harness: a short run still crosses many tracking windows.
+/// Refresh-window compression applied to every cell, matching `hydra
+/// profile`: a short run still crosses many tracking windows.
 pub(crate) const WINDOW_SCALE: u64 = 1000;
 
 /// A grid front end: the lines that frame its cell rows.
@@ -170,11 +172,16 @@ pub(crate) fn timing() -> DramTiming {
     DramTiming::ddr4_3200().with_scaled_window(WINDOW_SCALE)
 }
 
-/// The cell's activation stream, pinned to channel 0 (a cell routes its
-/// whole stream to one tracker instance, like the bench matrix): a
-/// registry workload's trace mapped to rows, or a canonical attack
-/// pattern.
-fn rows(
+/// The activation stream every experiment cell and `hydra profile`
+/// replay: `acts` rows of a registry workload's trace mapped to rows, or of
+/// a canonical attack pattern, all pinned to channel 0. A cell routes its
+/// whole stream to one channel-0 tracker instance, so on a multi-channel
+/// geometry an unpinned row would reach the wrong instance.
+///
+/// # Errors
+///
+/// Returns a description if the workload name resolves to nothing.
+pub fn workload_rows(
     geometry: MemGeometry,
     workload: &str,
     acts: u64,
@@ -197,25 +204,28 @@ fn rows(
 }
 
 /// Replays `acts` activations of `workload` through `tracker` under
-/// [`timing`], returning the tracker, the simulator's counters and the
-/// replay's wall-clock seconds.
+/// [`timing`], with `drive` feeding the stream to the simulator (a plain
+/// `run`, or a windowed run that also snapshots per-window stats).
+/// Returns the tracker, what `drive` returned and the replay's wall-clock
+/// seconds.
 ///
 /// # Errors
 ///
 /// Returns a description if the workload name resolves to nothing.
-pub(crate) fn replay<T: ActivationTracker>(
+pub(crate) fn replay<T: ActivationTracker, R>(
     tracker: T,
     geometry: MemGeometry,
     workload: &str,
     acts: u64,
     seed: u64,
-) -> Result<(T, ActivationSimReport, f64), String> {
+    drive: impl FnOnce(&mut ActivationSim<T>, Vec<RowAddr>) -> R,
+) -> Result<(T, R, f64), String> {
     let mut sim = ActivationSim::new(geometry, tracker).with_timing(timing());
-    let rows = rows(geometry, workload, acts, seed)?;
+    let rows = workload_rows(geometry, workload, acts, seed)?;
     let start = Stopwatch::start();
-    let report = sim.run(rows);
+    let driven = drive(&mut sim, rows);
     let wall_secs = start.elapsed_nanos() as f64 / 1e9;
-    Ok((sim.into_tracker(), report, wall_secs))
+    Ok((sim.into_tracker(), driven, wall_secs))
 }
 
 /// Indices of the rows not dominated on the caller's axes, ascending.
@@ -301,11 +311,11 @@ mod tests {
     fn streams_are_pinned_to_channel_0_and_sized_by_acts() {
         let geometry = MemGeometry::tiny_with_channels(2).expect("two channels");
         for workload in ["gups", "double_sided"] {
-            let stream = rows(geometry, workload, 500, 42).expect("known workload");
+            let stream = workload_rows(geometry, workload, 500, 42).expect("known workload");
             assert_eq!(stream.len(), 500);
             assert!(stream.iter().all(|r| r.channel == 0), "{workload}");
         }
-        assert!(rows(geometry, "no-such-workload", 10, 42).is_err());
+        assert!(workload_rows(geometry, "no-such-workload", 10, 42).is_err());
     }
 
     #[test]

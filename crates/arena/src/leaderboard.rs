@@ -203,8 +203,14 @@ impl BatchJob for ArenaCell {
         let params = tracker.params();
         let sram_bits = paper_sram_bits(&self.tracker, self.t_rh).map_err(|e| e.to_string())?;
         let oracle = ShadowOracle::new(tracker, self.t_rh);
-        let (oracle, report, wall_secs) =
-            experiment::replay(oracle, self.geometry, &self.workload, self.acts, self.seed)?;
+        let (oracle, report, wall_secs) = experiment::replay(
+            oracle,
+            self.geometry,
+            &self.workload,
+            self.acts,
+            self.seed,
+            |sim, rows| sim.run(rows),
+        )?;
         let oracle_report = oracle.report();
         Ok(ArenaRow {
             tracker: self.tracker.clone(),

@@ -35,10 +35,13 @@
 //!   RCC, `T_G`, `T_RH` × workloads, Figures 9–12) as `hydra-sweep-v1`
 //!   JSONL ([`sweep::SWEEP_SCHEMA_VERSION`]) with a Pareto frontier over
 //!   (SRAM bytes, slowdown, mitigations) and the GCT-size trend gate.
+//!   `hydra bench` runs it at the paper's design point, and its
+//!   `--compare` is the sweep's golden compare ([`compare_sweeps`]).
 //!   Both `sweep` and `leaderboard` are thin front ends over one
 //!   crate-private experiment core: validation, the channel-0 activation
-//!   stream, the parallel batch run, the JSONL framing with its
-//!   `--deterministic` projection, and the Pareto function.
+//!   stream ([`workload_rows`], also `hydra profile`'s), the parallel
+//!   batch run, the JSONL framing with its `--deterministic` projection,
+//!   and the Pareto function.
 //! * [`fixtures`] — sabotage wrappers (dropped mitigations, wrong-row
 //!   mitigations, undercounting) that the oracle test matrix must flag,
 //!   guarding the guards.
@@ -59,6 +62,7 @@ pub mod tracker;
 
 pub use abacus::{Abacus, AbacusConfig};
 pub use comet::{Comet, CometConfig};
+pub use experiment::workload_rows;
 pub use leaderboard::{
     paper_sram_bits, run_arena, ArenaGrid, ArenaOutcome, ArenaRow, Fig5Check, ARENA_SCHEMA_VERSION,
 };
@@ -66,6 +70,7 @@ pub use mint::{Mint, MintConfig};
 pub use roster::{build_tracker, hydra_config_for_threshold, roster_names};
 pub use start::{Start, StartConfig};
 pub use sweep::{
-    run_sweep, SweepCell, SweepGrid, SweepOutcome, SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,
+    compare_sweeps, run_sweep, SweepCell, SweepComparison, SweepGrid, SweepOutcome, SweepReport,
+    SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,
 };
 pub use tracker::{ArenaAdapter, BoxedTracker, HydraTracker};

@@ -24,10 +24,7 @@
 //! - [`incident`] — `hydra-forensics-v1` JSONL incident records.
 //! - [`trace`] — offline replay: `hydra forensics FILE` re-runs the
 //!   analyzers over a recorded trace and reproduces live classification
-//!   exactly.
-//! - [`report`] — `hydra-bench-v2` report parsing and regression
-//!   comparison for `hydra bench --compare`.
-//! - [`json`] — the dependency-free JSON parser the offline paths share.
+//!   exactly, reading JSON with the shared [`hydra_types::json`] parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,17 +32,11 @@
 pub mod attribution;
 pub mod classify;
 pub mod incident;
-pub mod json;
 pub mod probe;
-pub mod report;
 pub mod trace;
 
 pub use attribution::AttributionEngine;
 pub use classify::{classify, AttackClass, Classification, ClassifierConfig, WindowSignals};
 pub use incident::{incidents_to_jsonl, Incident, INCIDENT_SCHEMA_VERSION};
 pub use probe::{ForensicsProbe, RunVerdict, WindowReport};
-pub use report::{
-    compare_reports, parse_bench_report, BenchCellData, BenchComparison, BenchReportData,
-    CompareConfig, BENCH_SCHEMA_VERSION_V2, CV_GATE_SIGMAS,
-};
 pub use trace::{parse_event_line, parse_trace_meta, replay_trace, ReplaySummary, TraceMeta};

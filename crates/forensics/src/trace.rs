@@ -8,9 +8,9 @@
 //! unknown event kinds are counted, not fatal, so a truncated trace still
 //! yields a verdict for the prefix.
 
-use crate::json::{parse, JsonValue};
 use crate::probe::ForensicsProbe;
 use hydra_telemetry::{CtrlQueue, TelemetryEvent, TRACE_SCHEMA_VERSION};
+use hydra_types::json::{parse, JsonValue};
 use hydra_types::RowAddr;
 
 /// Metadata recovered from a trace file's optional header line.

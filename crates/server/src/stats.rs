@@ -30,9 +30,8 @@
 
 use std::collections::BTreeMap;
 
-use hydra_forensics::json::JsonValue;
 use hydra_telemetry::histogram::LatencyHistogram;
-use hydra_types::json::quote;
+use hydra_types::json::{self, quote, JsonValue};
 use hydra_types::Stopwatch;
 
 use crate::frame::RejectReason;
@@ -514,7 +513,7 @@ impl StatsReading {
     /// Returns a description of the first structural problem: malformed
     /// JSON, a missing/foreign schema tag, or a non-numeric counter.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let v = hydra_forensics::json::parse(text)?;
+        let v = json::parse(text)?;
         let schema = v
             .get("schema")
             .and_then(JsonValue::as_str)

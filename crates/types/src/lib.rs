@@ -16,7 +16,8 @@
 //!   traffic such as counter-table reads/writes) whose bandwidth cost the
 //!   controller must model.
 //! * [`mitigation`] — victim-refresh mitigation policy types.
-//! * [`json`] — the JSON string escaper every hand-rolled writer shares.
+//! * [`json`] — the JSON string escaper every hand-rolled writer shares,
+//!   and the parser every reader shares.
 //!
 //! # Example
 //!

@@ -9,8 +9,8 @@
 //! hydra list                            # list the 36 workloads
 //! hydra batch [flags]                   # resilient fault-campaign batch run
 //! hydra replay FILE                     # reproduce a failed run from its artifact
-//! hydra bench [--smoke] [flags]         # workload×geometry matrix → BENCH_hydra.json
-//! hydra bench --compare OLD.json [...]  # regression diff against a baseline report
+//! hydra bench [--smoke] [flags]         # paper design point × workloads → hydra-sweep-v1 JSONL
+//! hydra bench --compare OLD.jsonl [...] # golden compare against a baseline report
 //! hydra profile [flags]                 # per-phase time attribution + folded stacks
 //! hydra trace PATTERN [ACTS] [flags]    # JSONL telemetry event stream to stdout
 //! hydra forensics FILE [--t-h N]        # classify a recorded trace, emit incidents
@@ -23,16 +23,15 @@
 //! ```
 
 use hydra_repro::analysis::faults::{run_case, FaultCaseReport, FaultCaseSpec};
-use hydra_repro::arena::{run_arena, run_sweep, ArenaGrid, SweepGrid};
+use hydra_repro::arena::{
+    compare_sweeps, run_arena, run_sweep, workload_rows, ArenaGrid, SweepGrid, SweepReport,
+};
 use hydra_repro::baselines::storage::{Scheme, DDR4_BANKS_PER_RANK};
 use hydra_repro::core::degrade::DegradationPolicy;
 use hydra_repro::core::{Hydra, HydraConfig, HydraStorage};
 use hydra_repro::dram::DramTiming;
 use hydra_repro::faults::FaultPlan;
-use hydra_repro::forensics::{
-    compare_reports, incidents_to_jsonl, parse_bench_report, parse_trace_meta, replay_trace,
-    CompareConfig, ForensicsProbe, BENCH_SCHEMA_VERSION_V2,
-};
+use hydra_repro::forensics::{incidents_to_jsonl, parse_trace_meta, replay_trace, ForensicsProbe};
 use hydra_repro::profiler::{phase, OverheadReport, ProfileNode, ProfileTree, TreeProfiler};
 use hydra_repro::server::stats::names as metric_names;
 use hydra_repro::server::{replay_check, run_load, Client, LoadConfig, ServeConfig, StatsReading};
@@ -41,7 +40,6 @@ use hydra_repro::sim::{
     run_windowed, run_windowed_profiled, ActivationSim, ActivationSimReport, WindowSeries,
 };
 use hydra_repro::telemetry::{EventKind, JsonlSink, KindFilterSink, TeeSink};
-use hydra_repro::types::json::escape_into;
 use hydra_repro::types::{ActivationKind, ActivationTracker, MemGeometry, RowAddr};
 use hydra_repro::workloads::{registry, AttackPattern, TraceSource, TraceWriter};
 use std::collections::{HashMap, HashSet};
@@ -86,15 +84,13 @@ fn main() -> ExitCode {
             eprintln!("        [--watchdog-ms MS] [--retries N] [--force-failure]");
             eprintln!("                               fault campaign under the batch harness");
             eprintln!("  replay <file>                reproduce a run from its replay artifact");
-            eprintln!("  bench [--smoke] [--out FILE] [--acts N] [--repeats N] [--profile]");
+            eprintln!("  bench [--smoke] [--out FILE] [--acts N] [--jobs N]");
             eprintln!(
-                "                               throughput/slowdown matrix → BENCH_hydra.json"
+                "                               paper design-point matrix → BENCH_hydra.jsonl"
             );
-            eprintln!("  bench --compare OLD.json [--against NEW.json] [--tolerance PCT]");
-            eprintln!("        [--gate-throughput]    diff against a baseline; nonzero exit on");
-            eprintln!(
-                "                               regression (runs fresh cells unless --against)"
-            );
+            eprintln!("  bench --compare OLD.jsonl [--against NEW.jsonl] [--tolerance PCT]");
+            eprintln!("                               golden compare; nonzero exit on regression");
+            eprintln!("                               (runs fresh cells unless --against)");
             eprintln!("  profile [--workload W] [--geometry G] [--acts N] [--smoke]");
             eprintln!("          [--out FILE] [--folded FILE] [--repeats N]");
             eprintln!(
@@ -463,212 +459,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// One `hydra bench` matrix cell: simulated slowdown and wall-clock
-/// throughput, in a machine-readable row of `BENCH_hydra.json`.
-#[derive(Debug, Clone)]
-struct BenchCell {
-    workload: String,
-    geometry: String,
-    acts: u64,
-    wall_secs: f64,
-    acts_per_sec: f64,
-    acts_per_sec_stddev: f64,
-    acts_per_sec_cv_pct: f64,
-    repeats: u64,
-    bandwidth_inflation: f64,
-    slowdown_pct: f64,
-    windows: u64,
-    mitigations: u64,
-    delta_sum_ok: bool,
-}
-
-impl BenchCell {
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"workload\":\"{}\",\"geometry\":\"{}\",\"acts\":{},",
-                "\"wall_secs\":{:.6},\"acts_per_sec\":{:.1},",
-                "\"acts_per_sec_stddev\":{:.1},\"acts_per_sec_cv_pct\":{:.3},",
-                "\"repeats\":{},\"bandwidth_inflation\":{:.6},\"slowdown_pct\":{:.3},",
-                "\"windows\":{},\"mitigations\":{},\"delta_sum_ok\":{}}}"
-            ),
-            self.workload,
-            self.geometry,
-            self.acts,
-            self.wall_secs,
-            self.acts_per_sec,
-            self.acts_per_sec_stddev,
-            self.acts_per_sec_cv_pct,
-            self.repeats,
-            self.bandwidth_inflation,
-            self.slowdown_pct,
-            self.windows,
-            self.mitigations,
-            self.delta_sum_ok,
-        )
-    }
-}
-
-fn bench_geometry(name: &str) -> Result<MemGeometry, String> {
-    match name {
-        "tiny" => Ok(MemGeometry::tiny()),
-        "isca22" => Ok(MemGeometry::isca22_baseline()),
-        other => Err(format!("unknown geometry {other}")),
-    }
-}
-
-/// The deterministic row stream for one bench/profile cell: either a
-/// registered workload or an attack pattern; the attack cells are what
-/// make slowdown and mitigations nonzero.
-fn bench_rows(
-    workload: &str,
-    geom: MemGeometry,
-    acts: u64,
-    seed: u64,
-) -> Result<Vec<RowAddr>, String> {
-    if let Some(spec) = registry::by_name(workload) {
-        let mut trace = spec.build(geom, 256, seed);
-        Ok((0..acts)
-            .map(|_| geom.row_of_line(trace.next_op().addr))
-            .collect())
-    } else {
-        let mut rows = parse_pattern(workload, geom)?.rows(geom);
-        Ok((0..acts)
-            .map(|_| {
-                let mut row = rows.next_row();
-                row.channel = 0;
-                row
-            })
-            .collect())
-    }
-}
-
-/// One bench cell run under the batch harness (panic isolation, watchdog,
-/// retries), so a wedged cell cannot take the whole matrix down.
-struct BenchCellJob {
-    workload: String,
-    geometry: String,
-    acts: u64,
-    seed: u64,
-    repeats: u64,
-}
-
-impl BatchJob for BenchCellJob {
-    type Output = BenchCell;
-
-    fn label(&self) -> String {
-        format!("{}/{}", self.workload, self.geometry)
-    }
-
-    fn run(&self, _attempt: u32) -> Result<BenchCell, String> {
-        let geom = bench_geometry(&self.geometry)?;
-        let rows = bench_rows(&self.workload, geom, self.acts, self.seed)?;
-
-        // Each repeat replays the same deterministic row stream through a
-        // fresh tracker, so the simulated columns are identical across
-        // repeats; only the wall-clock throughput varies, and that spread
-        // is exactly what the variance columns characterize.
-        let mut throughputs: Vec<f64> = Vec::with_capacity(self.repeats as usize);
-        let mut wall_total = 0.0;
-        let mut sim_outcome: Option<(f64, u64, u64, bool)> = None;
-        for _ in 0..self.repeats.max(1) {
-            let tracker = Hydra::isca22_default(geom, 0).map_err(|e| e.to_string())?;
-            // Shrink the refresh window so even a short run crosses several
-            // window boundaries and exercises the reset + snapshot path.
-            let timing = DramTiming::ddr4_3200().with_scaled_window(1_000);
-            let mut sim = ActivationSim::new(geom, tracker).with_timing(timing);
-            let mut series = WindowSeries::new();
-            let start = std::time::Instant::now();
-            let report = run_windowed(&mut sim, rows.clone(), &mut series);
-            let wall_secs = start.elapsed().as_secs_f64();
-            wall_total += wall_secs;
-            throughputs.push(self.acts as f64 / wall_secs.max(1e-9));
-            let delta_sum_ok = series.total() == sim.tracker().stats();
-            sim_outcome = Some((
-                report.bandwidth_inflation(),
-                report.window_resets,
-                report.mitigations,
-                delta_sum_ok,
-            ));
-        }
-        let (inflation, windows, mitigations, delta_sum_ok) =
-            sim_outcome.ok_or("bench cell ran zero repeats")?;
-
-        let mean = throughputs.iter().sum::<f64>() / throughputs.len() as f64;
-        let variance = throughputs
-            .iter()
-            .map(|t| (t - mean) * (t - mean))
-            .sum::<f64>()
-            / throughputs.len() as f64;
-        let stddev = variance.sqrt();
-        Ok(BenchCell {
-            workload: self.workload.clone(),
-            geometry: self.geometry.clone(),
-            acts: self.acts,
-            wall_secs: wall_total,
-            acts_per_sec: mean,
-            acts_per_sec_stddev: stddev,
-            acts_per_sec_cv_pct: if mean > 0.0 {
-                stddev / mean * 100.0
-            } else {
-                0.0
-            },
-            repeats: throughputs.len() as u64,
-            bandwidth_inflation: inflation,
-            slowdown_pct: (inflation - 1.0) * 100.0,
-            windows,
-            mitigations,
-            delta_sum_ok,
-        })
-    }
-}
-
-fn bench_json(smoke: bool, acts: u64, cells: &[BenchCell], failures: &[String]) -> String {
-    use std::fmt::Write as _;
-    let mut out = format!("{{\"schema\":\"{BENCH_SCHEMA_VERSION_V2}\",");
-    let _ = write!(
-        out,
-        "\"smoke\":{smoke},\"acts_per_cell\":{acts},\"cells\":["
-    );
-    for (i, cell) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&cell.to_json());
-    }
-    out.push_str("],\"failures\":[");
-    for (i, f) in failures.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(f, &mut out);
-        out.push('"');
-    }
-    let mean_aps = if cells.is_empty() {
-        0.0
-    } else {
-        cells.iter().map(|c| c.acts_per_sec).sum::<f64>() / cells.len() as f64
-    };
-    let max_slowdown = cells.iter().map(|c| c.slowdown_pct).fold(0.0f64, f64::max);
-    let all_delta_ok = cells.iter().all(|c| c.delta_sum_ok);
-    let _ = write!(
-        out,
-        concat!(
-            "],\"summary\":{{\"cells\":{},\"ok\":{},\"failed\":{},",
-            "\"mean_acts_per_sec\":{:.1},\"max_slowdown_pct\":{:.3},",
-            "\"all_delta_sums_ok\":{}}}}}"
-        ),
-        cells.len() + failures.len(),
-        cells.len(),
-        failures.len(),
-        mean_aps,
-        max_slowdown,
-        all_delta_ok,
-    );
-    out
-}
-
 /// Default sampling period for the profile harness: prime, so it cannot
 /// resonate with the small periodicities of the attack-pattern streams, and
 /// large enough that recorded-unit clock reads stay well under the
@@ -852,7 +642,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
     let acts = acts_override.unwrap_or(if smoke { 20_000 } else { 200_000 });
 
-    let geom = bench_geometry(&geometry)?;
+    let geom =
+        MemGeometry::by_name(&geometry).ok_or_else(|| format!("unknown geometry {geometry}"))?;
     let (config, rows) = if workload == "mix" {
         if geometry != "tiny" {
             return Err("the mix stream is defined for --geometry tiny only".into());
@@ -860,7 +651,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         (coverage_config(geom)?, coverage_rows(acts))
     } else {
         let config = HydraConfig::isca22_default(geom, 0).map_err(|e| e.to_string())?;
-        (config, bench_rows(&workload, geom, acts, 42)?)
+        (config, workload_rows(geom, &workload, acts, 42)?)
     };
     println!("profile: {workload}/{geometry}, {acts} acts, sample 1/{sample}");
 
@@ -915,97 +706,60 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `hydra bench`: Hydra at the paper's design point
+/// ([`SweepGrid::design_point`]: `T_RH` = 500, `T_G` = 0.8·`T_H`, the
+/// isca22 default GCT/RCC sizes) over a fixed workload matrix, one sweep
+/// grid per geometry, written as the sweep's deterministic hydra-sweep-v1
+/// lines. `--compare` is the golden compare: it diffs a baseline report
+/// against `--against` (or a fresh run) and exits nonzero on a regression
+/// beyond `--tolerance`.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut smoke = false;
-    let mut out = PathBuf::from("BENCH_hydra.json");
+    let mut out = PathBuf::from("BENCH_hydra.jsonl");
     let mut acts_override: Option<u64> = None;
+    let mut jobs: usize = 1;
     let mut compare: Option<PathBuf> = None;
     let mut against: Option<PathBuf> = None;
-    let mut tolerance_pct = CompareConfig::default().tolerance_pct;
-    let mut gate_throughput = false;
-    let mut bench_jobs: usize = 1;
-    let mut repeats: u64 = 1;
-    let mut profile = false;
+    let mut tolerance_pct = 10.0;
 
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        let mut value = |name: &str| {
+            i += 1;
+            args.get(i)
+                .cloned()
+                .ok_or_else(|| format!("{name} needs a value"))
+        };
+        match flag {
             "--smoke" => smoke = true,
-            "--profile" => profile = true,
-            "--repeats" => {
-                i += 1;
-                repeats = args
-                    .get(i)
-                    .ok_or("--repeats needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --repeats")?;
-                if repeats == 0 {
-                    return Err("--repeats must be at least 1".into());
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                bench_jobs = args
-                    .get(i)
-                    .ok_or("--jobs needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --jobs")?;
-                if bench_jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
-            "--out" => {
-                i += 1;
-                out = PathBuf::from(args.get(i).ok_or("--out needs a value")?);
-            }
-            "--acts" => {
-                i += 1;
-                acts_override = Some(
-                    args.get(i)
-                        .ok_or("--acts needs a value")?
-                        .parse()
-                        .map_err(|_| "bad --acts")?,
-                );
-            }
-            "--compare" => {
-                i += 1;
-                compare = Some(PathBuf::from(args.get(i).ok_or("--compare needs a value")?));
-            }
-            "--against" => {
-                i += 1;
-                against = Some(PathBuf::from(args.get(i).ok_or("--against needs a value")?));
-            }
+            "--out" => out = PathBuf::from(value("--out")?),
+            "--acts" => acts_override = Some(value("--acts")?.parse().map_err(|_| "bad --acts")?),
+            "--jobs" => jobs = parse_jobs(&value("--jobs")?)?,
+            "--compare" => compare = Some(PathBuf::from(value("--compare")?)),
+            "--against" => against = Some(PathBuf::from(value("--against")?)),
             "--tolerance" => {
-                i += 1;
-                tolerance_pct = args
-                    .get(i)
-                    .ok_or("--tolerance needs a value")?
+                tolerance_pct = value("--tolerance")?
                     .parse()
                     .map_err(|_| "bad --tolerance")?;
             }
-            "--gate-throughput" => gate_throughput = true,
             other => return Err(format!("unknown bench flag {other}")),
         }
         i += 1;
     }
-    let compare_config = CompareConfig {
-        tolerance_pct,
-        gate_throughput,
-    };
 
     // Pure diff mode: compare two existing reports, run nothing.
     if let (Some(baseline), Some(candidate)) = (&compare, &against) {
-        let old = read_bench_report(baseline)?;
-        let new = read_bench_report(candidate)?;
-        return finish_compare(&old, &new, compare_config);
+        let old = read_sweep_report(baseline)?;
+        let new = read_sweep_report(candidate)?;
+        return finish_compare(&old, &new, tolerance_pct);
     }
     if against.is_some() {
         return Err("--against requires --compare".into());
     }
-
     // Read the baseline before the run: `--out` may point at the same file
     // (the default), and the fresh report must not clobber it unread.
-    let baseline = compare.as_deref().map(read_bench_report).transpose()?;
+    let baseline = compare.as_deref().map(read_sweep_report).transpose()?;
 
     let (workloads, geometries): (&[&str], &[&str]) = if smoke {
         (&["gups", "mcf", "double_sided"], &["tiny"])
@@ -1016,123 +770,56 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         )
     };
     let acts = acts_override.unwrap_or(if smoke { 20_000 } else { 200_000 });
-
-    let mut jobs = Vec::new();
-    for w in workloads {
-        for g in geometries {
-            jobs.push(BenchCellJob {
-                workload: (*w).to_string(),
-                geometry: (*g).to_string(),
-                acts,
-                seed: 42,
-                repeats,
-            });
-        }
-    }
-    let total = jobs.len();
     println!(
-        "bench: {total} cell(s), {acts} acts each, {repeats} repeat(s) → {}",
+        "bench: {} cell(s), {acts} acts each, {jobs} job(s) → {}",
+        workloads.len() * geometries.len(),
         out.display()
     );
-
-    // Cell results are pure functions of the cell and reports come back in
-    // submission order, so --jobs only changes wall-clock (and the
-    // wall_secs/acts_per_sec fields derived from it), never the matrix.
-    let runner = BatchRunner::new(BatchConfig {
-        retries: 1,
-        backoff_base: Duration::from_millis(50),
-        watchdog: Duration::from_secs(300),
-        artifact_dir: None,
-        jobs: bench_jobs,
-    });
-    let report = runner.run(jobs);
-
-    let mut cells: Vec<BenchCell> = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    for job in &report.jobs {
-        match (&job.status, &job.output) {
-            (JobStatus::Succeeded { .. }, Some(cell)) => {
-                println!(
-                    "  {:<16} {:>12.0} acts/s  cv {:>5.2}%  slowdown {:>8.3}%  windows {:>4}  delta-sum {}",
-                    job.label,
-                    cell.acts_per_sec,
-                    cell.acts_per_sec_cv_pct,
-                    cell.slowdown_pct,
-                    cell.windows,
-                    if cell.delta_sum_ok { "ok" } else { "VIOLATED" },
-                );
-                if !cell.delta_sum_ok {
-                    failures.push(format!(
-                        "{}: window delta sum != cumulative stats",
-                        job.label
-                    ));
-                }
-                // Phase attribution is a separate profiled replay of the
-                // same deterministic stream: the matrix cells above (and
-                // the JSON written below) stay byte-identical to an
-                // unprofiled run.
-                if profile {
-                    let attribution = bench_geometry(&cell.geometry)
-                        .and_then(|geom| {
-                            let config =
-                                HydraConfig::isca22_default(geom, 0).map_err(|e| e.to_string())?;
-                            let rows = bench_rows(&cell.workload, geom, acts, 42)?;
-                            profiled_cell_run(&config, geom, &rows, PROFILE_SAMPLE_PERIOD)
-                        })
-                        .map(|(tree, _)| tree);
-                    match attribution {
-                        Ok(tree) => {
-                            println!("  {:<16} {}", "", render_phase_columns(&tree));
-                        }
-                        Err(e) => println!("  {:<16} profile failed: {e}", ""),
-                    }
-                }
-                cells.push(cell.clone());
-            }
-            (status, _) => {
-                let detail = match status {
-                    JobStatus::Failed { last_error, .. } => last_error.clone(),
-                    JobStatus::TimedOut { .. } => "watchdog timeout".to_string(),
-                    JobStatus::Succeeded { .. } => "succeeded without output".to_string(),
-                };
-                println!("  {:<16} FAILED: {detail}", job.label);
-                failures.push(format!("{}: {detail}", job.label));
-            }
+    let mut lines = Vec::new();
+    let mut failed = 0;
+    for geometry in geometries {
+        let grid = SweepGrid::design_point(geometry, workloads, acts).map_err(|e| e.to_string())?;
+        let outcome = run_sweep(&grid, batch_config(jobs)).map_err(|e| e.to_string())?;
+        for row in &outcome.rows {
+            println!(
+                "  {:<20} slowdown {:>8.3}%  windows {:>4}  mitigations {}",
+                format!("{}/{}", row.workload, row.geometry),
+                row.report.slowdown_pct(),
+                row.report.window_resets,
+                row.report.mitigations,
+            );
         }
+        for failure in &outcome.failures {
+            println!("  FAILED {failure}");
+        }
+        failed += outcome.failures.len();
+        lines.extend(outcome.deterministic_lines());
     }
-
-    let json = bench_json(smoke, acts, &cells, &failures);
-    std::fs::write(&out, &json).map_err(|e| format!("{}: {e}", out.display()))?;
+    let text = write_lines(&out, &lines)?;
     println!("bench: wrote {}", out.display());
-    if !failures.is_empty() {
-        return Err(format!("{} bench cell(s) failed", failures.len()));
+    if failed > 0 {
+        return Err(format!("{failed} bench cell(s) failed"));
     }
-    if let Some(old) = baseline {
-        let new = parse_bench_report(&json).map_err(|e| format!("fresh report: {e}"))?;
-        return finish_compare(&old, &new, compare_config);
+    match baseline {
+        Some(old) => {
+            let new = SweepReport::parse(&text).map_err(|e| format!("fresh report: {e}"))?;
+            finish_compare(&old, &new, tolerance_pct)
+        }
+        None => Ok(()),
     }
-    Ok(())
 }
 
-fn read_bench_report(
-    path: &std::path::Path,
-) -> Result<hydra_repro::forensics::BenchReportData, String> {
+fn read_sweep_report(path: &std::path::Path) -> Result<SweepReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    parse_bench_report(&text).map_err(|e| format!("{}: {e}", path.display()))
+    SweepReport::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn finish_compare(
-    old: &hydra_repro::forensics::BenchReportData,
-    new: &hydra_repro::forensics::BenchReportData,
-    config: CompareConfig,
-) -> Result<(), String> {
-    let cmp = compare_reports(old, new, config);
+fn finish_compare(old: &SweepReport, new: &SweepReport, tolerance_pct: f64) -> Result<(), String> {
+    let cmp = compare_sweeps(old, new, tolerance_pct);
     print!("{}", cmp.render_table());
-    let n = cmp.regression_count();
-    if n == 0 {
-        Ok(())
-    } else {
-        Err(format!("{n} bench regression(s) beyond tolerance"))
+    match cmp.regression_count() {
+        0 => Ok(()),
+        n => Err(format!("{n} bench regression(s) beyond tolerance")),
     }
 }
 
@@ -1707,6 +1394,36 @@ fn parse_list<T>(
     }
 }
 
+/// Parses a `--jobs` worker count (at least 1).
+fn parse_jobs(raw: &str) -> Result<usize, String> {
+    match raw.parse() {
+        Ok(0) => Err("--jobs must be at least 1".into()),
+        Ok(jobs) => Ok(jobs),
+        Err(_) => Err("bad --jobs".into()),
+    }
+}
+
+/// The batch policy every experiment grid runs under: one retry, a
+/// five-minute watchdog per cell, `jobs` workers.
+fn batch_config(jobs: usize) -> BatchConfig {
+    BatchConfig {
+        retries: 1,
+        backoff_base: Duration::from_millis(50),
+        watchdog: Duration::from_secs(300),
+        artifact_dir: None,
+        jobs,
+    }
+}
+
+/// Writes JSONL `lines` to `path`, newline-terminated, and returns the
+/// text written.
+fn write_lines(path: &std::path::Path, lines: &[String]) -> Result<String, String> {
+    let mut text = lines.join("\n");
+    text.push('\n');
+    std::fs::write(path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(text)
+}
+
 /// `hydra sweep`: Hydra's design space (hydra-sweep-v1), or with `--arena`
 /// the whole tracker roster (Hydra, the baselines, and the
 /// CoMeT/ABACuS/MINT/START successors) raced under the shadow oracle
@@ -1735,12 +1452,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         match flag {
             "--arena" => {}
             "--smoke" => smoke = true,
-            "--jobs" => {
-                jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
-                if jobs == 0 {
-                    return Err("--jobs must be at least 1".into());
-                }
-            }
+            "--jobs" => jobs = parse_jobs(&value("--jobs")?)?,
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--deterministic" => deterministic = true,
             "--geometry" => {
@@ -1796,13 +1508,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             "--smoke pins the {tag} grid; drop it to customize axes"
         ));
     }
-    let batch = BatchConfig {
-        retries: 1,
-        backoff_base: Duration::from_millis(50),
-        watchdog: Duration::from_secs(300),
-        artifact_dir: None,
-        jobs,
-    };
+    let batch = batch_config(jobs);
 
     // Each front end runs its grid and renders its gate: the stderr check
     // lines, and the error a failed gate exits with.
@@ -1901,9 +1607,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
     match &out {
         Some(path) => {
-            let mut text = lines.join("\n");
-            text.push('\n');
-            std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+            write_lines(path, &lines)?;
             eprintln!("{tag}: wrote {} line(s) to {}", lines.len(), path.display());
         }
         None => {
