@@ -35,27 +35,13 @@
 //!
 //! Exit code 0 iff the window deltas sum exactly to the cumulative
 //! counters on every geometry.
-//!
-//! With `--forensics` it runs the attack-classification gate: every
-//! canonical attack generator must be classified as an attack and a set of
-//! benign workloads must raise zero incidents:
-//!
-//! ```text
-//! cargo run -p hydra-analysis --bin hydra-audit -- --forensics
-//! ```
-//!
-//! Exit code 0 iff every run gets the expected verdict (no false
-//! negatives on the attacks, no false positives on the benign set).
 
 use hydra_analysis::audit::{audit_hydra, AuditReport};
 use hydra_analysis::faults::{degradation_table, render_table};
 use hydra_core::{Hydra, HydraConfig};
 use hydra_dram::DramTiming;
-use hydra_forensics::ForensicsProbe;
 use hydra_sim::{run_windowed, ActivationSim, WindowSeries};
 use hydra_types::{MemGeometry, RowAddr};
-use hydra_workloads::attacks::{AttackPattern, CANONICAL_NAMES};
-use hydra_workloads::{registry, TraceSource as _};
 use std::process::ExitCode;
 
 struct Case {
@@ -68,7 +54,6 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut faults = false;
     let mut windows = false;
-    let mut forensics = false;
     let mut t_rh: u32 = 500;
     let mut acts: u64 = 40_000;
     let mut geometries: Vec<&'static str> = vec!["tiny", "isca22", "ddr5"];
@@ -81,7 +66,6 @@ fn main() -> ExitCode {
             "--json" => json = true,
             "--faults" => faults = true,
             "--windows" => windows = true,
-            "--forensics" => forensics = true,
             "--t-rh" => {
                 i += 1;
                 t_rh = match args.get(i).and_then(|v| v.parse().ok()) {
@@ -116,12 +100,6 @@ fn main() -> ExitCode {
         i += 1;
     }
 
-    if forensics {
-        if faults || windows {
-            return usage("--forensics excludes --faults and --windows");
-        }
-        return forensics_mode();
-    }
     if windows {
         if faults {
             return usage("--faults and --windows are mutually exclusive");
@@ -367,127 +345,6 @@ fn windows_mode(geometries: &[&str], t_rh: u32, acts: u64, json: bool) -> ExitCo
     }
 }
 
-/// The forensics classification gate: every canonical attack generator
-/// must come back classified as an attack, and the benign set must raise
-/// zero incidents.
-///
-/// The run shape (geometry, thresholds, activation budgets, seed) mirrors
-/// `crates/forensics/tests/classifier_fixtures.rs` — the fixture tests are
-/// the unit-level contract, this gate is the shippable-binary check CI
-/// runs. Keep the two in agreement when retuning.
-fn forensics_mode() -> ExitCode {
-    const T_H: u32 = 250;
-    const ACTS: u64 = 40_000;
-    const THRASH_ACTS: u64 = 300_000;
-    const SCALE: u64 = 256;
-    const SEED: u64 = 42;
-    const BENIGN: [&str; 3] = ["gups", "mcf", "bwaves"];
-
-    let geom = match MemGeometry::new(1, 1, 4, 16_384, 1024) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("hydra-audit: forensics geometry: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config = match HydraConfig::builder(geom, 0)
-        .thresholds(T_H, T_H * 4 / 5)
-        .gct_entries(512)
-        .rcc_entries(512)
-        .rcc_ways(16)
-        .build()
-    {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("hydra-audit: forensics config: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let run = |rows: &mut dyn Iterator<Item = RowAddr>, workload: &str| {
-        let probe = ForensicsProbe::new(T_H).with_workload(workload);
-        let tracker = match Hydra::with_probe(config.clone(), probe) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("hydra-audit: forensics tracker: {e}");
-                return None;
-            }
-        };
-        let mut sim = ActivationSim::new(geom, tracker);
-        for row in rows {
-            sim.activate(row);
-        }
-        let mut probe = sim.into_tracker().into_probe();
-        probe.finish();
-        Some(probe)
-    };
-
-    println!(
-        "{:<14} {:<8} {:<14} {:>6} {:>10}  verdict",
-        "run", "expect", "dominant", "conf", "incidents"
-    );
-    let mut failures = 0usize;
-    let mut gate = |name: &str, expect_attack: bool, probe: Option<ForensicsProbe>| {
-        let Some(probe) = probe else {
-            failures += 1;
-            return;
-        };
-        let verdict = probe.verdict();
-        let incidents = probe.incidents().len();
-        let as_expected = verdict.is_attack() == expect_attack;
-        if !as_expected {
-            failures += 1;
-        }
-        println!(
-            "{:<14} {:<8} {:<14} {:>6.2} {:>10}  {}",
-            name,
-            if expect_attack { "attack" } else { "benign" },
-            verdict.dominant.name(),
-            verdict.max_confidence,
-            incidents,
-            if as_expected { "ok" } else { "UNEXPECTED" },
-        );
-    };
-
-    for name in CANONICAL_NAMES {
-        let Some(pattern) = AttackPattern::canonical(name, geom) else {
-            eprintln!("hydra-audit: unknown canonical pattern {name}");
-            return ExitCode::FAILURE;
-        };
-        let mut rows = pattern.rows(geom);
-        let acts = if name == "thrash" { THRASH_ACTS } else { ACTS };
-        let mut stream = (0..acts).map(|_| {
-            let mut row = rows.next_row();
-            row.channel = 0;
-            row
-        });
-        gate(name, true, run(&mut stream, name));
-    }
-    for name in BENIGN {
-        let Some(spec) = registry::by_name(name) else {
-            eprintln!("hydra-audit: unknown workload {name}");
-            return ExitCode::FAILURE;
-        };
-        let mut trace = spec.build(geom, SCALE, SEED);
-        // Benign workloads run at their natural Table-3 activation density.
-        let acts = (spec.expected_activations(SCALE) as u64).min(ACTS);
-        let mut stream = (0..acts).map(|_| {
-            let mut row = geom.row_of_line(trace.next_op().addr);
-            row.channel = 0;
-            row
-        });
-        gate(name, false, run(&mut stream, name));
-    }
-
-    if failures == 0 {
-        println!("hydra-audit: forensics gate clean (attacks detected, benign quiet)");
-        ExitCode::SUCCESS
-    } else {
-        println!("hydra-audit: {failures} forensics run(s) misclassified");
-        ExitCode::FAILURE
-    }
-}
-
 fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("hydra-audit: {error}");
@@ -495,8 +352,7 @@ fn usage(error: &str) -> ExitCode {
     eprintln!(
         "usage: hydra-audit [--geometry tiny|isca22|ddr5] [--t-rh N] [--json]\n       \
          hydra-audit --faults [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N]\n       \
-         hydra-audit --windows [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N] [--json]\n       \
-         hydra-audit --forensics"
+         hydra-audit --windows [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N] [--json]"
     );
     if error.is_empty() {
         ExitCode::SUCCESS

@@ -126,7 +126,6 @@ pub const CRATE_DAG: &[CrateLayer] = &[
             "dram",
             "engine",
             "faults",
-            "forensics",
             "sim",
             "workloads",
         ],
@@ -363,7 +362,7 @@ mod tests {
         assert!(!reaches("telemetry", "forensics"));
         assert!(!reaches("core", "sim"));
         assert!(reaches("engine", "types"));
-        assert!(reaches("analysis", "telemetry")); // via forensics/core
+        assert!(reaches("analysis", "telemetry")); // via core
     }
 
     fn scratch(tag: &str) -> PathBuf {

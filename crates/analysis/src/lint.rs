@@ -19,9 +19,9 @@
 //! * **`no-unwrap`** — non-test library code must not call `.unwrap()` or
 //!   `.expect(...)`: every panic path in library code is a denial-of-service
 //!   on the simulation host and hides an error the caller should see.
-//! * **`no-println`** — non-test library code must not call `println!` or
-//!   `eprintln!`: stdout/stderr belong to the caller (JSONL traces,
-//!   BENCH_*.json and CSV exports share them).
+//! * **`no-println`** — non-test library code must not call `print!`,
+//!   `println!`, `eprint!` or `eprintln!`: stdout/stderr belong to the
+//!   caller (JSONL traces, BENCH_*.json and CSV exports share them).
 //! * **`doc-consistency`** — a `build()` whose docs promise rejection must
 //!   contain an `Err` path, and no `build()` body may silently clamp a
 //!   user-supplied field with `.min(..)`/`.max(..)`.
@@ -127,7 +127,7 @@ pub const RULES: [RuleInfo; 12] = [
     RuleInfo {
         id: "no-println",
         severity: Severity::Error,
-        summary: "no println!/eprintln! in non-test library code",
+        summary: "no print!/println!/eprint!/eprintln! in non-test library code",
         fix_hint: "return the string, take a callback, or emit through a telemetry sink",
     },
     RuleInfo {
@@ -725,18 +725,17 @@ impl<'s> ScannedFile<'s> {
                 );
             }
 
-            // no-println: `println!` / `eprintln!`.
+            // no-println: `print!` / `println!` / `eprint!` / `eprintln!`.
             if !in_test
                 && tok.kind == TokenKind::Ident
-                && (text == "println" || text == "eprintln")
+                && matches!(text, "print" | "println" | "eprint" | "eprintln")
                 && self.text(i + 1) == Some("!")
             {
                 self.emit(
                     findings,
                     "no-println",
                     tok.line,
-                    "println!/eprintln! in non-test library code; return the string, take a callback, or emit through a telemetry sink and let the caller decide where output goes"
-                        .to_string(),
+                    format!("{text}! in non-test library code; return the string, take a callback, or emit through a telemetry sink and let the caller decide where output goes"),
                 );
             }
 
@@ -1641,6 +1640,22 @@ mod tests {
         assert!(diags.iter().all(|d| d.rule == "no-println"));
         assert_eq!(diags[0].line, 3);
         assert_eq!(diags[1].line, 4);
+    }
+
+    #[test]
+    fn flags_print_and_eprint_but_not_in_test_modules() {
+        let diags = lint_one(
+            "print",
+            "pub fn f(s: &str) {\n    print!(\"{s}\");\n    eprint!(\"{s}\");\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        print!(\"test output is fine\");\n    }\n}\n",
+        );
+        assert_eq!(diags.len(), 2, "{diags:?}");
+        assert!(diags.iter().all(|d| d.rule == "no-println"));
+        assert_eq!((diags[0].line, diags[1].line), (3, 4));
+        assert!(
+            diags[0].message.starts_with("print! "),
+            "{}",
+            diags[0].message
+        );
     }
 
     #[test]

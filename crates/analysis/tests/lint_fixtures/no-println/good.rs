@@ -7,5 +7,6 @@ mod tests {
     #[test]
     fn printing_is_fine_in_tests() {
         println!("{}", super::report(1));
+        print!("{}", super::report(2));
     }
 }

@@ -121,14 +121,14 @@ where
     let mut failures = Vec::new();
     for job in BatchRunner::new(batch).run(cells).jobs {
         match (job.status, job.output) {
-            (JobStatus::Succeeded { .. }, Some(row)) => rows.push(row),
-            (JobStatus::Failed { last_error, .. }, _) => {
-                failures.push(format!("{}: {last_error}", job.label));
+            (JobStatus::Succeeded, Some(row)) => rows.push(row),
+            (JobStatus::Failed { error }, _) => {
+                failures.push(format!("{}: {error}", job.label));
             }
-            (JobStatus::TimedOut { .. }, _) => {
+            (JobStatus::TimedOut, _) => {
                 failures.push(format!("{}: watchdog timeout", job.label));
             }
-            (JobStatus::Succeeded { .. }, None) => {
+            (JobStatus::Succeeded, None) => {
                 failures.push(format!("{}: succeeded without output", job.label));
             }
         }

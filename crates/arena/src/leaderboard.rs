@@ -179,7 +179,7 @@ pub struct ArenaCell {
 }
 
 /// One arena cell is one batch job, so the harness's panic isolation,
-/// watchdog, and retries apply per cell.
+/// and watchdog apply per cell.
 impl BatchJob for ArenaCell {
     type Output = ArenaRow;
 
@@ -189,7 +189,7 @@ impl BatchJob for ArenaCell {
 
     /// Builds the tracker from the roster, wraps it in the shadow oracle,
     /// replays the stream, and reduces to one [`ArenaRow`].
-    fn run(&self, _attempt: u32) -> Result<ArenaRow, String> {
+    fn run(&self) -> Result<ArenaRow, String> {
         let window_acts = experiment::timing().max_activations_per_window();
         let tracker = build_tracker(
             &self.tracker,
@@ -227,14 +227,6 @@ impl BatchJob for ArenaCell {
             worst_unmitigated: oracle_report.worst_unmitigated,
             wall_secs,
         })
-    }
-
-    fn replay_artifact(&self) -> Option<String> {
-        Some(format!(
-            "hydra-arena-replay\ntracker={}\nworkload={}\ngeometry={}\n\
-             t_rh={}\nacts={}\nseed={}\n",
-            self.tracker, self.workload, self.geometry_name, self.t_rh, self.acts, self.seed,
-        ))
     }
 }
 
@@ -703,7 +695,7 @@ mod tests {
             acts: 2_000,
             seed: 42,
         };
-        let row = match cell.run(0) {
+        let row = match cell.run() {
             Ok(r) => r,
             Err(e) => panic!("cell: {e}"),
         };

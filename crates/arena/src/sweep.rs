@@ -6,10 +6,10 @@
 //! resulting [`SweepCell`] is one full activation-level simulation of
 //! Hydra, run as one job of the parallel batch harness
 //! (`hydra_sim::batch`), so every cell keeps the harness's panic
-//! isolation, watchdog, and retry budget while many cells run
-//! concurrently. The grid run, the JSONL framing and the determinism
-//! contract (`--jobs 4` ≡ `--jobs 1` but for `wall_secs`) are the
-//! experiment core's, shared with the [`crate::leaderboard`].
+//! isolation and watchdog while many cells run concurrently. The grid
+//! run, the JSONL framing and the determinism contract (`--jobs 4` ≡
+//! `--jobs 1` but for `wall_secs`) are the experiment core's, shared with
+//! the [`crate::leaderboard`].
 //!
 //! The summary reduces the grid the way the paper's Figures 9–12 do:
 //! a Pareto frontier over (SRAM bytes, slowdown, mitigations) and a
@@ -299,7 +299,7 @@ impl SweepCell {
 }
 
 /// One sweep cell is one batch job, so the harness's panic isolation,
-/// watchdog, and retries apply per cell.
+/// and watchdog apply per cell.
 impl BatchJob for SweepCell {
     type Output = SweepRow;
 
@@ -312,7 +312,7 @@ impl BatchJob for SweepCell {
 
     /// Builds the tracker, replays the stream window by window, and reduces
     /// to one [`SweepRow`].
-    fn run(&self, _attempt: u32) -> Result<SweepRow, String> {
+    fn run(&self) -> Result<SweepRow, String> {
         let config = self.config().map_err(|e| e.to_string())?;
         let sram_bytes = HydraStorage::for_instance(&config).total_sram_bytes();
         let tracker = Hydra::new(config).map_err(|e| e.to_string())?;
@@ -329,21 +329,6 @@ impl BatchJob for SweepCell {
             },
         )?;
         self.reduce(sram_bytes, report, window_total, tracker.stats(), wall_secs)
-    }
-
-    fn replay_artifact(&self) -> Option<String> {
-        Some(format!(
-            "hydra-sweep-replay\nworkload={}\ngeometry={}\ngct_entries={}\n\
-             rcc_entries={}\nt_rh={}\ntg_pct={}\nacts={}\nseed={}\n",
-            self.workload,
-            self.geometry_name,
-            self.gct_entries,
-            self.rcc_entries,
-            self.t_rh,
-            self.tg_pct,
-            self.acts,
-            self.seed,
-        ))
     }
 }
 
@@ -907,7 +892,7 @@ mod tests {
         let grid = SweepGrid::design_point("tiny", &["double_sided"], 5_000).expect("tiny");
         assert_eq!((grid.gct_entries[0], grid.rcc_entries[0]), (4096, 4096));
         let cell = grid.cells().expect("cells").remove(0);
-        let row = cell.run(0).expect("a clean replay reduces to a row");
+        let row = cell.run().expect("a clean replay reduces to a row");
         let stats = HydraStats {
             activations: 10,
             gct_only: 10,

@@ -16,8 +16,6 @@ use std::time::Duration;
 
 fn batch(jobs: usize) -> BatchConfig {
     BatchConfig {
-        retries: 1,
-        backoff_base: Duration::from_millis(10),
         watchdog: Duration::from_secs(300),
         artifact_dir: None,
         jobs,

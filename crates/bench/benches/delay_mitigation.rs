@@ -8,9 +8,9 @@
 //! workloads under victim-refresh vs. rate-limit mitigation with the same
 //! Hydra tracker and reports the slowdown of each.
 
-use hydra_bench::{ExperimentScale, Table, TrackerKind};
-
-use hydra_sim::{geometric_mean, SystemSim};
+use hydra_bench::{
+    geomean_slowdown_pct, run_figure, verdict, ExperimentScale, Table, TrackerKind, Variant,
+};
 use hydra_types::mitigation::MitigationPolicy;
 use hydra_workloads::registry;
 
@@ -38,7 +38,9 @@ fn main() {
         use_gct: true,
         use_rcc: true,
     };
-    let names = [
+    let variants = [MitigationPolicy::default(), MitigationPolicy::RateLimit]
+        .map(|policy| Variant { tracker, policy });
+    let specs = [
         "parest",
         "cactuBSSN",
         "xz",
@@ -46,62 +48,32 @@ fn main() {
         "ferret",
         "stream",
         "gups",
-    ];
+    ]
+    .map(|name| registry::by_name(name).expect("registered"));
+    let runs = run_figure(specs, &variants, &scale).expect("workload run");
+
     let mut table = Table::new(vec![
         "workload",
         "victim-refresh slowdown",
         "rate-limit slowdown",
     ]);
-    let mut refresh_all = Vec::new();
-    let mut delay_all = Vec::new();
-
-    for name in names {
-        let spec = registry::by_name(name).expect("registered");
-        let run = |policy: MitigationPolicy| {
-            let mut config = scale.system_config();
-            config.mitigation = policy;
-            let geometry = config.geometry;
-            let seed = scale.seed;
-            let s = scale.scale;
-            let mut sim = SystemSim::new(config, |core| {
-                spec.build(geometry, s, seed ^ (core as u64).wrapping_mul(0x9E37))
-            })
-            .with_trackers(|ch| tracker.build(geometry, ch, &scale).expect("tracker"));
-            sim.run()
-        };
-        let baseline = {
-            let config = scale.system_config();
-            let geometry = config.geometry;
-            let seed = scale.seed;
-            let s = scale.scale;
-            SystemSim::new(config, |core| {
-                spec.build(geometry, s, seed ^ (core as u64).wrapping_mul(0x9E37))
-            })
-            .run()
-        };
-        let refresh = run(MitigationPolicy::default()).slowdown_pct(&baseline);
-        let delay = run(MitigationPolicy::RateLimit).slowdown_pct(&baseline);
-        refresh_all.push(1.0 + refresh / 100.0);
-        delay_all.push(1.0 + delay / 100.0);
+    for run in &runs {
+        let pct = run.slowdown_pct();
         table.row(vec![
-            name.to_string(),
-            format!("{refresh:.2}%"),
-            format!("{delay:.2}%"),
+            run.spec.name.to_string(),
+            format!("{:.2}%", pct[0]),
+            format!("{:.2}%", pct[1]),
         ]);
     }
-    let refresh_mean = (geometric_mean(&refresh_all) - 1.0) * 100.0;
-    let delay_mean = (geometric_mean(&delay_all) - 1.0) * 100.0;
+    let means = geomean_slowdown_pct(&runs, |_| true);
     table.row(vec![
         "GEOMEAN".into(),
-        format!("{refresh_mean:.2}%"),
-        format!("{delay_mean:.2}%"),
+        format!("{:.2}%", means[0]),
+        format!("{:.2}%", means[1]),
     ]);
-    table.print();
+    print!("{}", table.render());
 
     println!("\nPaper's argument: delay insertion throttles legitimately hot rows into");
     println!("a denial of service at ultra-low thresholds, while victim refresh stays cheap.");
-    println!(
-        "Shape check: rate-limit slowdown ({delay_mean:.1}%) >> victim-refresh ({refresh_mean:.1}%): {}",
-        if delay_mean > refresh_mean + 1.0 { "OK" } else { "MISMATCH" }
-    );
+    println!("{}", verdict::delay_mitigation(means[1], means[0]));
 }

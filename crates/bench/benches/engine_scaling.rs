@@ -93,11 +93,10 @@ fn main() {
             "parallel run with {workers} workers diverged from the sequential reference"
         );
     }
-    table.print();
+    print!("{}", table.render());
     match table.export_csv("engine_scaling") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
 
     println!("\nCeiling is min(workers, {CHANNELS}) with one shard per channel;");

@@ -5,12 +5,10 @@
 //! forces a mitigation almost immediately after every spill for newly
 //! arriving rows. The paper picks 80 %.
 
-use hydra_bench::{run_workload, ExperimentScale, Table, TrackerKind};
-use hydra_sim::geometric_mean;
-use hydra_workloads::{registry, Suite};
+use hydra_bench::{run_all, suite_slowdown_table, verdict, ExperimentScale, TrackerKind, Variant};
 
-fn hydra_with_tg(t_g: u32) -> TrackerKind {
-    TrackerKind::HydraCustom {
+fn hydra_with_tg(t_g: u32) -> Variant {
+    Variant::from(TrackerKind::HydraCustom {
         t_h: 250,
         t_g,
         // Pressure-rescaled (÷8) so activations-per-group sits between the
@@ -20,7 +18,7 @@ fn hydra_with_tg(t_g: u32) -> TrackerKind {
         rcc_total: 8_192,
         use_gct: true,
         use_rcc: true,
-    }
+    })
 }
 
 fn main() {
@@ -30,63 +28,15 @@ fn main() {
         scale.scale
     );
 
-    let tgs = [
-        (125u32, "50% (125)"),
-        (162, "65% (162)"),
-        (200, "80% (200)"),
-        (237, "95% (237)"),
-    ];
-    let suites = [Suite::Spec2017, Suite::Parsec, Suite::Gap, Suite::Gups];
-    let mut by_suite: Vec<Vec<Vec<f64>>> = vec![vec![vec![]; tgs.len()]; suites.len()];
-    let mut all: Vec<Vec<f64>> = vec![vec![]; tgs.len()];
-
-    for spec in &registry::ALL {
-        let baseline = run_workload(spec, TrackerKind::Baseline, &scale).expect("workload run");
-        for (i, &(t_g, _)) in tgs.iter().enumerate() {
-            let run = run_workload(spec, hydra_with_tg(t_g), &scale).expect("workload run");
-            let ratio = 1.0 + run.result.slowdown_pct(&baseline.result) / 100.0;
-            all[i].push(ratio);
-            let s = suites.iter().position(|&s| s == spec.suite).expect("suite");
-            by_suite[s][i].push(ratio);
-        }
-    }
-
-    let headers: Vec<String> = std::iter::once("suite".to_string())
-        .chain(tgs.iter().map(|&(_, label)| label.to_string()))
-        .collect();
-    let mut table = Table::new(headers);
-    for (s, suite) in suites.iter().enumerate() {
-        let mut cells = vec![suite.label().to_string()];
-        for ratios in by_suite[s].iter().take(tgs.len()) {
-            cells.push(format!("{:.2}%", (geometric_mean(ratios) - 1.0) * 100.0));
-        }
-        table.row(cells);
-    }
-    let overall: Vec<f64> = all
-        .iter()
-        .map(|v| (geometric_mean(v) - 1.0) * 100.0)
-        .collect();
-    table.row(
-        std::iter::once("ALL(36)".to_string())
-            .chain(overall.iter().map(|v| format!("{v:.2}%")))
-            .collect(),
-    );
-    table.print();
+    let runs = run_all(&[125, 162, 200, 237].map(hydra_with_tg), &scale).expect("workload run");
+    let headers = ["suite", "50% (125)", "65% (162)", "80% (200)", "95% (237)"];
+    let (table, overall) = suite_slowdown_table(&headers, &runs);
+    print!("{}", table.render());
     match table.export_csv("fig10") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
 
     println!("\nPaper: GUPS suffers at T_G = 50 % (16 %); the default 80 % balances both ends.");
-    println!(
-        "Shape check: the 50 % point is the worst overall ({:.2}% >= {:.2}%): {}",
-        overall[0],
-        overall[2],
-        if overall[0] >= overall[2] - 0.2 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    println!("{}", verdict::fig10(overall[0], overall[2]));
 }

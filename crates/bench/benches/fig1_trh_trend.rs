@@ -24,6 +24,6 @@ fn main() {
             (act_max / t_rh).to_string(),
         ]);
     }
-    table.print();
+    print!("{}", table.render());
     println!("\nACT_max per bank per 64 ms window: {act_max} (paper: ~1.36 M)");
 }

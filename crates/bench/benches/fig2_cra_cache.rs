@@ -3,9 +3,7 @@
 //! large slowdown (25.8 % → 16.8 % on average), because counter lines have
 //! poor locality over large row footprints.
 
-use hydra_bench::{run_workload, ExperimentScale, Table, TrackerKind};
-use hydra_sim::geometric_mean;
-use hydra_workloads::registry;
+use hydra_bench::{normalized_table, run_all, verdict, ExperimentScale, TrackerKind, Variant};
 
 fn main() {
     let scale = ExperimentScale::from_env();
@@ -14,43 +12,17 @@ fn main() {
         scale.scale
     );
 
-    let sizes = [64 * 1024, 128 * 1024, 256 * 1024];
-    let mut table = Table::new(vec!["workload", "CRA-64KB", "CRA-128KB", "CRA-256KB"]);
-    let mut means: [Vec<f64>; 3] = [vec![], vec![], vec![]];
-    for spec in &registry::ALL {
-        let baseline = run_workload(spec, TrackerKind::Baseline, &scale).expect("workload run");
-        let mut cells = vec![spec.name.to_string()];
-        for (i, &cache_bytes) in sizes.iter().enumerate() {
-            let run =
-                run_workload(spec, TrackerKind::Cra { cache_bytes }, &scale).expect("workload run");
-            let norm = run.result.normalized_to(&baseline.result);
-            cells.push(format!("{norm:.3}"));
-            means[i].push(norm);
-        }
-        table.row(cells);
-    }
-    table.row(vec![
-        "GEOMEAN-ALL(36)".into(),
-        format!("{:.3}", geometric_mean(&means[0])),
-        format!("{:.3}", geometric_mean(&means[1])),
-        format!("{:.3}", geometric_mean(&means[2])),
-    ]);
-    table.print();
+    let variants = [64 * 1024, 128 * 1024, 256 * 1024]
+        .map(|cache_bytes| Variant::from(TrackerKind::Cra { cache_bytes }));
+    let runs = run_all(&variants, &scale).expect("workload run");
+    let headers = ["workload", "CRA-64KB", "CRA-128KB", "CRA-256KB"];
+    let (table, means) = normalized_table(&headers, &runs, false);
+    print!("{}", table.render());
     match table.export_csv("fig2") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
 
-    let g64 = geometric_mean(&means[0]);
-    let g256 = geometric_mean(&means[2]);
     println!("\nPaper: 0.742 at 64 KB -> 0.832 at 256 KB (still a big slowdown).");
-    println!(
-        "Shape check: larger cache helps but slowdown remains ({g64:.3} -> {g256:.3}): {}",
-        if g256 >= g64 && g256 < 0.995 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    println!("{}", verdict::fig2(means[0], means[2]));
 }

@@ -7,9 +7,7 @@
 //! (see `hydra_bench` docs); set `HYDRA_SCALE` / `HYDRA_INSTRS` to trade
 //! fidelity for runtime.
 
-use hydra_bench::{run_workload, ExperimentScale, Table, TrackerKind};
-use hydra_sim::geometric_mean;
-use hydra_workloads::{registry, Suite};
+use hydra_bench::{normalized_table, run_all, verdict, ExperimentScale, TrackerKind, Variant};
 
 fn main() {
     let scale = ExperimentScale::from_env();
@@ -18,71 +16,23 @@ fn main() {
         scale.scale, scale.instructions_per_core
     );
 
-    let kinds = [
+    let variants = [
         TrackerKind::Cra {
             cache_bytes: 64 * 1024,
         },
         TrackerKind::Graphene,
         TrackerKind::Hydra,
-    ];
-    let mut table = Table::new(vec!["workload", "suite", "CRA-64KB", "Graphene", "Hydra"]);
-    let mut per_suite: Vec<(Suite, [Vec<f64>; 3])> = vec![
-        (Suite::Spec2017, [vec![], vec![], vec![]]),
-        (Suite::Parsec, [vec![], vec![], vec![]]),
-        (Suite::Gap, [vec![], vec![], vec![]]),
-        (Suite::Gups, [vec![], vec![], vec![]]),
-    ];
-    let mut all: [Vec<f64>; 3] = [vec![], vec![], vec![]];
-
-    for spec in &registry::ALL {
-        let baseline = run_workload(spec, TrackerKind::Baseline, &scale).expect("workload run");
-        let mut cells = vec![spec.name.to_string(), spec.suite.label().to_string()];
-        for (k, kind) in kinds.iter().enumerate() {
-            let run = run_workload(spec, *kind, &scale).expect("workload run");
-            let norm = run.result.normalized_to(&baseline.result);
-            cells.push(format!("{norm:.3}"));
-            all[k].push(norm);
-            for (suite, lists) in &mut per_suite {
-                if *suite == spec.suite {
-                    lists[k].push(norm);
-                }
-            }
-        }
-        table.row(cells);
-    }
-    for (suite, lists) in &per_suite {
-        table.row(vec![
-            format!("GEOMEAN-{}", suite.label()),
-            String::new(),
-            format!("{:.3}", geometric_mean(&lists[0])),
-            format!("{:.3}", geometric_mean(&lists[1])),
-            format!("{:.3}", geometric_mean(&lists[2])),
-        ]);
-    }
-    table.row(vec![
-        "GEOMEAN-ALL(36)".into(),
-        String::new(),
-        format!("{:.3}", geometric_mean(&all[0])),
-        format!("{:.3}", geometric_mean(&all[1])),
-        format!("{:.3}", geometric_mean(&all[2])),
-    ]);
-    table.print();
+    ]
+    .map(Variant::from);
+    let runs = run_all(&variants, &scale).expect("workload run");
+    let headers = ["workload", "suite", "CRA-64KB", "Graphene", "Hydra"];
+    let (table, means) = normalized_table(&headers, &runs, true);
+    print!("{}", table.render());
     match table.export_csv("fig5") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
 
-    let cra = geometric_mean(&all[0]);
-    let graphene = geometric_mean(&all[1]);
-    let hydra = geometric_mean(&all[2]);
     println!("\nPaper: CRA ~0.75 (25 % slowdown), Graphene ~0.999, Hydra ~0.993.");
-    println!(
-        "Shape check: CRA ({cra:.3}) < Hydra ({hydra:.3}) <= ~Graphene ({graphene:.3}): {}",
-        if cra < hydra && hydra <= graphene + 0.02 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    println!("{}", verdict::fig5(means[0], means[1], means[2]));
 }

@@ -5,7 +5,7 @@
 //! Uses the activation-level simulator: Fig. 6 is a property of the
 //! activation stream and tracker state, independent of queueing.
 
-use hydra_bench::{scaled_hydra, ExperimentScale, Table};
+use hydra_bench::{scaled_hydra, verdict, ExperimentScale, Table};
 use hydra_dram::DramTiming;
 use hydra_sim::ActivationSim;
 use hydra_types::MemGeometry;
@@ -78,17 +78,11 @@ fn main() {
         format!("{:.1}", sums[1] / n),
         format!("{:.2}", sums[2] / n),
     ]);
-    table.print();
+    print!("{}", table.render());
     match table.export_csv("fig6") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
     println!("\nPaper means: GCT-only 90.7 %, RCC-hit 9.0 %, RCT-access 0.3 %.");
-    println!(
-        "Shape check: GCT filters most updates ({:.1} % >= 60 %), DRAM accesses rare ({:.2} % <= 10 %): {}",
-        sums[0] / n,
-        sums[2] / n,
-        if sums[0] / n >= 60.0 && sums[2] / n <= 10.0 { "OK" } else { "MISMATCH" }
-    );
+    println!("{}", verdict::fig6(sums[0] / n, sums[2] / n));
 }

@@ -3,25 +3,23 @@
 //!
 //! Paper: 0.7 % → 1.6 % → 4 % average slowdown, with GUPS hit hardest.
 
-use hydra_bench::{run_workload, ExperimentScale, Table, TrackerKind};
-use hydra_sim::geometric_mean;
-use hydra_workloads::{registry, Suite};
+use hydra_bench::{run_all, suite_slowdown_table, verdict, ExperimentScale, TrackerKind, Variant};
 
 /// Thresholds are pressure-rescaled (÷4) alongside the structures: the
 /// compressed window gives each row proportionally fewer activations, so an
 /// unscaled threshold would mask the trend the figure demonstrates (see
 /// EXPERIMENTS.md). T_RH 500/250/125 → T_H 62/31/15.
-fn hydra_for_trh(t_rh: u32) -> TrackerKind {
+fn hydra_for_trh(t_rh: u32) -> Variant {
     let factor = (500 / t_rh).max(1) as usize;
     let t_h = (t_rh / 8).max(8);
-    TrackerKind::HydraCustom {
+    Variant::from(TrackerKind::HydraCustom {
         t_h,
         t_g: (t_h * 4 / 5).max(1),
         gct_total: 32_768 * factor,
         rcc_total: 8_192 * factor,
         use_gct: true,
         use_rcc: true,
-    }
+    })
 }
 
 fn main() {
@@ -31,54 +29,15 @@ fn main() {
         scale.scale
     );
 
-    let thresholds = [500u32, 250, 125];
-    let suites = [Suite::Spec2017, Suite::Parsec, Suite::Gap, Suite::Gups];
-    let mut table = Table::new(vec!["suite", "T_RH=500", "T_RH=250", "T_RH=125"]);
-    let mut all: Vec<Vec<f64>> = vec![vec![]; thresholds.len()];
-    let mut by_suite: Vec<Vec<Vec<f64>>> = vec![vec![vec![]; thresholds.len()]; suites.len()];
-
-    for spec in &registry::ALL {
-        let baseline = run_workload(spec, TrackerKind::Baseline, &scale).expect("workload run");
-        for (t, &t_rh) in thresholds.iter().enumerate() {
-            let run = run_workload(spec, hydra_for_trh(t_rh), &scale).expect("workload run");
-            let slowdown = run.result.slowdown_pct(&baseline.result);
-            all[t].push(1.0 + slowdown / 100.0);
-            let s = suites.iter().position(|&s| s == spec.suite).expect("suite");
-            by_suite[s][t].push(1.0 + slowdown / 100.0);
-        }
-    }
-    for (s, suite) in suites.iter().enumerate() {
-        let mut cells = vec![suite.label().to_string()];
-        for ratios in by_suite[s].iter().take(thresholds.len()) {
-            cells.push(format!("{:.2}%", (geometric_mean(ratios) - 1.0) * 100.0));
-        }
-        table.row(cells);
-    }
-    let mut cells = vec!["ALL(36)".to_string()];
-    let mut overall = Vec::new();
-    for values in &all {
-        let slow = (geometric_mean(values) - 1.0) * 100.0;
-        overall.push(slow);
-        cells.push(format!("{slow:.2}%"));
-    }
-    table.row(cells);
-    table.print();
+    let runs = run_all(&[500, 250, 125].map(hydra_for_trh), &scale).expect("workload run");
+    let headers = ["suite", "T_RH=500", "T_RH=250", "T_RH=125"];
+    let (table, overall) = suite_slowdown_table(&headers, &runs);
+    print!("{}", table.render());
     match table.export_csv("fig7") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
 
     println!("\nPaper: 0.7 % at 500, 1.6 % at 250, 4 % at 125.");
-    println!(
-        "Shape check: slowdown grows as T_RH falls ({:.2}% <= {:.2}% <= {:.2}%): {}",
-        overall[0],
-        overall[1],
-        overall[2],
-        if overall[0] <= overall[1] + 0.3 && overall[1] <= overall[2] + 0.3 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    println!("{}", verdict::fig7([overall[0], overall[1], overall[2]]));
 }

@@ -2,9 +2,20 @@
 //! Hydra-NoGCT (20 % average slowdown), Hydra-NoRCC (4.5 %), full Hydra
 //! (0.7 %). The GCT's filtering is the critical component.
 
-use hydra_bench::{run_workload, ExperimentScale, Table, TrackerKind};
-use hydra_sim::geometric_mean;
-use hydra_workloads::registry;
+use hydra_bench::{normalized_table, run_all, verdict, ExperimentScale, TrackerKind, Variant};
+
+/// Hydra at the paper's default thresholds and sizes with one structure
+/// switched off.
+fn hydra_without(use_gct: bool, use_rcc: bool) -> Variant {
+    Variant::from(TrackerKind::HydraCustom {
+        t_h: 250,
+        t_g: 200,
+        gct_total: 32_768,
+        rcc_total: 8_192,
+        use_gct,
+        use_rcc,
+    })
+}
 
 fn main() {
     let scale = ExperimentScale::from_env();
@@ -14,67 +25,19 @@ fn main() {
     );
 
     let variants = [
-        (
-            "Hydra-NoGCT",
-            TrackerKind::HydraCustom {
-                t_h: 250,
-                t_g: 200,
-                gct_total: 32_768,
-                rcc_total: 8_192,
-                use_gct: false,
-                use_rcc: true,
-            },
-        ),
-        (
-            "Hydra-NoRCC",
-            TrackerKind::HydraCustom {
-                t_h: 250,
-                t_g: 200,
-                gct_total: 32_768,
-                rcc_total: 8_192,
-                use_gct: true,
-                use_rcc: false,
-            },
-        ),
-        ("Hydra", TrackerKind::Hydra),
+        hydra_without(false, true),
+        hydra_without(true, false),
+        Variant::from(TrackerKind::Hydra),
     ];
-
-    let mut table = Table::new(vec!["workload", "Hydra-NoGCT", "Hydra-NoRCC", "Hydra"]);
-    let mut norms: [Vec<f64>; 3] = [vec![], vec![], vec![]];
-    for spec in &registry::ALL {
-        let baseline = run_workload(spec, TrackerKind::Baseline, &scale).expect("workload run");
-        let mut cells = vec![spec.name.to_string()];
-        for (i, (_, kind)) in variants.iter().enumerate() {
-            let run = run_workload(spec, *kind, &scale).expect("workload run");
-            let norm = run.result.normalized_to(&baseline.result);
-            cells.push(format!("{norm:.3}"));
-            norms[i].push(norm);
-        }
-        table.row(cells);
-    }
-    table.row(vec![
-        "GEOMEAN-ALL(36)".into(),
-        format!("{:.3}", geometric_mean(&norms[0])),
-        format!("{:.3}", geometric_mean(&norms[1])),
-        format!("{:.3}", geometric_mean(&norms[2])),
-    ]);
-    table.print();
+    let runs = run_all(&variants, &scale).expect("workload run");
+    let headers = ["workload", "Hydra-NoGCT", "Hydra-NoRCC", "Hydra"];
+    let (table, means) = normalized_table(&headers, &runs, false);
+    print!("{}", table.render());
     match table.export_csv("fig8") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
 
-    let no_gct = geometric_mean(&norms[0]);
-    let no_rcc = geometric_mean(&norms[1]);
-    let full = geometric_mean(&norms[2]);
     println!("\nPaper: NoGCT ~0.83 (20 % slowdown), NoRCC ~0.957 (4.5 %), Hydra ~0.993 (0.7 %).");
-    println!(
-        "Shape check: NoGCT ({no_gct:.3}) < NoRCC ({no_rcc:.3}) <= Hydra ({full:.3}): {}",
-        if no_gct < no_rcc && no_rcc <= full + 0.005 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    println!("{}", verdict::fig8(means[0], means[1], means[2]));
 }

@@ -3,9 +3,7 @@
 //! so entries saturate faster; the paper sees GUPS blow up at 16K while 32K
 //! is a good cost/performance point.
 
-use hydra_bench::{run_workload, ExperimentScale, Table, TrackerKind};
-use hydra_sim::geometric_mean;
-use hydra_workloads::{registry, Suite};
+use hydra_bench::{run_all, suite_slowdown_table, verdict, ExperimentScale, TrackerKind, Variant};
 
 /// The sweep's paper-scale sizes are additionally divided by 4 ("pressure
 /// rescaling"): our scaled runs sustain a different activations-per-window
@@ -14,15 +12,15 @@ use hydra_workloads::{registry, Suite};
 /// the paper observes the GUPS blowup. See EXPERIMENTS.md.
 const PRESSURE: usize = 4;
 
-fn hydra_with_gct(gct_total: usize) -> TrackerKind {
-    TrackerKind::HydraCustom {
+fn hydra_with_gct(gct_total: usize) -> Variant {
+    Variant::from(TrackerKind::HydraCustom {
         t_h: 250,
         t_g: 200,
         gct_total: gct_total / PRESSURE,
         rcc_total: 8_192,
         use_gct: true,
         use_rcc: true,
-    }
+    })
 }
 
 fn main() {
@@ -32,57 +30,16 @@ fn main() {
         scale.scale
     );
 
-    let sizes = [16_384usize, 32_768, 65_536];
-    let suites = [Suite::Spec2017, Suite::Parsec, Suite::Gap, Suite::Gups];
-    let mut by_suite: Vec<Vec<Vec<f64>>> = vec![vec![vec![]; sizes.len()]; suites.len()];
-    let mut all: Vec<Vec<f64>> = vec![vec![]; sizes.len()];
-
-    for spec in &registry::ALL {
-        let baseline = run_workload(spec, TrackerKind::Baseline, &scale).expect("workload run");
-        for (i, &size) in sizes.iter().enumerate() {
-            let run = run_workload(spec, hydra_with_gct(size), &scale).expect("workload run");
-            let ratio = 1.0 + run.result.slowdown_pct(&baseline.result) / 100.0;
-            all[i].push(ratio);
-            let s = suites.iter().position(|&s| s == spec.suite).expect("suite");
-            by_suite[s][i].push(ratio);
-        }
-    }
-
-    let mut table = Table::new(vec!["suite", "GCT=16K", "GCT=32K", "GCT=64K"]);
-    for (s, suite) in suites.iter().enumerate() {
-        let mut cells = vec![suite.label().to_string()];
-        for ratios in by_suite[s].iter().take(sizes.len()) {
-            cells.push(format!("{:.2}%", (geometric_mean(ratios) - 1.0) * 100.0));
-        }
-        table.row(cells);
-    }
-    let overall: Vec<f64> = all
-        .iter()
-        .map(|v| (geometric_mean(v) - 1.0) * 100.0)
-        .collect();
-    table.row(vec![
-        "ALL(36)".into(),
-        format!("{:.2}%", overall[0]),
-        format!("{:.2}%", overall[1]),
-        format!("{:.2}%", overall[2]),
-    ]);
-    table.print();
+    let variants = [16_384, 32_768, 65_536].map(hydra_with_gct);
+    let runs = run_all(&variants, &scale).expect("workload run");
+    let headers = ["suite", "GCT=16K", "GCT=32K", "GCT=64K"];
+    let (table, overall) = suite_slowdown_table(&headers, &runs);
+    print!("{}", table.render());
     match table.export_csv("fig9") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
 
     println!("\nPaper: 16K hurts (GUPS 18.3 %); 32K is the sweet spot; 64K is marginal.");
-    println!(
-        "Shape check: slowdown non-increasing with GCT size ({:.2}% >= {:.2}% >= {:.2}%): {}",
-        overall[0],
-        overall[1],
-        overall[2],
-        if overall[0] >= overall[1] - 0.2 && overall[1] >= overall[2] - 0.2 {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    println!("{}", verdict::fig9([overall[0], overall[1], overall[2]]));
 }

@@ -5,8 +5,9 @@
 //! (2) SRAM power: the GCT and RCC draw tens of milliwatts (paper: 10.6 mW
 //!     + 8 mW at 22 nm from CACTI).
 
-use hydra_bench::{run_workload, ExperimentScale, SramPowerModel, Table, TrackerKind};
+use hydra_bench::{run_figure, verdict, ExperimentScale, SramPowerModel, Table, TrackerKind};
 use hydra_dram::{DramEnergyModel, PowerCounters};
+use hydra_sim::SimResult;
 use hydra_types::Clock;
 use hydra_workloads::registry;
 
@@ -27,42 +28,41 @@ fn main() {
         "hydra dyn energy (uJ)",
         "overhead %",
     ]);
+    let specs = ["bwaves", "parest", "mcf", "bc_t", "gups", "stream"]
+        .map(|name| registry::by_name(name).expect("registered"));
+    let runs = run_figure(specs, &[TrackerKind::Hydra.into()], &scale).expect("workload run");
+    let energy = |result: &SimResult| -> f64 {
+        let counters = result
+            .controllers
+            .iter()
+            .fold(PowerCounters::default(), |acc, c| {
+                acc.combined(PowerCounters {
+                    activations: c.demand_acts + c.mitigation_acts + c.side_acts,
+                    reads: c.reads_done + c.side_done / 2,
+                    writes: c.writes_done + c.side_done / 2,
+                    precharges: c.demand_acts,
+                    refreshes: 0,
+                })
+            });
+        energy_model
+            .energy(&counters, result.cycles, 2, &clock)
+            .total_nj()
+            / 1000.0
+    };
     let mut overheads = Vec::new();
-    for name in ["bwaves", "parest", "mcf", "bc_t", "gups", "stream"] {
-        let spec = registry::by_name(name).expect("registered");
-        let base = run_workload(spec, TrackerKind::Baseline, &scale).expect("workload run");
-        let hydra = run_workload(spec, TrackerKind::Hydra, &scale).expect("workload run");
-        let energy = |run: &hydra_bench::WorkloadRun| -> f64 {
-            let counters =
-                run.result
-                    .controllers
-                    .iter()
-                    .fold(PowerCounters::default(), |acc, c| {
-                        acc.combined(PowerCounters {
-                            activations: c.demand_acts + c.mitigation_acts + c.side_acts,
-                            reads: c.reads_done + c.side_done / 2,
-                            writes: c.writes_done + c.side_done / 2,
-                            precharges: c.demand_acts,
-                            refreshes: 0,
-                        })
-                    });
-            energy_model
-                .energy(&counters, run.result.cycles, 2, &clock)
-                .total_nj()
-                / 1000.0
-        };
-        let e_base = energy(&base);
-        let e_hydra = energy(&hydra);
+    for run in &runs {
+        let e_base = energy(&run.baseline);
+        let e_hydra = energy(&run.variants[0]);
         let overhead = (e_hydra / e_base - 1.0) * 100.0;
         overheads.push(overhead);
         table.row(vec![
-            name.to_string(),
+            run.spec.name.to_string(),
             format!("{e_base:.1}"),
             format!("{e_hydra:.1}"),
             format!("{overhead:.2}%"),
         ]);
     }
-    table.print();
+    print!("{}", table.render());
     let mean = overheads.iter().sum::<f64>() / overheads.len() as f64;
     println!(
         "\nMean DRAM dynamic-energy overhead: {mean:.2}% (paper: ~0.2 % of total DRAM power)."
@@ -83,13 +83,5 @@ fn main() {
         "  total      : {:.1} mW   (paper: 18.6 mW)",
         gct_mw + rcc_mw
     );
-    let total = gct_mw + rcc_mw;
-    println!(
-        "Shape check: tens of mW, negligible vs DRAM ({total:.1} mW in [5, 60]): {}",
-        if (5.0..60.0).contains(&total) {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    println!("{}", verdict::sram_power(gct_mw + rcc_mw));
 }

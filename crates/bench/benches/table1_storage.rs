@@ -54,11 +54,10 @@ fn main() {
             ]);
         }
     }
-    table.print();
+    print!("{}", table.render());
     match table.export_csv("table1") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
     println!("\nAll prior schemes exceed the 64 KB goal at T_RH <= 1000;");
     println!("Hydra's total is 56.5 KB for the whole 32 GB system (Table 4).");

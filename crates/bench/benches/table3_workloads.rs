@@ -61,11 +61,10 @@ fn main() {
             format!("{:.1} / {:.1}", acts_per_row, spec.acts_per_row),
         ]);
     }
-    table.print();
+    print!("{}", table.render());
     match table.export_csv("table3") {
-        Ok(Some(path)) => println!("(csv written to {})", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("csv export failed: {e}"),
+        Ok(note) => print!("{note}"),
+        Err(e) => eprintln!("{e}"),
     }
     println!("\nTargets are the paper's Table 3 values divided by the time-compression S.");
 }

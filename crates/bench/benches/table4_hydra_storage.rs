@@ -37,7 +37,7 @@ fn main() {
         "".into(),
         fmt_bytes(storage.total_sram_bytes()),
     ]);
-    table.print();
+    print!("{}", table.render());
 
     let frac = storage.dram_overhead_fraction(geom.capacity_bytes());
     println!(

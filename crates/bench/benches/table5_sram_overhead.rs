@@ -41,7 +41,7 @@ fn main() {
         fmt_bytes(hydra.total_sram_bytes()),
         fmt_bytes(hydra.total_sram_bytes()),
     ]);
-    table.print();
+    print!("{}", table.render());
     println!("\nPaper: Graphene 680 KB / 1.4 MB, TWiCE 4.6 / 9.2 MB, CAT 3 / 6 MB,");
     println!("       D-CBF 1.5 / 1.5 MB, Hydra 56.5 / 56.5 KB.");
     assert!(hydra.total_sram_bytes() < 64 * 1024);

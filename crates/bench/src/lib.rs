@@ -2,8 +2,9 @@
 //!
 //! One bench target per table/figure of the paper lives in `benches/`; this
 //! library provides what they share: the scaled experiment configuration
-//! ([`ExperimentScale`]), tracker factories ([`TrackerKind`]), the
-//! workload runner ([`run_workload`]), and plain-text table reporting.
+//! ([`ExperimentScale`]), tracker factories ([`TrackerKind`]), the workload
+//! × variant runner ([`run_figure`]), the figure tables, and the shape
+//! checks ([`verdict`]) that hold each figure against the paper.
 //!
 //! # Scaling
 //!
@@ -26,7 +27,12 @@
 pub mod report;
 pub mod runner;
 pub mod sram_power;
+pub mod verdict;
 
-pub use report::{fmt_bytes, fmt_kb, Table};
-pub use runner::{run_workload, scaled_hydra, ExperimentScale, TrackerKind, WorkloadRun};
+pub use report::{
+    fmt_bytes, fmt_kb, geomean_slowdown_pct, normalized_table, suite_slowdown_table, Table,
+};
+pub use runner::{
+    run_all, run_figure, scaled_hydra, ExperimentScale, TrackerKind, Variant, WorkloadRuns,
+};
 pub use sram_power::SramPowerModel;

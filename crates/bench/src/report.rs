@@ -1,8 +1,13 @@
 //! Plain-text table reporting for the bench targets.
 //!
 //! Every bench target prints the rows/series its paper table or figure
-//! reports, in a fixed-width layout that survives `cargo bench` output.
+//! reports, in a fixed-width layout that survives `cargo bench` output. The
+//! figure tables shared by several benches are built here from
+//! [`WorkloadRuns`].
 
+use crate::runner::WorkloadRuns;
+use hydra_sim::geometric_mean;
+use hydra_workloads::{Suite, WorkloadSpec};
 use std::fmt::Write as _;
 
 /// A simple fixed-width table printer.
@@ -73,11 +78,6 @@ impl Table {
         out
     }
 
-    /// Prints the rendered table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-
     /// Renders the table as CSV (RFC-4180-style quoting for cells containing
     /// commas or quotes), for downstream plotting.
     pub fn to_csv(&self) -> String {
@@ -113,22 +113,110 @@ impl Table {
 
     /// If the `HYDRA_CSV_DIR` environment variable is set, writes this
     /// table there as `<name>.csv` (creating the directory) and returns the
-    /// written path. Returns `Ok(None)` when the variable is unset. The
-    /// caller decides how to report the path — the library never prints.
+    /// note a bench prints about it, `(csv written to <path>)` and a
+    /// newline; returns an empty note when the variable is unset. The
+    /// caller decides where the note goes — the library never prints.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and write errors.
-    pub fn export_csv(&self, name: &str) -> std::io::Result<Option<std::path::PathBuf>> {
+    /// Returns the `csv export failed: …` message for a directory-creation
+    /// or write error.
+    pub fn export_csv(&self, name: &str) -> Result<String, String> {
         let Ok(dir) = std::env::var("HYDRA_CSV_DIR") else {
-            return Ok(None);
+            return Ok(String::new());
         };
         let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
-        self.write_csv(&path)?;
-        Ok(Some(path))
+        std::fs::create_dir_all(&dir)
+            .and_then(|()| self.write_csv(&path))
+            .map(|()| format!("(csv written to {})\n", path.display()))
+            .map_err(|e| format!("csv export failed: {e}"))
     }
+}
+
+/// The suites Figs. 5, 7, 9 and 10 break their geomeans down by, in the
+/// paper's order.
+const SUITES: [Suite; 4] = [Suite::Spec2017, Suite::Parsec, Suite::Gap, Suite::Gups];
+
+/// Column-wise geometric means of `values(run)` over the runs whose workload
+/// `keep` admits: one mean per variant.
+fn column_geomeans(
+    runs: &[WorkloadRuns],
+    values: impl Fn(&WorkloadRuns) -> Vec<f64>,
+    keep: impl Fn(&WorkloadSpec) -> bool,
+) -> Vec<f64> {
+    let rows: Vec<Vec<f64>> = runs.iter().filter(|r| keep(r.spec)).map(values).collect();
+    let width = runs.first().map_or(0, |r| r.variants.len());
+    (0..width)
+        .map(|v| geometric_mean(&rows.iter().map(|row| row[v]).collect::<Vec<_>>()))
+        .collect()
+}
+
+/// Each variant's geomean slowdown in percent over the runs `keep` admits:
+/// `(geomean(1 + slowdown/100) − 1) × 100`.
+pub fn geomean_slowdown_pct(
+    runs: &[WorkloadRuns],
+    keep: impl Fn(&WorkloadSpec) -> bool,
+) -> Vec<f64> {
+    column_geomeans(runs, WorkloadRuns::slowdown_ratios, keep)
+        .into_iter()
+        .map(|g| (g - 1.0) * 100.0)
+        .collect()
+}
+
+/// The table of Figs. 2, 5 and 8: one row per workload of each variant's
+/// normalized performance (`{:.3}`), then a geomean row per suite when
+/// `by_suite` (which also adds a suite column after the workload), then the
+/// overall geomean row. Returns the table and the overall geomeans.
+pub fn normalized_table(
+    headers: &[&str],
+    runs: &[WorkloadRuns],
+    by_suite: bool,
+) -> (Table, Vec<f64>) {
+    let cells = |label: String, suite: &str, values: &[f64]| {
+        let mut cells = vec![label];
+        if by_suite {
+            cells.push(suite.to_string());
+        }
+        cells.extend(values.iter().map(|v| format!("{v:.3}")));
+        cells
+    };
+    let mut table = Table::new(headers.to_vec());
+    for run in runs {
+        table.row(cells(
+            run.spec.name.to_string(),
+            run.spec.suite.label(),
+            &run.normalized(),
+        ));
+    }
+    if by_suite {
+        for suite in SUITES {
+            let means = column_geomeans(runs, WorkloadRuns::normalized, |s| s.suite == suite);
+            table.row(cells(format!("GEOMEAN-{}", suite.label()), "", &means));
+        }
+    }
+    let all = column_geomeans(runs, WorkloadRuns::normalized, |_| true);
+    table.row(cells(format!("GEOMEAN-ALL({})", runs.len()), "", &all));
+    (table, all)
+}
+
+/// The table of Figs. 7, 9 and 10: each variant's geomean slowdown
+/// (`{:.2}%`) per suite, then overall. Returns the table and the overall
+/// slowdowns.
+pub fn suite_slowdown_table(headers: &[&str], runs: &[WorkloadRuns]) -> (Table, Vec<f64>) {
+    let cells = |label: String, pcts: &[f64]| {
+        std::iter::once(label)
+            .chain(pcts.iter().map(|v| format!("{v:.2}%")))
+            .collect()
+    };
+    let mut table = Table::new(headers.to_vec());
+    for suite in SUITES {
+        let pcts = geomean_slowdown_pct(runs, |s| s.suite == suite);
+        table.row(cells(suite.label().to_string(), &pcts));
+    }
+    let overall = geomean_slowdown_pct(runs, |_| true);
+    table.row(cells(format!("ALL({})", runs.len()), &overall));
+    (table, overall)
 }
 
 /// Formats a byte count the way the paper's tables do (KB / MB).

@@ -1,12 +1,14 @@
-//! Scaled workload runner shared by all bench targets.
+//! The scaled experiment configuration, the tracker factories, and the
+//! workload × variant runner every `SystemSim` figure bench shares.
 
 use hydra_baselines::{Cra, CraConfig, Graphene, GrapheneConfig, Ocpr, Para};
 use hydra_core::{Hydra, HydraConfig};
-use hydra_sim::{SystemConfig, SystemSim};
+use hydra_sim::{SimResult, SystemConfig, SystemSim};
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
+use hydra_types::mitigation::MitigationPolicy;
 use hydra_types::tracker::{ActivationTracker, NullTracker};
-use hydra_workloads::WorkloadSpec;
+use hydra_workloads::{registry, WorkloadSpec};
 
 /// The time-compression configuration for an experiment run (see the crate
 /// docs for the scaling argument).
@@ -222,44 +224,123 @@ pub fn scaled_hydra(
     Hydra::new(builder.build()?)
 }
 
-/// The outcome of one workload × tracker run.
-#[derive(Debug, Clone)]
-pub struct WorkloadRun {
-    /// Workload name.
-    pub workload: String,
-    /// Tracker label.
-    pub tracker: String,
-    /// Cycles to retire the instruction budget.
-    pub cycles: u64,
-    /// Full result (controller stats etc.).
-    pub result: hydra_sim::SimResult,
+/// One column of a figure: a tracker under a mitigation policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Variant {
+    /// The per-channel tracker.
+    pub tracker: TrackerKind,
+    /// What the controller does when the tracker asks for a mitigation.
+    pub policy: MitigationPolicy,
 }
 
-/// Runs one workload under one tracker at the given scale.
+impl From<TrackerKind> for Variant {
+    /// The tracker under the default victim-refresh policy.
+    fn from(tracker: TrackerKind) -> Self {
+        Variant {
+            tracker,
+            policy: MitigationPolicy::default(),
+        }
+    }
+}
+
+/// One workload's runs: the untracked baseline and one result per variant,
+/// in the order the variants were given.
+#[derive(Debug, Clone)]
+pub struct WorkloadRuns {
+    /// The workload.
+    pub spec: &'static WorkloadSpec,
+    /// The untracked baseline under the default policy.
+    pub baseline: SimResult,
+    /// One result per variant.
+    pub variants: Vec<SimResult>,
+}
+
+impl WorkloadRuns {
+    /// Each variant's performance normalized to the baseline (the y-axis of
+    /// Figs. 2, 5 and 8).
+    pub fn normalized(&self) -> Vec<f64> {
+        self.variants
+            .iter()
+            .map(|r| r.normalized_to(&self.baseline))
+            .collect()
+    }
+
+    /// Each variant's slowdown over the baseline, in percent.
+    pub fn slowdown_pct(&self) -> Vec<f64> {
+        self.variants
+            .iter()
+            .map(|r| r.slowdown_pct(&self.baseline))
+            .collect()
+    }
+
+    /// Each variant's `1 + slowdown/100`: the ratio whose geomean Figs. 7, 9
+    /// and 10 and the mitigation-policy extensions report.
+    pub fn slowdown_ratios(&self) -> Vec<f64> {
+        self.slowdown_pct()
+            .into_iter()
+            .map(|pct| 1.0 + pct / 100.0)
+            .collect()
+    }
+}
+
+/// Runs every workload of `specs` once untracked and once per variant, and
+/// returns the results in workload order.
 ///
 /// # Errors
 ///
-/// Returns [`ConfigError`] if the tracker cannot be built for the scaled
+/// Returns [`ConfigError`] if a tracker cannot be built for the scaled
 /// geometry.
-pub fn run_workload(
-    spec: &WorkloadSpec,
-    kind: TrackerKind,
+pub fn run_figure(
+    specs: impl IntoIterator<Item = &'static WorkloadSpec>,
+    variants: &[Variant],
     scale: &ExperimentScale,
-) -> Result<WorkloadRun, ConfigError> {
-    let config = scale.system_config();
+) -> Result<Vec<WorkloadRuns>, ConfigError> {
+    specs
+        .into_iter()
+        .map(|spec| {
+            Ok(WorkloadRuns {
+                spec,
+                baseline: simulate(spec, TrackerKind::Baseline.into(), scale)?,
+                variants: variants
+                    .iter()
+                    .map(|&variant| simulate(spec, variant, scale))
+                    .collect::<Result<_, _>>()?,
+            })
+        })
+        .collect()
+}
+
+/// [`run_figure`] over all 36 registered workloads.
+///
+/// # Errors
+///
+/// As [`run_figure`].
+pub fn run_all(
+    variants: &[Variant],
+    scale: &ExperimentScale,
+) -> Result<Vec<WorkloadRuns>, ConfigError> {
+    run_figure(&registry::ALL, variants, scale)
+}
+
+/// Runs one workload under one variant at the given scale.
+fn simulate(
+    spec: &WorkloadSpec,
+    variant: Variant,
+    scale: &ExperimentScale,
+) -> Result<SimResult, ConfigError> {
+    let mut config = scale.system_config();
+    config.mitigation = variant.policy;
     let geometry = config.geometry;
-    let seed = scale.seed;
-    let workload_scale = scale.scale;
     // Build (and thereby validate) all per-channel trackers up front, so
     // the infallible with_trackers closure only hands them out.
     let mut trackers: Vec<Option<Box<dyn ActivationTracker>>> = (0..geometry.channels())
-        .map(|ch| kind.build(geometry, ch, scale).map(Some))
+        .map(|ch| variant.tracker.build(geometry, ch, scale).map(Some))
         .collect::<Result<_, _>>()?;
     let mut sim = SystemSim::new(config, |core| {
         spec.build(
             geometry,
-            workload_scale,
-            seed ^ (core as u64).wrapping_mul(0x9E37),
+            scale.scale,
+            scale.seed ^ (core as u64).wrapping_mul(0x9E37),
         )
     })
     .with_trackers(|ch| {
@@ -268,19 +349,12 @@ pub fn run_workload(
             .and_then(Option::take)
             .unwrap_or_else(|| Box::new(NullTracker))
     });
-    let result = sim.run();
-    Ok(WorkloadRun {
-        workload: spec.name.to_string(),
-        tracker: kind.label(),
-        cycles: result.cycles,
-        result,
-    })
+    Ok(sim.run())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hydra_workloads::registry;
 
     fn quick_scale() -> ExperimentScale {
         ExperimentScale {
@@ -291,13 +365,32 @@ mod tests {
     }
 
     #[test]
-    fn baseline_and_hydra_runs_complete() {
-        let spec = registry::by_name("gups").unwrap();
+    fn figure_runs_come_back_in_workload_by_variant_order() {
         let scale = quick_scale();
-        let base = run_workload(spec, TrackerKind::Baseline, &scale).expect("baseline run");
-        let hydra = run_workload(spec, TrackerKind::Hydra, &scale).expect("hydra run");
-        assert!(base.cycles > 0);
-        assert!(hydra.cycles >= base.cycles / 2);
+        let specs = ["gups", "mcf"].map(|n| registry::by_name(n).expect("registered"));
+        let variants = [
+            Variant::from(TrackerKind::Baseline),
+            Variant::from(TrackerKind::Hydra),
+            Variant {
+                tracker: TrackerKind::Hydra,
+                policy: MitigationPolicy::RateLimit,
+            },
+        ];
+        let runs = run_figure(specs, &variants, &scale).expect("figure runs");
+        let names: Vec<&str> = runs.iter().map(|r| r.spec.name).collect();
+        assert_eq!(names, ["gups", "mcf"]);
+        for (run, spec) in runs.iter().zip(specs) {
+            assert!(run.baseline.cycles > 0);
+            assert_eq!(run.variants.len(), variants.len());
+            // An untracked variant replays the baseline exactly.
+            assert_eq!(run.normalized()[0], 1.0);
+            assert_eq!(run.slowdown_ratios()[0], 1.0);
+            // Each slot holds its own variant's run.
+            for (slot, &variant) in run.variants.iter().zip(&variants) {
+                let alone = simulate(spec, variant, &scale).expect("single run");
+                assert_eq!(slot.cycles, alone.cycles);
+            }
+        }
     }
 
     #[test]

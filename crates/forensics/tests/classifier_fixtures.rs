@@ -1,9 +1,8 @@
 //! Classifier fixtures: every generator in `hydra-workloads::attacks` must
 //! be labeled an attack, and benign SPEC/GUPS mixes must not be.
 //!
-//! This is the zero-false-positive contract that `hydra-audit --forensics`
-//! gates CI on; the fixture uses the same run shape (geometry, thresholds,
-//! act budget, seed) as the audit so the two stay in agreement.
+//! This is the zero-false-positive contract CI gates on (the forensics
+//! job runs `cargo test -p hydra-forensics`).
 
 use hydra_core::{Hydra, HydraConfig};
 use hydra_forensics::{AttackClass, ForensicsProbe, RunVerdict};

@@ -4,11 +4,11 @@
 //! Parameter sweeps (and the fault-injection campaigns in
 //! `hydra-analysis`) run hundreds of independent configurations; one bad
 //! run must not take the whole campaign down. [`BatchRunner`] executes each
-//! [`BatchJob`] on its own thread behind `catch_unwind`, guards it with a
-//! wall-clock watchdog, retries recoverable failures with exponential
-//! backoff, and — when a job fails terminally — writes the job's replay
-//! artifact (if it provides one) so the failure can be reproduced
-//! deterministically offline.
+//! [`BatchJob`] once, on its own thread behind `catch_unwind`, guards it
+//! with a wall-clock watchdog, and — when a job fails — writes the job's
+//! replay artifact (if it provides one) so the failure can be reproduced
+//! deterministically offline. Jobs are deterministic, so a failure is
+//! never retried: a second run would fail the same way.
 //!
 //! This module is the **only** place in the workspace allowed to call
 //! `catch_unwind`; `repo-lint` enforces that. Everything below the harness
@@ -27,9 +27,9 @@ use std::time::Duration;
 
 /// One unit of batch work.
 ///
-/// Jobs must be `Send + Sync + 'static` because each attempt runs on a
-/// fresh thread, and a timed-out attempt's thread is abandoned (it may
-/// still be holding the job when the next attempt starts elsewhere).
+/// Jobs must be `Send + Sync + 'static` because each job runs on a fresh
+/// thread, and a timed-out job's thread is abandoned (it may still be
+/// holding the job after the runner has moved on).
 pub trait BatchJob: Send + Sync + 'static {
     /// The value a successful run produces.
     type Output: Send + 'static;
@@ -37,18 +37,16 @@ pub trait BatchJob: Send + Sync + 'static {
     /// Stable human-readable name; also seeds the replay-artifact filename.
     fn label(&self) -> String;
 
-    /// Executes one attempt. `attempt` is zero-based; deterministic jobs
-    /// ignore it, flaky-resource jobs may use it to vary, e.g., a port.
+    /// Executes the job.
     ///
     /// # Errors
     ///
-    /// Returns a description of the failure; the runner will retry up to
-    /// its configured budget.
-    fn run(&self, attempt: u32) -> Result<Self::Output, String>;
+    /// Returns a description of the failure.
+    fn run(&self) -> Result<Self::Output, String>;
 
     /// A self-contained replay artifact reproducing this job, written to
-    /// the artifact directory when the job fails terminally. `None` (the
-    /// default) means the job has nothing to persist.
+    /// the artifact directory when the job fails. `None` (the default)
+    /// means the job has nothing to persist.
     fn replay_artifact(&self) -> Option<String> {
         None
     }
@@ -57,32 +55,23 @@ pub trait BatchJob: Send + Sync + 'static {
 /// Batch-runner policy knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Retries after the first attempt (so `retries = 2` means at most
-    /// three attempts). Timeouts are never retried: a hung run would
-    /// likely hang again and each one leaks an abandoned thread.
-    pub retries: u32,
-    /// Base of the exponential backoff: attempt `n` failing sleeps
-    /// `backoff_base · 2ⁿ` before the retry.
-    pub backoff_base: Duration,
-    /// Wall-clock watchdog per attempt. An attempt that outlives it is
-    /// recorded as [`JobStatus::TimedOut`] and its thread abandoned.
+    /// Wall-clock watchdog per job. A job that outlives it is recorded as
+    /// [`JobStatus::TimedOut`] and its thread abandoned.
     pub watchdog: Duration,
-    /// Where to write replay artifacts of terminally failed jobs.
+    /// Where to write replay artifacts of failed jobs.
     /// `None` disables artifact emission.
     pub artifact_dir: Option<PathBuf>,
     /// Jobs run concurrently. The default of 1 preserves the original
     /// strictly sequential execution (byte-identical output ordering for
     /// existing consumers); higher values fan jobs across worker threads.
     /// Reports are returned in submission order either way, and each job
-    /// keeps its own isolation thread, watchdog, and retry budget.
+    /// keeps its own isolation thread and watchdog.
     pub jobs: usize,
 }
 
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            retries: 2,
-            backoff_base: Duration::from_millis(50),
             watchdog: Duration::from_secs(60),
             artifact_dir: None,
             jobs: 1,
@@ -90,42 +79,24 @@ impl Default for BatchConfig {
     }
 }
 
-impl BatchConfig {
-    /// The backoff slept after failed attempt `attempt` (zero-based):
-    /// `backoff_base · 2^attempt`, saturating.
-    pub fn backoff_after(&self, attempt: u32) -> Duration {
-        self.backoff_base
-            .saturating_mul(2u32.saturating_pow(attempt.min(16)))
-    }
-}
-
 /// Terminal disposition of one job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobStatus {
-    /// The job returned `Ok` on some attempt.
-    Succeeded {
-        /// Attempts consumed, including the successful one.
-        attempts: u32,
-    },
-    /// Every attempt returned `Err` or panicked.
+    /// The job returned `Ok`.
+    Succeeded,
+    /// The job returned `Err` or panicked.
     Failed {
-        /// Attempts consumed.
-        attempts: u32,
-        /// The last attempt's error (panic payloads are prefixed
-        /// `panic:`).
-        last_error: String,
+        /// The job's error (panic payloads are prefixed `panic:`).
+        error: String,
     },
-    /// An attempt outlived the watchdog; its thread was abandoned.
-    TimedOut {
-        /// Attempts consumed, including the timed-out one.
-        attempts: u32,
-    },
+    /// The job outlived the watchdog; its thread was abandoned.
+    TimedOut,
 }
 
 impl JobStatus {
     /// True iff the job eventually succeeded.
     pub fn is_success(&self) -> bool {
-        matches!(self, JobStatus::Succeeded { .. })
+        matches!(self, JobStatus::Succeeded)
     }
 }
 
@@ -136,12 +107,12 @@ pub struct JobReport<T> {
     pub label: String,
     /// Terminal disposition.
     pub status: JobStatus,
-    /// The successful attempt's output, if any.
+    /// The job's output, if it succeeded.
     pub output: Option<T>,
-    /// Every failed attempt's error, in order.
-    pub attempt_errors: Vec<String>,
     /// Where the replay artifact was written, when one was.
     pub artifact_path: Option<PathBuf>,
+    /// Why writing the replay artifact failed, when it did.
+    pub artifact_error: Option<String>,
 }
 
 /// The whole batch's outcome.
@@ -152,12 +123,12 @@ pub struct BatchReport<T> {
 }
 
 impl<T> BatchReport<T> {
-    /// Jobs that eventually succeeded.
+    /// Jobs that succeeded.
     pub fn succeeded(&self) -> usize {
         self.jobs.iter().filter(|j| j.status.is_success()).count()
     }
 
-    /// Jobs that failed terminally (including timeouts).
+    /// Jobs that failed (including timeouts).
     pub fn failed(&self) -> usize {
         self.jobs.len() - self.succeeded()
     }
@@ -177,18 +148,10 @@ impl<T> BatchReport<T> {
 }
 
 /// Runs jobs — sequentially by default, or fanned across worker threads
-/// when [`BatchConfig::jobs`] > 1 — each attempt isolated on its own
-/// thread.
+/// when [`BatchConfig::jobs`] > 1 — each job isolated on its own thread.
 #[derive(Debug, Clone, Default)]
 pub struct BatchRunner {
     config: BatchConfig,
-}
-
-/// One attempt's outcome, before retry policy is applied.
-enum Attempt<T> {
-    Ok(T),
-    Err(String),
-    TimedOut,
 }
 
 impl BatchRunner {
@@ -252,67 +215,24 @@ impl BatchRunner {
                 slot.unwrap_or_else(|| JobReport {
                     label: format!("job-{index}"),
                     status: JobStatus::Failed {
-                        attempts: 0,
-                        last_error: "batch worker died before reporting".to_string(),
+                        error: "batch worker died before reporting".to_string(),
                     },
                     output: None,
-                    attempt_errors: Vec::new(),
                     artifact_path: None,
+                    artifact_error: None,
                 })
             })
             .collect();
         BatchReport { jobs: reports }
     }
 
+    /// Runs one job on a fresh thread behind `catch_unwind`, bounded by the
+    /// watchdog, and writes its replay artifact if it fails. On timeout the
+    /// thread is abandoned, not joined — the receiver end is dropped, so a
+    /// late completion dies quietly in its failed `send`.
     fn run_job<J: BatchJob>(&self, job: J) -> JobReport<J::Output> {
         let label = job.label();
         let job = Arc::new(job);
-        let mut attempt_errors = Vec::new();
-        let mut attempt = 0u32;
-        loop {
-            match self.run_attempt(&job, attempt) {
-                Attempt::Ok(output) => {
-                    return JobReport {
-                        label,
-                        status: JobStatus::Succeeded {
-                            attempts: attempt + 1,
-                        },
-                        output: Some(output),
-                        attempt_errors,
-                        artifact_path: None,
-                    };
-                }
-                Attempt::TimedOut => {
-                    attempt_errors.push(format!(
-                        "attempt {attempt}: exceeded {:?} watchdog",
-                        self.config.watchdog
-                    ));
-                    let status = JobStatus::TimedOut {
-                        attempts: attempt + 1,
-                    };
-                    return self.fail_report(&label, job.as_ref(), status, attempt_errors);
-                }
-                Attempt::Err(error) => {
-                    attempt_errors.push(format!("attempt {attempt}: {error}"));
-                    if attempt >= self.config.retries {
-                        let status = JobStatus::Failed {
-                            attempts: attempt + 1,
-                            last_error: error,
-                        };
-                        return self.fail_report(&label, job.as_ref(), status, attempt_errors);
-                    }
-                    thread::sleep(self.config.backoff_after(attempt));
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
-    /// Runs one attempt on a fresh thread behind `catch_unwind`, bounded
-    /// by the watchdog. On timeout the thread is abandoned, not joined —
-    /// the receiver end is dropped, so a late completion dies quietly in
-    /// its failed `send`.
-    fn run_attempt<J: BatchJob>(&self, job: &Arc<J>, attempt: u32) -> Attempt<J::Output> {
         // Arm the watchdog before spawning so thread-creation time counts
         // against the budget: the shared `Deadline` (also used by the
         // daemon's connection watchdog) anchors once and saturates, with
@@ -320,54 +240,53 @@ impl BatchRunner {
         // expired.
         let deadline = Deadline::after(self.config.watchdog);
         let (tx, rx) = mpsc::channel();
-        let worker = Arc::clone(job);
+        let worker = Arc::clone(&job);
         let spawned = thread::Builder::new()
-            .name(format!("batch-{}", job.label()))
+            .name(format!("batch-{label}"))
             .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| worker.run(attempt)));
+                let result = catch_unwind(AssertUnwindSafe(|| worker.run()));
                 let _ = tx.send(result);
             });
-        let handle = match spawned {
-            Ok(handle) => handle,
-            Err(e) => return Attempt::Err(format!("failed to spawn worker thread: {e}")),
-        };
-        match rx.recv_timeout(deadline.remaining()) {
-            Ok(result) => {
-                // The worker has sent, so it is past its job; reap it.
-                let _ = handle.join();
-                match result {
-                    Ok(Ok(output)) => Attempt::Ok(output),
-                    Ok(Err(error)) => Attempt::Err(error),
-                    Err(payload) => Attempt::Err(format!("panic: {}", panic_message(payload))),
+        let (status, output) = match spawned {
+            Err(e) => (
+                JobStatus::Failed {
+                    error: format!("failed to spawn worker thread: {e}"),
+                },
+                None,
+            ),
+            Ok(handle) => match rx.recv_timeout(deadline.remaining()) {
+                Ok(result) => {
+                    // The worker has sent, so it is past its job; reap it.
+                    let _ = handle.join();
+                    match result {
+                        Ok(Ok(output)) => (JobStatus::Succeeded, Some(output)),
+                        Ok(Err(error)) => (JobStatus::Failed { error }, None),
+                        Err(payload) => {
+                            let error = format!("panic: {}", panic_message(payload));
+                            (JobStatus::Failed { error }, None)
+                        }
+                    }
                 }
-            }
-            Err(_) => Attempt::TimedOut,
-        }
-    }
-
-    /// Builds a terminal-failure report, writing the replay artifact if
-    /// the job provides one and an artifact directory is configured.
-    fn fail_report<J: BatchJob>(
-        &self,
-        label: &str,
-        job: &J,
-        status: JobStatus,
-        mut attempt_errors: Vec<String>,
-    ) -> JobReport<J::Output> {
-        let mut artifact_path = None;
-        if let (Some(dir), Some(artifact)) = (&self.config.artifact_dir, job.replay_artifact()) {
-            match write_artifact(dir, label, &artifact) {
-                Ok(path) => artifact_path = Some(path),
-                Err(e) => attempt_errors.push(format!("artifact write failed: {e}")),
-            }
-        }
-        JobReport {
-            label: label.to_string(),
+                Err(_) => (JobStatus::TimedOut, None),
+            },
+        };
+        let mut report = JobReport {
+            label,
             status,
-            output: None,
-            attempt_errors,
-            artifact_path,
+            output,
+            artifact_path: None,
+            artifact_error: None,
+        };
+        if report.status.is_success() {
+            return report;
         }
+        if let (Some(dir), Some(artifact)) = (&self.config.artifact_dir, job.replay_artifact()) {
+            match write_artifact(dir, &report.label, &artifact) {
+                Ok(path) => report.artifact_path = Some(path),
+                Err(e) => report.artifact_error = Some(e.to_string()),
+            }
+        }
+        report
     }
 }
 
@@ -399,169 +318,105 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn fast_config() -> BatchConfig {
         BatchConfig {
-            retries: 2,
-            backoff_base: Duration::from_millis(1),
             watchdog: Duration::from_secs(5),
             artifact_dir: None,
             jobs: 1,
         }
     }
 
-    struct OkJob(u32);
-    impl BatchJob for OkJob {
+    /// A job that succeeds, errors, panics, or hangs past a short watchdog.
+    enum TestJob {
+        Ok(u32),
+        Fail,
+        Panic,
+        Hang,
+    }
+    impl BatchJob for TestJob {
         type Output = u32;
         fn label(&self) -> String {
-            format!("ok-{}", self.0)
-        }
-        fn run(&self, _attempt: u32) -> Result<u32, String> {
-            Ok(self.0 * 2)
-        }
-    }
-
-    /// Fails (or panics) the first `failures` attempts, then succeeds.
-    struct FlakyJob {
-        failures: u32,
-        panics: bool,
-        calls: AtomicU32,
-    }
-    impl FlakyJob {
-        fn erroring(failures: u32) -> Self {
-            FlakyJob {
-                failures,
-                panics: false,
-                calls: AtomicU32::new(0),
+            match self {
+                TestJob::Ok(n) => format!("ok-{n}"),
+                TestJob::Fail => "fail".to_string(),
+                TestJob::Panic => "panic".to_string(),
+                TestJob::Hang => "hang".to_string(),
             }
         }
-        fn panicking(failures: u32) -> Self {
-            FlakyJob {
-                failures,
-                panics: true,
-                calls: AtomicU32::new(0),
-            }
-        }
-    }
-    impl BatchJob for FlakyJob {
-        type Output = u32;
-        fn label(&self) -> String {
-            "flaky".to_string()
-        }
-        fn run(&self, attempt: u32) -> Result<u32, String> {
-            let call = self.calls.fetch_add(1, Ordering::SeqCst);
-            if call < self.failures {
-                if self.panics {
-                    panic!("flaky panic on call {call}");
+        fn run(&self) -> Result<u32, String> {
+            match self {
+                TestJob::Ok(n) => Ok(n * 2),
+                TestJob::Fail => Err("deterministic failure".to_string()),
+                TestJob::Panic => panic!("job panicked"),
+                TestJob::Hang => {
+                    thread::sleep(Duration::from_secs(2));
+                    Ok(0)
                 }
-                return Err(format!("transient failure on call {call}"));
             }
-            Ok(attempt)
         }
         fn replay_artifact(&self) -> Option<String> {
-            Some("hydra-replay-v1\nacts=1\n".to_string())
-        }
-    }
-
-    struct SlowJob;
-    impl BatchJob for SlowJob {
-        type Output = ();
-        fn label(&self) -> String {
-            "slow".to_string()
-        }
-        fn run(&self, _attempt: u32) -> Result<(), String> {
-            thread::sleep(Duration::from_secs(2));
-            Ok(())
+            Some(format!("hydra-replay-v1\nlabel={}\n", self.label()))
         }
     }
 
     #[test]
-    fn clean_jobs_succeed_first_try() {
+    fn clean_jobs_succeed() {
         let runner = BatchRunner::new(fast_config());
-        let report = runner.run(vec![OkJob(1), OkJob(2), OkJob(3)]);
+        let report = runner.run(vec![TestJob::Ok(1), TestJob::Ok(2), TestJob::Ok(3)]);
         assert!(report.is_clean());
         assert_eq!(report.succeeded(), 3);
         let outputs: Vec<u32> = report.jobs.iter().filter_map(|j| j.output).collect();
         assert_eq!(outputs, vec![2, 4, 6]);
         for job in &report.jobs {
-            assert_eq!(job.status, JobStatus::Succeeded { attempts: 1 });
-            assert!(job.attempt_errors.is_empty());
+            assert_eq!(job.status, JobStatus::Succeeded);
         }
     }
 
     #[test]
-    fn transient_errors_are_retried_with_backoff() {
-        let runner = BatchRunner::new(fast_config());
-        let report = runner.run(vec![FlakyJob::erroring(2)]);
-        assert!(report.is_clean());
-        let job = &report.jobs[0];
-        assert_eq!(job.status, JobStatus::Succeeded { attempts: 3 });
-        assert_eq!(job.attempt_errors.len(), 2);
-        assert_eq!(job.output, Some(2), "succeeded on zero-based attempt 2");
-    }
-
-    #[test]
-    fn panics_are_contained_and_retried() {
-        let runner = BatchRunner::new(fast_config());
-        let report = runner.run(vec![FlakyJob::panicking(1)]);
-        assert!(report.is_clean(), "{:?}", report.jobs[0].attempt_errors);
-        let job = &report.jobs[0];
-        assert_eq!(job.status, JobStatus::Succeeded { attempts: 2 });
-        assert!(
-            job.attempt_errors[0].contains("panic: flaky panic on call 0"),
-            "{:?}",
-            job.attempt_errors
-        );
-    }
-
-    #[test]
-    fn retry_budget_is_bounded() {
-        let runner = BatchRunner::new(fast_config());
-        let report = runner.run(vec![FlakyJob::erroring(10)]);
+    fn errors_are_reported_once() {
+        let report = BatchRunner::new(fast_config()).run(vec![TestJob::Fail]);
         assert_eq!(report.failed(), 1);
-        match &report.jobs[0].status {
+        assert_eq!(
+            report.jobs[0].status,
             JobStatus::Failed {
-                attempts,
-                last_error,
-            } => {
-                assert_eq!(*attempts, 3, "retries = 2 means three attempts");
-                assert!(last_error.contains("transient failure on call 2"));
+                error: "deterministic failure".to_string()
             }
-            other => panic!("expected Failed, got {other:?}"),
-        }
+        );
+        assert!(report.jobs[0].output.is_none());
+    }
+
+    #[test]
+    fn panics_are_contained() {
+        let report = BatchRunner::new(fast_config()).run(vec![TestJob::Panic]);
+        assert_eq!(
+            report.jobs[0].status,
+            JobStatus::Failed {
+                error: "panic: job panicked".to_string()
+            }
+        );
     }
 
     #[test]
     fn one_bad_job_does_not_sink_the_batch() {
         let runner = BatchRunner::new(fast_config());
-        let report = runner.run(vec![
-            FlakyJob::panicking(10),
-            FlakyJob::erroring(0),
-            FlakyJob::erroring(10),
-        ]);
+        let report = runner.run(vec![TestJob::Panic, TestJob::Ok(0), TestJob::Fail]);
         assert_eq!(report.succeeded(), 1);
         assert_eq!(report.failed(), 2);
         assert!(report.jobs[1].status.is_success());
     }
 
     #[test]
-    fn watchdog_times_out_hung_jobs_without_retry() {
+    fn watchdog_times_out_hung_jobs() {
         let mut config = fast_config();
         config.watchdog = Duration::from_millis(50);
-        let runner = BatchRunner::new(config);
-        let report = runner.run(vec![SlowJob]);
+        let report = BatchRunner::new(config).run(vec![TestJob::Hang]);
         assert_eq!(report.failed(), 1);
-        assert_eq!(report.jobs[0].status, JobStatus::TimedOut { attempts: 1 });
-        assert_eq!(
-            report.jobs[0].attempt_errors.len(),
-            1,
-            "timeouts are terminal: exactly one attempt"
-        );
+        assert_eq!(report.jobs[0].status, JobStatus::TimedOut);
     }
 
     #[test]
-    fn terminal_failure_writes_replay_artifact() {
+    fn failure_writes_replay_artifact() {
         let dir = std::env::temp_dir().join(format!(
             "hydra-batch-test-{}-{:?}",
             std::process::id(),
@@ -571,15 +426,16 @@ mod tests {
         let mut config = fast_config();
         config.artifact_dir = Some(dir.clone());
         let runner = BatchRunner::new(config);
-        let report = runner.run(vec![FlakyJob::erroring(10), FlakyJob::erroring(0)]);
+        let report = runner.run(vec![TestJob::Fail, TestJob::Ok(0)]);
         let artifacts = report.artifacts();
         assert_eq!(artifacts.len(), 1, "only the failed job writes one");
         let written = fs::read_to_string(artifacts[0]).expect("artifact readable");
-        assert!(written.starts_with("hydra-replay-v1"));
+        assert_eq!(written, "hydra-replay-v1\nlabel=fail\n");
         assert_eq!(
             report.jobs[0].artifact_path.as_deref(),
-            Some(dir.join("flaky.replay").as_path())
+            Some(dir.join("fail.replay").as_path())
         );
+        assert!(report.jobs[0].artifact_error.is_none());
         assert!(report.jobs[1].artifact_path.is_none());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -589,7 +445,7 @@ mod tests {
         let mut config = fast_config();
         config.jobs = 4;
         let runner = BatchRunner::new(config);
-        let report = runner.run((0..12).map(OkJob).collect());
+        let report = runner.run((0..12).map(TestJob::Ok).collect());
         assert!(report.is_clean());
         let outputs: Vec<u32> = report.jobs.iter().filter_map(|j| j.output).collect();
         assert_eq!(outputs, (0..12).map(|i| i * 2).collect::<Vec<_>>());
@@ -606,10 +462,10 @@ mod tests {
         // outputs, submission order preserved.
         let build = || {
             vec![
-                FlakyJob::erroring(0),
-                FlakyJob::erroring(10),
-                FlakyJob::panicking(1),
-                FlakyJob::erroring(1),
+                TestJob::Ok(0),
+                TestJob::Fail,
+                TestJob::Panic,
+                TestJob::Ok(1),
             ]
         };
         let seq = BatchRunner::new(fast_config()).run(build());
@@ -629,11 +485,7 @@ mod tests {
         let mut config = fast_config();
         config.jobs = 3;
         let runner = BatchRunner::new(config);
-        let report = runner.run(vec![
-            FlakyJob::panicking(10),
-            FlakyJob::erroring(0),
-            FlakyJob::erroring(0),
-        ]);
+        let report = runner.run(vec![TestJob::Panic, TestJob::Ok(0), TestJob::Ok(1)]);
         assert_eq!(report.succeeded(), 2);
         assert_eq!(report.failed(), 1);
         assert!(!report.jobs[0].status.is_success());
@@ -643,7 +495,7 @@ mod tests {
     fn more_workers_than_jobs_is_fine() {
         let mut config = fast_config();
         config.jobs = 64;
-        let report = BatchRunner::new(config).run(vec![OkJob(7)]);
+        let report = BatchRunner::new(config).run(vec![TestJob::Ok(7)]);
         assert!(report.is_clean());
         assert_eq!(report.jobs[0].output, Some(14));
     }
@@ -652,17 +504,8 @@ mod tests {
     fn parallel_run_with_zero_jobs_is_empty() {
         let mut config = fast_config();
         config.jobs = 8;
-        let report = BatchRunner::new(config).run(Vec::<OkJob>::new());
+        let report = BatchRunner::new(config).run(Vec::<TestJob>::new());
         assert!(report.jobs.is_empty());
         assert!(report.is_clean());
-    }
-
-    #[test]
-    fn backoff_grows_exponentially_and_saturates() {
-        let config = fast_config();
-        assert_eq!(config.backoff_after(0), Duration::from_millis(1));
-        assert_eq!(config.backoff_after(1), Duration::from_millis(2));
-        assert_eq!(config.backoff_after(3), Duration::from_millis(8));
-        assert!(config.backoff_after(u32::MAX) >= config.backoff_after(16));
     }
 }

@@ -16,9 +16,8 @@
 //! JSONL/CSV via `hydra-telemetry`.
 //!
 //! The [`batch`] module wraps either simulator in a resilient batch
-//! harness: per-run panic isolation, a wall-clock watchdog, bounded retry
-//! with exponential backoff, and replay-artifact emission on terminal
-//! failure.
+//! harness: per-run panic isolation, a wall-clock watchdog, and
+//! replay-artifact emission on failure.
 //!
 //! The [`oracle`] module is the **shadow-oracle sanitizer**
 //! ([`oracle::ShadowOracle`]): a ground-truth referee that wraps any

@@ -1,7 +1,7 @@
 //! Monotonic deadlines and single-fire watchdogs.
 //!
 //! Several layers guard long-running work with a wall-clock budget: the
-//! batch harness (`hydra_sim::batch`) bounds each job attempt, and the
+//! batch harness (`hydra_sim::batch`) bounds each job, and the
 //! service daemon (`hydra_server`) bounds idle connections. Both used to
 //! be easy places to re-derive "has the budget elapsed?" inline, with
 //! subtly different boundary semantics. This module is the single shared

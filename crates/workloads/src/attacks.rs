@@ -55,7 +55,7 @@ pub enum AttackPattern {
 ///
 /// `AttackPattern::canonical(name, geom)` accepts exactly these names;
 /// tooling that wants "one of each attack" (the CLI's pattern arguments,
-/// `hydra-audit --forensics`, the classifier fixture tests) iterates this
+/// the classifier fixture tests) iterates this
 /// list instead of hard-coding its own copy.
 pub const CANONICAL_NAMES: [&str; 5] = [
     "single_sided",

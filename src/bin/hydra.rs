@@ -81,7 +81,7 @@ fn main() -> ExitCode {
             eprintln!("  record <workload> <n> <file> [S]  record a trace file");
             eprintln!("  hammer <row> [acts]          hammer one row through Hydra");
             eprintln!("  batch [--out DIR] [--t-rh N] [--acts N] [--seed S]");
-            eprintln!("        [--watchdog-ms MS] [--retries N] [--force-failure]");
+            eprintln!("        [--watchdog-ms MS] [--force-failure]");
             eprintln!("                               fault campaign under the batch harness");
             eprintln!("  replay <file>                reproduce a run from its replay artifact");
             eprintln!("  bench [--smoke] [--out FILE] [--acts N] [--jobs N]");
@@ -343,7 +343,7 @@ impl BatchJob for FaultCaseJob {
         self.0.label.clone()
     }
 
-    fn run(&self, _attempt: u32) -> Result<FaultCaseReport, String> {
+    fn run(&self) -> Result<FaultCaseReport, String> {
         let report = run_case(&self.0).map_err(|e| e.to_string())?;
         if report.is_clean() {
             Ok(report)
@@ -366,7 +366,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut acts: u64 = 30_000;
     let mut seed: u64 = 0xace5;
     let mut watchdog_ms: u64 = 60_000;
-    let mut retries: u32 = 1;
     let mut force_failure = false;
 
     let mut i = 0;
@@ -388,7 +387,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad --watchdog-ms")?;
             }
-            "--retries" => retries = value("--retries")?.parse().map_err(|_| "bad --retries")?,
             "--force-failure" => force_failure = true,
             other => return Err(format!("unknown batch flag {other}")),
         }
@@ -396,8 +394,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     }
 
     // The campaign: survivable fault rates across the degradation
-    // policies. Every job here is expected to pass (retries cover nothing
-    // deterministic, but keep the harness honest about its budget).
+    // policies. Every job here is expected to pass.
     let mut jobs = Vec::new();
     for (j, &rate) in [0.0f64, 1e-3].iter().enumerate() {
         for policy in [DegradationPolicy::Off, DegradationPolicy::ImmediateRefresh] {
@@ -419,8 +416,6 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     }
 
     let runner = BatchRunner::new(BatchConfig {
-        retries,
-        backoff_base: Duration::from_millis(50),
         watchdog: Duration::from_millis(watchdog_ms),
         artifact_dir: Some(out.clone()),
         jobs: 1,
@@ -432,16 +427,17 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 
     for job in &report.jobs {
         let (disposition, detail) = match &job.status {
-            JobStatus::Succeeded { attempts } => ("ok", format!("{attempts} attempt(s)")),
-            JobStatus::Failed {
-                attempts,
-                last_error,
-            } => ("FAILED", format!("{attempts} attempt(s): {last_error}")),
-            JobStatus::TimedOut { attempts } => ("TIMEOUT", format!("{attempts} attempt(s)")),
+            JobStatus::Succeeded => ("ok", String::new()),
+            JobStatus::Failed { error } => ("FAILED", error.clone()),
+            JobStatus::TimedOut => ("TIMEOUT", String::new()),
         };
-        println!("  {:<40} {:<8} {}", job.label, disposition, detail);
+        let line = format!("  {:<40} {:<8} {}", job.label, disposition, detail);
+        println!("{}", line.trim_end());
         if let Some(path) = &job.artifact_path {
             println!("  {:<40} replay → {}", "", path.display());
+        }
+        if let Some(error) = &job.artifact_error {
+            println!("  {:<40} artifact write failed: {error}", "");
         }
     }
     println!(
@@ -1403,12 +1399,10 @@ fn parse_jobs(raw: &str) -> Result<usize, String> {
     }
 }
 
-/// The batch policy every experiment grid runs under: one retry, a
-/// five-minute watchdog per cell, `jobs` workers.
+/// The batch policy every experiment grid runs under: a five-minute
+/// watchdog per cell, `jobs` workers.
 fn batch_config(jobs: usize) -> BatchConfig {
     BatchConfig {
-        retries: 1,
-        backoff_base: Duration::from_millis(50),
         watchdog: Duration::from_secs(300),
         artifact_dir: None,
         jobs,
