@@ -31,8 +31,8 @@
 //!    consistent with builder behavior, `catch_unwind` confined to the
 //!    batch-harness layer, saturating-only counter arithmetic in the
 //!    tracking hot paths, schema-literal single-source, and the
-//!    crate-layering DAG declared in [`dag`]). Exposed as the `repo-lint`
-//!    and `hydra-verify` binaries for CI.
+//!    crate-layering DAG declared in [`dag`]). Exposed as `hydra-verify lint`
+//!    for CI.
 //!
 //! 4. [`explore`] — an **exhaustive schedule explorer** (a miniature
 //!    model checker): a faithful state-machine model of

@@ -244,7 +244,7 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Renders findings as a JSON array (machine-readable `repo-lint --json`
+/// Renders findings as a JSON array (machine-readable `hydra-verify lint --json`
 /// output). Stable shape: `[{"rule", "severity", "file", "line",
 /// "message", "fix_hint"}, ...]`, sorted as given.
 pub fn findings_to_json(findings: &[Finding]) -> String {
@@ -299,9 +299,9 @@ pub const SCHEMA_LITERALS: [(&str, &str, &str); 7] = [
         "crates/server/src/stats.rs",
     ),
     (
-        "hydra-profile-v1",
+        "hydra-profile-v2",
         "hydra_profiler::PROFILE_SCHEMA_VERSION",
-        "crates/profiler/src/export.rs",
+        "crates/profiler/src/differential.rs",
     ),
     (
         "hydra-arena-v1",

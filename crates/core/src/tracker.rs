@@ -9,7 +9,6 @@ use crate::rct::{RctBackend, RowCountTable};
 use crate::rit::RitActTable;
 use crate::stats::HydraStats;
 use crate::storage::HydraStorage;
-use hydra_profiler::{phase, NoopProfiler, SpanSink};
 use hydra_telemetry::{EventSink, NoopSink, TelemetryEvent};
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
@@ -35,18 +34,8 @@ use hydra_types::tracker::{ActivationKind, ActivationTracker, SideRequest, Track
 /// nothing — the probe-identity proptest in `tests/probe_identity.rs`
 /// proves a probed tracker is bit-identical to a bare one. Attach a real
 /// sink with [`Hydra::with_probe`] or [`Hydra::with_rct_and_probe`].
-///
-/// Profiling is the third zero-cost seam: the [`SpanSink`] type parameter
-/// (default: [`NoopProfiler`]) brackets each inner-loop phase
-/// (`gct_lookup`, `rcc_probe`, `rcc_fill`, `rct_access`, `spill`,
-/// `mitigation`, `window_reset`) in enter/exit span calls. The default
-/// sink's empty inline methods compile away — `tests/span_identity.rs`
-/// proves a span-instrumented tracker bit-identical to a bare one. Attach
-/// a live profiler (e.g. `hydra_profiler::TreeProfiler`) with
-/// [`Hydra::with_spans`] or [`Hydra::with_rct_probe_spans`].
 #[derive(Debug, Clone)]
-pub struct Hydra<R: RctBackend = RowCountTable, P: EventSink = NoopSink, S: SpanSink = NoopProfiler>
-{
+pub struct Hydra<R: RctBackend = RowCountTable, P: EventSink = NoopSink> {
     config: HydraConfig,
     gct: GroupCountTable,
     rcc: RowCountCache,
@@ -58,7 +47,6 @@ pub struct Hydra<R: RctBackend = RowCountTable, P: EventSink = NoopSink, S: Span
     rows_per_group: u64,
     windows: u64,
     probe: P,
-    spans: S,
 }
 
 impl Hydra {
@@ -99,19 +87,6 @@ impl<P: EventSink> Hydra<RowCountTable, P> {
     }
 }
 
-impl<S: SpanSink> Hydra<RowCountTable, NoopSink, S> {
-    /// Creates a Hydra instance over the real RCT with a span profiler
-    /// attached: every inner-loop phase is bracketed into `spans`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] under the same conditions as [`Hydra::new`].
-    pub fn with_spans(config: HydraConfig, spans: S) -> Result<Self, ConfigError> {
-        let rct = RowCountTable::new(config.geometry, config.channel);
-        Hydra::with_rct_probe_spans(config, rct, NoopSink, spans)
-    }
-}
-
 impl<R: RctBackend> Hydra<R> {
     /// Creates a Hydra instance over a caller-provided RCT backend (e.g. a
     /// fault-injecting wrapper around [`RowCountTable`]).
@@ -127,33 +102,14 @@ impl<R: RctBackend> Hydra<R> {
 
 impl<R: RctBackend, P: EventSink> Hydra<R, P> {
     /// Creates a Hydra instance over a caller-provided RCT backend *and*
-    /// telemetry probe.
+    /// telemetry probe — the general constructor behind [`Hydra::new`],
+    /// [`Hydra::with_rct`] and [`Hydra::with_probe`].
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the indexer's domain or the backend's
     /// entry count does not match the channel's row count.
     pub fn with_rct_and_probe(config: HydraConfig, rct: R, probe: P) -> Result<Self, ConfigError> {
-        Hydra::with_rct_probe_spans(config, rct, probe, NoopProfiler)
-    }
-}
-
-impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
-    /// Creates a Hydra instance over a caller-provided RCT backend,
-    /// telemetry probe *and* span profiler — the fully general constructor
-    /// behind [`Hydra::new`], [`Hydra::with_rct`], [`Hydra::with_probe`]
-    /// and [`Hydra::with_spans`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the indexer's domain or the backend's
-    /// entry count does not match the channel's row count.
-    pub fn with_rct_probe_spans(
-        config: HydraConfig,
-        rct: R,
-        probe: P,
-        spans: S,
-    ) -> Result<Self, ConfigError> {
         let rows = config.rows_covered();
         if config.indexer.rows() != rows {
             return Err(ConfigError::new(format!(
@@ -186,7 +142,6 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
             rows_per_group: config.rows_per_group(),
             windows: 0,
             probe,
-            spans,
             config,
         })
     }
@@ -206,22 +161,6 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
     /// run).
     pub fn into_probe(self) -> P {
         self.probe
-    }
-
-    /// The attached span profiler.
-    pub fn spans(&self) -> &S {
-        &self.spans
-    }
-
-    /// Mutable access to the span profiler (export a tree mid-run).
-    pub fn spans_mut(&mut self) -> &mut S {
-        &mut self.spans
-    }
-
-    /// Consumes the tracker, returning the span profiler (collect the call
-    /// tree after a run).
-    pub fn into_spans(self) -> S {
-        self.spans
     }
 
     /// The configuration this instance was built with.
@@ -304,7 +243,7 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
     /// falling back to the RCT in DRAM. `fresh_count` carries an
     /// already-known count (used at group spill); otherwise the count comes
     /// from the RCC/RCT and is incremented by one.
-    fn per_row_path<const REC: bool>(
+    fn per_row_path(
         &mut self,
         row: RowAddr,
         now: MemCycle,
@@ -315,9 +254,6 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
         let t_h = self.config.t_h;
 
         if self.config.use_rcc && fresh_count.is_none() {
-            if REC {
-                self.spans.enter(phase::RCC_PROBE);
-            }
             if let Some(count) = self.rcc.lookup_mut(slot) {
                 // Case 2: RCC hit — update in place.
                 *count = count.saturating_add(1);
@@ -335,37 +271,22 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
                         count: observed,
                     },
                 );
-                if REC {
-                    self.spans.exit(phase::RCC_PROBE);
-                }
                 if mitigate {
-                    if REC {
-                        self.spans.enter(phase::MITIGATION);
-                    }
                     self.stats.mitigations += 1;
                     response.mitigations.push(MitigationRequest::new(row));
                     self.probe.emit(now, TelemetryEvent::Mitigation { row });
-                    if REC {
-                        self.spans.exit(phase::MITIGATION);
-                    }
                 } else {
                     self.observe_near_miss(observed);
                 }
                 return;
             }
             self.probe.emit(now, TelemetryEvent::RccMiss { slot });
-            if REC {
-                self.spans.exit(phase::RCC_PROBE);
-            }
         }
 
         // Case 3 (or spill install): the count comes from DRAM.
         let mut count = match fresh_count {
             Some(c) => c,
             None => {
-                if REC {
-                    self.spans.enter(phase::RCT_ACCESS);
-                }
                 self.stats.rct_accesses += 1;
                 self.stats.side_reads += 1;
                 self.probe.emit(now, TelemetryEvent::RctRead { slot });
@@ -374,7 +295,7 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
                     .push(SideRequest::read(self.rct.dram_row_of_slot(slot)));
                 let stored = self.rct.read(slot);
                 let group = (slot / self.rows_per_group) as usize;
-                let fetched = match self.degrade.verify_read(slot, stored, group) {
+                match self.degrade.verify_read(slot, stored, group) {
                     ReadVerdict::Clean(v) => v + 1,
                     ReadVerdict::Recovered { value, mitigate } => {
                         self.stats.parity_errors += 1;
@@ -395,34 +316,21 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
                         }
                         value + 1
                     }
-                };
-                if REC {
-                    self.spans.exit(phase::RCT_ACCESS);
                 }
-                fetched
             }
         };
         self.probe
             .emit(now, TelemetryEvent::RctAccess { row, count });
         if count >= t_h {
             count = 0;
-            if REC {
-                self.spans.enter(phase::MITIGATION);
-            }
             self.stats.mitigations += 1;
             response.mitigations.push(MitigationRequest::new(row));
             self.probe.emit(now, TelemetryEvent::Mitigation { row });
-            if REC {
-                self.spans.exit(phase::MITIGATION);
-            }
         } else {
             self.observe_near_miss(count);
         }
 
         if self.config.use_rcc {
-            if REC {
-                self.spans.enter(phase::RCC_FILL);
-            }
             if let Some(evicted) = self.rcc.insert(slot, count) {
                 let writeback = self.config.rcc_writeback;
                 self.probe.emit(
@@ -446,14 +354,8 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
                 // else: insecure ablation — the evicted count is dropped, so
                 // the next miss on that row re-reads a stale RCT value.
             }
-            if REC {
-                self.spans.exit(phase::RCC_FILL);
-            }
         } else {
             // No RCC: read-modify-write straight to DRAM.
-            if REC {
-                self.spans.enter(phase::RCT_ACCESS);
-            }
             self.rct.write(slot, count);
             self.degrade.record_write(slot, count);
             self.stats.side_writes += 1;
@@ -461,9 +363,6 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
             response
                 .side_requests
                 .push(SideRequest::write(self.rct.dram_row_of_slot(slot)));
-            if REC {
-                self.spans.exit(phase::RCT_ACCESS);
-            }
         }
     }
 
@@ -482,7 +381,7 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
     /// Handles the GCT spill: initialize the group's RCT entries to `T_G`
     /// (two line reads + two line writes for 128-row groups) and install the
     /// triggering row's entry.
-    fn spill_group<const REC: bool>(
+    fn spill_group(
         &mut self,
         row: RowAddr,
         now: MemCycle,
@@ -515,17 +414,12 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
         }
         // The triggering activation is already included in T_G (the GCT
         // counted it), so install the row at T_G without another increment.
-        self.per_row_path::<REC>(row, now, slot, Some(t_g), response);
+        self.per_row_path(row, now, slot, Some(t_g), response);
     }
+}
 
-    /// The body of [`ActivationTracker::on_activation`], factored out so the
-    /// `activate` span can bracket it without threading exits through the
-    /// early returns. `REC` is the [`SpanSink::unit_tick`] verdict, taken
-    /// once per activation. It is a *const* generic: the compiler emits a
-    /// completely span-free clone for `REC = false`, so a sampled-out unit
-    /// (or a noop-sink tracker) runs code identical to the bare hot path —
-    /// no per-phase branches, only the unit tick itself.
-    fn activation_inner<const REC: bool>(
+impl<R: RctBackend, P: EventSink> ActivationTracker for Hydra<R, P> {
+    fn on_activation(
         &mut self,
         row: RowAddr,
         now: MemCycle,
@@ -546,15 +440,9 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
                 .emit(now, TelemetryEvent::ReservedActivation { row });
             let idx = self.rct.reserved_index(row);
             if self.rit.on_activation(idx) {
-                if REC {
-                    self.spans.enter(phase::MITIGATION);
-                }
                 self.stats.rit_mitigations += 1;
                 self.probe.emit(now, TelemetryEvent::RitMitigation { row });
                 response.mitigations.push(MitigationRequest::new(row));
-                if REC {
-                    self.spans.exit(phase::MITIGATION);
-                }
             }
             return response;
         }
@@ -570,13 +458,7 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
         let group = (slot / self.rows_per_group) as usize;
 
         if self.config.use_gct {
-            if REC {
-                self.spans.enter(phase::GCT_LOOKUP);
-            }
             let outcome = self.gct.increment(group);
-            if REC {
-                self.spans.exit(phase::GCT_LOOKUP);
-            }
             match outcome {
                 GctOutcome::Below => {
                     // Case 1: aggregate tracking suffices (~90.7 % of ACTs).
@@ -589,30 +471,21 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
                     );
                 }
                 GctOutcome::JustSaturated => {
-                    if REC {
-                        self.spans.enter(phase::SPILL);
-                    }
-                    self.spill_group::<REC>(row, now, slot, &mut response);
-                    if REC {
-                        self.spans.exit(phase::SPILL);
-                    }
+                    self.spill_group(row, now, slot, &mut response);
                 }
                 GctOutcome::Saturated => {
-                    self.per_row_path::<REC>(row, now, slot, None, &mut response);
+                    self.per_row_path(row, now, slot, None, &mut response);
                 }
             }
         } else {
             // Hydra-NoGCT ablation: every activation takes the per-row path.
-            self.per_row_path::<REC>(row, now, slot, None, &mut response);
+            self.per_row_path(row, now, slot, None, &mut response);
         }
 
         // Probabilistic-fallback degradation: activations routed to a group
         // with detected (hence possibly undetected) corruption additionally
         // draw a PARA-style mitigation until the window resets.
         if self.degrade.fallback_mitigate(group) {
-            if REC {
-                self.spans.enter(phase::MITIGATION);
-            }
             self.stats.degraded_probabilistic += 1;
             self.probe.emit(
                 now,
@@ -621,39 +494,11 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> Hydra<R, P, S> {
                 },
             );
             response.mitigations.push(MitigationRequest::new(row));
-            if REC {
-                self.spans.exit(phase::MITIGATION);
-            }
         }
         response
     }
-}
-
-impl<R: RctBackend, P: EventSink, S: SpanSink> ActivationTracker for Hydra<R, P, S> {
-    fn on_activation(
-        &mut self,
-        row: RowAddr,
-        now: MemCycle,
-        kind: ActivationKind,
-    ) -> TrackerResponse {
-        // One unit tick per activation: a sampling sink decides here
-        // whether this unit is recorded. A suppressed unit branches into
-        // the `REC = false` monomorph of `activation_inner` — the same
-        // span-free code the bare tracker runs — so sampling costs one
-        // rotor tick and one predictable branch. With the noop sink the
-        // tick folds to `false` and the recorded arm is dead code.
-        if self.spans.unit_tick() {
-            self.spans.enter(phase::ACTIVATE);
-            let response = self.activation_inner::<true>(row, now, kind);
-            self.spans.exit(phase::ACTIVATE);
-            response
-        } else {
-            self.activation_inner::<false>(row, now, kind)
-        }
-    }
 
     fn reset_window(&mut self, now: MemCycle) {
-        self.spans.enter(phase::WINDOW_RESET);
         self.gct.reset();
         self.rcc.reset();
         self.rit.reset();
@@ -680,7 +525,6 @@ impl<R: RctBackend, P: EventSink, S: SpanSink> ActivationTracker for Hydra<R, P,
             self.rct.reset();
             self.degrade.reset_parity();
         }
-        self.spans.exit(phase::WINDOW_RESET);
     }
 
     fn name(&self) -> &str {

@@ -22,7 +22,7 @@
 //!   concurrently, merged with order-insensitive reductions so the
 //!   parallel run is bit-identical to the sequential reference.
 //!
-//! Threading discipline: `repo-lint`'s `thread-spawn-layer` rule confines
+//! Threading discipline: `hydra-verify lint`'s `thread-spawn-layer` rule confines
 //! thread spawning to this crate and the batch harness, the same way
 //! `catch_unwind` is confined to the harness alone.
 

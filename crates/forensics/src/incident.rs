@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 
 /// Schema identifier stamped into every incident record.
 ///
-/// This is the single definition of the literal; `repo-lint` enforces that
+/// This is the single definition of the literal; `hydra-verify lint` enforces that
 /// no other library source repeats it.
 pub const INCIDENT_SCHEMA_VERSION: &str = "hydra-forensics-v1";
 

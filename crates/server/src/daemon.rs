@@ -46,7 +46,6 @@ use std::time::Duration;
 
 use hydra_engine::protocol::{ProtocolVariant, Supervisor, WorkerMsg};
 use hydra_engine::CellOutcome;
-use hydra_profiler::{phase, ProfileTree, SpanSink, TreeProfiler};
 use hydra_telemetry::BoundedBuf;
 use hydra_types::{Deadline, MemGeometry, Stopwatch, Watchdog};
 
@@ -89,11 +88,6 @@ pub struct ServeConfig {
     /// Off by default — the bare daemon pays zero sampling cost, and
     /// the chaos suite proves enabling it keeps outputs digest-identical.
     pub metrics: bool,
-    /// Enable per-shard span profiling: each tenant shard records an
-    /// `ingest`/`publish` call tree (one thread-local profiler per shard),
-    /// merged order-insensitively into [`ServeReport::profile`] at drain.
-    /// Off by default — the bare daemon never reads the clock here.
-    pub profile: bool,
 }
 
 impl ServeConfig {
@@ -114,7 +108,6 @@ impl ServeConfig {
             allow_crash_frames: false,
             record: false,
             metrics: false,
-            profile: false,
         })
     }
 }
@@ -140,9 +133,6 @@ pub struct ServeReport {
     pub crashed: Vec<CrashReport>,
     /// The recorded session, when [`ServeConfig::record`] was set.
     pub session: Option<Session>,
-    /// Per-shard `ingest`/`publish` call trees merged across every tenant
-    /// shard that drained cleanly, when [`ServeConfig::profile`] was set.
-    pub profile: Option<ProfileTree>,
 }
 
 impl ServeReport {
@@ -192,10 +182,6 @@ enum ShardMsg {
 struct ShardDone {
     summary: TenantSummary,
     record: Vec<RecordedBatch>,
-    /// The shard's span tree, when profiling was on. The `TreeProfiler`
-    /// itself never leaves the shard thread (it is deliberately not
-    /// `Send`); only this exported tree crosses to the drain.
-    profile: Option<ProfileTree>,
 }
 
 struct TenantEntry {
@@ -454,10 +440,6 @@ fn drain_and_report(shared: &Shared) -> ServeReport {
     };
     let mut summaries = Vec::new();
     let mut records = Vec::new();
-    // Order-insensitive tree merge: shards drain in HashMap order, but
-    // `ProfileTree::merge` is commutative/associative (proptested in
-    // hydra-profiler), so the merged profile does not depend on it.
-    let mut profile = shared.config.profile.then(ProfileTree::new);
     for (_, entry) in entries {
         if let Some(tx) = entry.tx {
             let _ = tx.send(ShardMsg::Drain);
@@ -474,9 +456,6 @@ fn drain_and_report(shared: &Shared) -> ServeReport {
                 }
                 summaries.push(done.summary);
                 records.extend(done.record);
-                if let (Some(acc), Some(tree)) = (profile.as_mut(), done.profile.as_ref()) {
-                    acc.merge(tree);
-                }
             }
             Err(payload) => {
                 settle_panic(shared, entry.index, panic_message(payload));
@@ -539,7 +518,6 @@ fn drain_and_report(shared: &Shared) -> ServeReport {
         tenants: summaries,
         crashed,
         session,
-        profile,
     }
 }
 
@@ -649,9 +627,6 @@ fn shard_main(
     shared: Arc<Shared>,
 ) -> ShardDone {
     let mut record = Vec::new();
-    // One thread-local profiler per shard; only the exported tree leaves
-    // this thread (the handle is deliberately not `Send`).
-    let mut profiler = shared.config.profile.then(TreeProfiler::new);
     while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Batch {
@@ -662,9 +637,6 @@ fn shard_main(
             } => {
                 if let Some(stamp) = enqueued_at {
                     shared.metrics.on_dequeue(&tenant, stamp.elapsed_micros());
-                }
-                if let Some(p) = profiler.as_mut() {
-                    p.enter(phase::INGEST);
                 }
                 match pipeline.apply_batch(seq, &rows) {
                     Ok(outcome) => {
@@ -685,9 +657,6 @@ fn shard_main(
                             shared.metrics.on_incidents(&tenant, incidents);
                         }
                         let produced_at = shared.metrics.is_enabled().then(Stopwatch::start);
-                        if let Some(p) = profiler.as_mut() {
-                            p.enter(phase::PUBLISH);
-                        }
                         for line in &outcome.new_incidents {
                             let frame = Frame::Incident {
                                 tenant: tenant.clone(),
@@ -702,17 +671,11 @@ fn shard_main(
                                 shared.metrics.on_publish_lag(stamp.elapsed_micros());
                             }
                         }
-                        if let Some(p) = profiler.as_mut() {
-                            p.exit(phase::PUBLISH);
-                        }
                         let _ = reply.send(Ok((seq, outcome.accepted)));
                     }
                     Err(reason) => {
                         let _ = reply.send(Err(reason));
                     }
-                }
-                if let Some(p) = profiler.as_mut() {
-                    p.exit(phase::INGEST);
                 }
             }
             ShardMsg::Crash => {
@@ -725,7 +688,6 @@ fn shard_main(
     ShardDone {
         summary: pipeline.finish(),
         record,
-        profile: profiler.map(|p| p.tree()),
     }
 }
 
@@ -1075,7 +1037,6 @@ mod tests {
             tenants: vec![summary("a", 0), summary("b", 7)],
             crashed: Vec::new(),
             session: None,
-            profile: None,
         };
         let text = report.to_kv_lines();
         assert!(text.contains("serve.tenant tenant=a\n"), "{text}");

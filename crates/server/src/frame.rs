@@ -28,7 +28,7 @@
 /// Schema identifier of the serve wire protocol and its recorded session
 /// files.
 ///
-/// This is the single definition of the literal; `repo-lint` enforces
+/// This is the single definition of the literal; `hydra-verify lint` enforces
 /// that no other library source repeats it.
 pub const SERVE_SCHEMA_VERSION: &str = "hydra-serve-v1";
 

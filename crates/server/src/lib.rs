@@ -32,7 +32,7 @@
 //!   `hydra top`.
 //!
 //! This is the only crate in the workspace allowed to touch Unix-socket
-//! I/O (`repo-lint`'s `io-layer` rule) and, alongside `hydra-engine` and
+//! I/O (`hydra-verify lint`'s `io-layer` rule) and, alongside `hydra-engine` and
 //! the batch harness, to spawn threads (`thread-spawn-layer`).
 
 #![forbid(unsafe_code)]

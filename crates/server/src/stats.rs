@@ -38,7 +38,7 @@ use crate::frame::RejectReason;
 
 /// Schema version tag for the live stats snapshot payload.
 ///
-/// This is the single definition of the literal; `repo-lint` enforces
+/// This is the single definition of the literal; `hydra-verify lint` enforces
 /// that no other library source repeats it (`schema-single-source`).
 pub const SERVE_STATS_SCHEMA_VERSION: &str = "hydra-serve-stats-v1";
 
@@ -46,7 +46,7 @@ pub const SERVE_STATS_SCHEMA_VERSION: &str = "hydra-serve-stats-v1";
 /// are published in a [`SERVE_STATS_SCHEMA_VERSION`] snapshot.
 ///
 /// This module is the single definition site for these strings;
-/// `repo-lint` (`metric-names-single-source`) enforces that no other
+/// `hydra-verify lint` (`metric-names-single-source`) enforces that no other
 /// library source repeats them, so a dashboard scraping one spelling
 /// can never drift from a daemon publishing another.
 pub mod names {

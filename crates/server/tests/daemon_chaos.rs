@@ -361,57 +361,6 @@ fn metered_daemon_is_digest_identical_to_bare_under_chaos() {
     replay_check(&session.to_text()).expect("metered session replays byte-identically");
 }
 
-#[test]
-fn profiled_daemon_is_digest_identical_and_yields_an_ingest_tree() {
-    // Same bar as the metered run: per-shard span profiling must never
-    // influence control flow — every honest tenant's daemon digest still
-    // matches its local pipeline — while the drained report carries one
-    // merged `ingest`/`publish` call tree covering all shards.
-    let mut config = test_config("profiled-mix");
-    config.allow_crash_frames = true;
-    config.profile = true;
-    let handle = spawn(config).expect("daemon spawns");
-    let path = handle.socket_path().to_path_buf();
-
-    let load = run_load(&LoadConfig::smoke(&path)).expect("chaos gate holds with profiling on");
-    let report = handle.join().expect("profiled daemon survives the mix");
-
-    for t in &load.tenants {
-        assert_eq!(t.sent, t.acked, "{}: every batch acked", t.tenant);
-        let summary = report
-            .tenant(&t.tenant)
-            .unwrap_or_else(|| panic!("{} missing from daemon report", t.tenant));
-        assert_eq!(
-            summary.digest(),
-            t.expected_digest,
-            "{}: profiling changed the daemon's output",
-            t.tenant
-        );
-    }
-
-    let tree = report.profile.expect("profiling was enabled");
-    let roots: Vec<&str> = tree.roots.keys().map(String::as_str).collect();
-    assert_eq!(
-        roots,
-        vec!["ingest"],
-        "every span hangs off the ingest root"
-    );
-    let ingest = &tree.roots["ingest"];
-    assert!(
-        ingest.count >= report.stats.batches_accepted,
-        "every accepted batch opened an ingest span ({} < {})",
-        ingest.count,
-        report.stats.batches_accepted
-    );
-    if report.stats.incidents_published > 0 {
-        assert!(
-            ingest.children.contains_key("publish"),
-            "published incidents must show up under ingest"
-        );
-    }
-    tree.check_conservation(0.0).expect("conservation");
-}
-
 /// Pulls the seam identities out of one snapshot and asserts them.
 fn assert_snapshot_identities(r: &StatsReading) {
     let offered = r.counter("batches_offered");

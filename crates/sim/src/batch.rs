@@ -11,7 +11,7 @@
 //! never retried: a second run would fail the same way.
 //!
 //! This module is the **only** place in the workspace allowed to call
-//! `catch_unwind`; `repo-lint` enforces that. Everything below the harness
+//! `catch_unwind`; `hydra-verify lint` enforces that. Everything below the harness
 //! keeps the ordinary panic-is-a-bug discipline, and the harness converts
 //! panics into structured [`JobStatus`] values at the boundary.
 

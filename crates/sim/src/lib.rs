@@ -64,9 +64,7 @@ pub use controller::{CompletedRead, MemController, RequestKind};
 pub use core::CoreModel;
 pub use fastsim::{ActivationSim, ActivationSimReport};
 pub use llc::SharedLlc;
-pub use metrics::{
-    run_windowed, run_windowed_profiled, LatencySummary, StatsSource, WindowRecord, WindowSeries,
-};
+pub use metrics::{run_windowed, LatencySummary, StatsSource, WindowRecord, WindowSeries};
 pub use oracle::{OracleReport, ShadowOracle, Violation, ViolationKind};
 pub use rowswap::RowIndirection;
 pub use stats::{geometric_mean, SimResult};

@@ -19,7 +19,6 @@
 
 use crate::fastsim::{ActivationSim, ActivationSimReport};
 use hydra_core::{Hydra, HydraStats, RctBackend};
-use hydra_profiler::{phase, SpanSink};
 use hydra_telemetry::LatencyHistogram;
 use hydra_telemetry::{EventSink, MetricsRegistry, MetricsRow};
 use hydra_types::clock::MemCycle;
@@ -35,7 +34,7 @@ pub trait StatsSource {
     fn cumulative_stats(&self) -> HydraStats;
 }
 
-impl<R: RctBackend, P: EventSink, S: SpanSink> StatsSource for Hydra<R, P, S> {
+impl<R: RctBackend, P: EventSink> StatsSource for Hydra<R, P> {
     fn cumulative_stats(&self) -> HydraStats {
         self.stats()
     }
@@ -231,41 +230,6 @@ where
     sim.report()
 }
 
-/// [`run_windowed`] with driver-side span instrumentation: the whole
-/// replay is bracketed in a `sim` span on `spans`, and each window-boundary
-/// snapshot in a `window_snapshot` span.
-///
-/// Hand the *same* profiler (e.g. clones of one
-/// `hydra_profiler::TreeProfiler`, which share a span stack) to the tracker
-/// and to `spans`: the tracker's `activate`/`window_reset` spans then nest
-/// under the driver's `sim` root, giving the `hydra profile` harness one
-/// connected call tree per worker.
-pub fn run_windowed_profiled<T, I, S>(
-    sim: &mut ActivationSim<T>,
-    rows: I,
-    series: &mut WindowSeries,
-    spans: &mut S,
-) -> ActivationSimReport
-where
-    T: ActivationTracker + StatsSource,
-    I: IntoIterator<Item = RowAddr>,
-    S: SpanSink,
-{
-    spans.enter(phase::SIM);
-    for row in rows {
-        sim.activate_observed(row, |tracker, now| {
-            spans.enter(phase::WINDOW_SNAPSHOT);
-            series.snapshot(now, tracker.cumulative_stats());
-            spans.exit(phase::WINDOW_SNAPSHOT);
-        });
-    }
-    spans.enter(phase::WINDOW_SNAPSHOT);
-    series.finish(sim.now(), sim.tracker().cumulative_stats());
-    spans.exit(phase::WINDOW_SNAPSHOT);
-    spans.exit(phase::SIM);
-    sim.report()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,49 +290,6 @@ mod tests {
         assert_eq!(jsonl.lines().count(), series.len());
         let csv = series.to_csv();
         assert_eq!(csv.lines().count(), series.len() + 1);
-    }
-
-    #[test]
-    fn profiled_run_matches_unprofiled_and_yields_a_connected_tree() {
-        use hydra_profiler::TreeProfiler;
-        let timing = DramTiming::ddr4_3200().with_scaled_window(100_000);
-
-        let mut plain = ActivationSim::new(MemGeometry::tiny(), tiny_hydra()).with_timing(timing);
-        let mut plain_series = WindowSeries::new();
-        let plain_report = run_windowed(&mut plain, hammer_rows(5_000), &mut plain_series);
-
-        let profiler = TreeProfiler::new();
-        let geom = MemGeometry::tiny();
-        let mut b = HydraConfig::builder(geom, 0);
-        b.thresholds(16, 12).gct_entries(64).rcc_entries(32);
-        let tracker =
-            Hydra::with_spans(b.build().expect("config"), profiler.clone()).expect("hydra");
-        let mut profiled = ActivationSim::new(geom, tracker).with_timing(timing);
-        let mut series = WindowSeries::new();
-        let mut driver = profiler.clone();
-        let report =
-            run_windowed_profiled(&mut profiled, hammer_rows(5_000), &mut series, &mut driver);
-
-        // Instrumentation changes nothing the simulation can observe.
-        assert_eq!(report, plain_report);
-        assert_eq!(series.total(), plain_series.total());
-
-        // One connected call tree: the tracker's spans nest under `sim`.
-        assert_eq!(profiler.open_depth(), 0);
-        assert_eq!(profiler.unbalanced_exits(), 0);
-        let tree = profiler.tree();
-        let roots: Vec<&str> = tree.roots.keys().map(String::as_str).collect();
-        assert_eq!(roots, vec!["sim"]);
-        let sim_node = &tree.roots["sim"];
-        assert_eq!(sim_node.count, 1);
-        assert!(sim_node.children.contains_key("activate"));
-        assert!(sim_node.children.contains_key("window_reset"));
-        assert!(sim_node.children.contains_key("window_snapshot"));
-        // Every activation the sim fed the tracker — demand, victim
-        // refresh, and tracker-side metadata row opens — opened exactly one
-        // `activate` span.
-        assert_eq!(sim_node.children["activate"].count, report.total_ops());
-        tree.check_conservation(0.0).expect("conservation");
     }
 
     #[test]

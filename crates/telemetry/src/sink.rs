@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 /// Schema identifier written in the self-describing header line of
 /// `hydra trace` JSONL output (see [`JsonlSink::with_meta`]).
 ///
-/// This is the single definition of the literal; `repo-lint` enforces that
+/// This is the single definition of the literal; `hydra-verify lint` enforces that
 /// no other library source repeats it.
 pub const TRACE_SCHEMA_VERSION: &str = "hydra-trace-v1";
 

@@ -120,10 +120,10 @@ impl Stopwatch {
     /// Whole nanoseconds elapsed at `now`, saturating at zero for
     /// backwards steps and at `u64::MAX` for absurd spans (584 years).
     ///
-    /// The profiling plane (`hydra_profiler`) needs this resolution:
-    /// tracker inner-loop phases run tens of nanoseconds, which the
-    /// microsecond quantization of [`elapsed_micros_at`](Self::elapsed_micros_at)
-    /// would truncate to zero.
+    /// Differential profiling (`hydra_profiler`) needs this resolution:
+    /// a short replay divided by its activation count lands in tens of
+    /// nanoseconds per activation, which the microsecond quantization of
+    /// [`elapsed_micros_at`](Self::elapsed_micros_at) would blur.
     pub fn elapsed_nanos_at(&self, now: Instant) -> u64 {
         let nanos = now.saturating_duration_since(self.start).as_nanos();
         nanos.min(u64::MAX as u128) as u64

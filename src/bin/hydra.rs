@@ -11,7 +11,7 @@
 //! hydra replay FILE                     # reproduce a failed run from its artifact
 //! hydra bench [--smoke] [flags]         # paper design point × workloads → hydra-sweep-v1 JSONL
 //! hydra bench --compare OLD.jsonl [...] # golden compare against a baseline report
-//! hydra profile [flags]                 # per-phase time attribution + folded stacks
+//! hydra profile [flags]                 # differential cost of the tracker, GCT and RCC
 //! hydra trace PATTERN [ACTS] [flags]    # JSONL telemetry event stream to stdout
 //! hydra forensics FILE [--t-h N]        # classify a recorded trace, emit incidents
 //! hydra sweep [--smoke] [--jobs N]      # design-space sweep → hydra-sweep-v1 JSONL
@@ -32,15 +32,14 @@ use hydra_repro::core::{Hydra, HydraConfig, HydraStorage};
 use hydra_repro::dram::DramTiming;
 use hydra_repro::faults::FaultPlan;
 use hydra_repro::forensics::{incidents_to_jsonl, parse_trace_meta, replay_trace, ForensicsProbe};
-use hydra_repro::profiler::{phase, OverheadReport, ProfileNode, ProfileTree, TreeProfiler};
+use hydra_repro::profiler::{measure, Variant};
 use hydra_repro::server::stats::names as metric_names;
 use hydra_repro::server::{replay_check, run_load, Client, LoadConfig, ServeConfig, StatsReading};
 use hydra_repro::sim::batch::{BatchConfig, BatchJob, BatchRunner, JobStatus};
-use hydra_repro::sim::{
-    run_windowed, run_windowed_profiled, ActivationSim, ActivationSimReport, WindowSeries,
-};
+use hydra_repro::sim::{ActivationSim, ActivationSimReport, ShadowOracle};
 use hydra_repro::telemetry::{EventKind, JsonlSink, KindFilterSink, TeeSink};
-use hydra_repro::types::{ActivationKind, ActivationTracker, MemGeometry, RowAddr};
+use hydra_repro::types::json::quote;
+use hydra_repro::types::{ActivationKind, ActivationTracker, MemGeometry, NullTracker, RowAddr};
 use hydra_repro::workloads::{registry, AttackPattern, TraceSource, TraceWriter};
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -92,12 +91,12 @@ fn main() -> ExitCode {
             eprintln!("                               golden compare; nonzero exit on regression");
             eprintln!("                               (runs fresh cells unless --against)");
             eprintln!("  profile [--workload W] [--geometry G] [--acts N] [--smoke]");
-            eprintln!("          [--out FILE] [--folded FILE] [--repeats N]");
+            eprintln!("          [--out FILE] [--repeats N]");
             eprintln!(
-                "                               per-phase time attribution: table on stdout,"
+                "                               differential cost of the tracker, GCT and RCC:"
             );
             eprintln!(
-                "                               hydra-profile-v1 JSON + folded stacks to files"
+                "                               table on stdout, hydra-profile-v2 JSON to a file"
             );
             eprintln!("  trace <pattern> [acts] [--kinds K1,K2,..] [--limit N] [--forensics]");
             eprintln!("                               stream telemetry events as JSONL");
@@ -249,24 +248,21 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         .get(1)
         .map_or(Ok(200_000), |s| s.parse().map_err(|_| "bad act count"))?;
     let hydra = Hydra::isca22_default(geom, 0).map_err(|e| e.to_string())?;
-    let t_h = hydra.config().t_h;
-    let mut sim = ActivationSim::new(geom, hydra);
+    // Theorem 1: Hydra lets a row reach at most T_H − 1 in each of two
+    // adjacent windows, so the bound to check is T_RH = 2·T_H across the
+    // two windows the shadow oracle tracks.
+    let t_rh = 2 * hydra.config().t_h;
+    let mut sim = ActivationSim::new(geom, ShadowOracle::new(hydra, t_rh));
     let mut rows = pattern.rows(geom);
-    let mut oracle: HashMap<RowAddr, u32> = HashMap::new();
-    let mut worst = 0u32;
     let mut mitigated: HashSet<RowAddr> = HashSet::new();
     for _ in 0..acts {
         let mut row = rows.next_row();
         row.channel = 0;
-        *oracle.entry(row).or_insert(0) += 1;
         sim.activate(row);
-        for m in sim.drain_mitigated() {
-            oracle.insert(m, 0);
-            mitigated.insert(m);
-        }
-        worst = worst.max(*oracle.get(&row).unwrap_or(&0));
+        mitigated.extend(sim.drain_mitigated());
     }
     let report = sim.report();
+    let oracle = sim.tracker();
     println!("pattern          : {}", pattern.name());
     println!("demand acts      : {}", report.demand_acts);
     println!(
@@ -276,8 +272,11 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     );
     println!("mitigation acts  : {}", report.mitigation_acts);
     println!("bandwidth        : {:.2}x", report.bandwidth_inflation());
-    println!("worst unmitigated: {worst} (bound T_H = {t_h})");
-    if worst <= t_h {
+    println!(
+        "worst unmitigated: {} (bound T_RH = {t_rh})",
+        oracle.report().worst_unmitigated
+    );
+    if oracle.is_clean() {
         println!("verdict          : SECURE");
         Ok(())
     } else {
@@ -455,37 +454,12 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Default sampling period for the profile harness: prime, so it cannot
-/// resonate with the small periodicities of the attack-pattern streams, and
-/// large enough that recorded-unit clock reads stay well under the
-/// documented overhead budget (the suppressed path costs a few `Cell` ops).
-const PROFILE_SAMPLE_PERIOD: u32 = 127;
-
-/// One profiled replay of a cell: a fresh tracker wired to a
-/// [`TreeProfiler`] through the span seam, driven by the profiled windowed
-/// runner so the tracker's phase spans nest under one `sim` root.
-fn profiled_cell_run(
-    config: &HydraConfig,
-    geom: MemGeometry,
-    rows: &[RowAddr],
-    sample: u32,
-) -> Result<(ProfileTree, ActivationSimReport), String> {
-    let profiler = TreeProfiler::sampled(sample);
-    let tracker = Hydra::with_spans(config.clone(), profiler.clone()).map_err(|e| e.to_string())?;
-    let timing = DramTiming::ddr4_3200().with_scaled_window(1_000);
-    let mut sim = ActivationSim::new(geom, tracker).with_timing(timing);
-    let mut series = WindowSeries::new();
-    let mut driver = profiler.clone();
-    let report = run_windowed_profiled(&mut sim, rows.iter().copied(), &mut series, &mut driver);
-    Ok((profiler.tree(), report))
-}
-
 /// Config for the default `profile` stream: a deliberately under-sized
 /// 4-way/16-set RCC and low thresholds, so a short run arms per-row
-/// tracking and then keeps every tracker phase firing in every window.
+/// tracking and then keeps every tracker path firing in every window.
 /// `isca22_default` on the tiny geometry can never evict from the RCC
 /// (4096 rows over 256 sets × 16 ways holds the whole channel), so the
-/// `rct_access` refetch path would stay dark under it.
+/// RCT refetch path would stay dark under it.
 fn coverage_config(geom: MemGeometry) -> Result<HydraConfig, String> {
     let rows = geom.rows_per_channel() as usize;
     let mut b = HydraConfig::builder(geom, 0);
@@ -519,83 +493,51 @@ fn coverage_rows(acts: u64) -> Vec<RowAddr> {
     out
 }
 
-/// Self-time per phase name, summed across every depth of the tree, so a
-/// phase's attribution is the same whether it ran under `sim` directly or
-/// nested inside `activate`.
-fn phase_self_nanos(tree: &ProfileTree) -> HashMap<String, u64> {
-    fn walk(name: &str, node: &ProfileNode, out: &mut HashMap<String, u64>) {
-        *out.entry(name.to_string()).or_insert(0) += node.self_nanos();
-        for (child_name, child) in &node.children {
-            walk(child_name, child, out);
-        }
-    }
-    let mut out = HashMap::new();
-    for (name, node) in &tree.roots {
-        walk(name, node, &mut out);
-    }
-    out
+/// One `hydra profile` replay: `rows` through `tracker` under a 1 000-cycle
+/// tracking window, so even a short stream crosses many window resets.
+fn replay_profile_stream<T: ActivationTracker>(
+    geom: MemGeometry,
+    rows: &[RowAddr],
+    tracker: T,
+) -> ActivationSimReport {
+    let timing = DramTiming::ddr4_3200().with_scaled_window(1_000);
+    ActivationSim::new(geom, tracker)
+        .with_timing(timing)
+        .run(rows.iter().copied())
 }
 
-/// Total (cumulative) time per phase name, summed across every depth.
-fn phase_total_nanos(tree: &ProfileTree) -> HashMap<String, u64> {
-    fn walk(name: &str, node: &ProfileNode, out: &mut HashMap<String, u64>) {
-        *out.entry(name.to_string()).or_insert(0) += node.total_nanos;
-        for (child_name, child) in &node.children {
-            walk(child_name, child, out);
-        }
-    }
-    let mut out = HashMap::new();
-    for (name, node) in &tree.roots {
-        walk(name, node, &mut out);
-    }
-    out
+/// The simulator counters of one replay, as a JSON object.
+fn report_json(r: &ActivationSimReport) -> String {
+    format!(
+        "{{\"demand_acts\":{},\"mitigation_acts\":{},\"side_reads\":{},\"side_writes\":{},\
+         \"mitigations\":{},\"window_resets\":{}}}",
+        r.demand_acts,
+        r.mitigation_acts,
+        r.side_reads,
+        r.side_writes,
+        r.mitigations,
+        r.window_resets
+    )
 }
 
-/// One-line per-cell attribution: each tracker phase's self-time share of
-/// the *recorded tracker time* (`activate` + `window_reset` spans). Using
-/// recorded tracker time — not the whole run — keeps the shares meaningful
-/// under sampling, where suppressed activations leave the driver span's
-/// self-time inflated by design.
-fn render_phase_columns(tree: &ProfileTree) -> String {
-    use std::fmt::Write as _;
-    let totals = phase_total_nanos(tree);
-    let tracked = totals.get(phase::ACTIVATE).copied().unwrap_or(0)
-        + totals.get(phase::WINDOW_RESET).copied().unwrap_or(0);
-    let tracked = tracked.max(1) as f64;
-    let self_times = phase_self_nanos(tree);
-    let mut out = String::from("phases:");
-    for name in phase::TRACKER_PHASES {
-        let nanos = self_times.get(name).copied().unwrap_or(0);
-        let _ = write!(out, " {name} {:.1}%", nanos as f64 / tracked * 100.0);
-    }
-    out
-}
-
+/// `hydra profile`: what Hydra's structures cost in host time, measured
+/// by removing them. Four variants replay the same stream through the
+/// same `ActivationSim::run` loop — full Hydra, Hydra without the RCC,
+/// Hydra without the GCT, and the null tracker — in interleaved rounds,
+/// and the differences of their medians price the tracker, the GCT and
+/// the RCC.
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let mut workload = String::from("mix");
     let mut geometry = String::from("tiny");
     let mut acts_override: Option<u64> = None;
     let mut smoke = false;
     let mut out = PathBuf::from("PROFILE_hydra.json");
-    let mut folded_out: Option<PathBuf> = None;
     let mut repeats: u32 = 9;
-    let mut sample: u32 = PROFILE_SAMPLE_PERIOD;
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--smoke" => smoke = true,
-            "--sample" => {
-                i += 1;
-                sample = args
-                    .get(i)
-                    .ok_or("--sample needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --sample")?;
-                if sample == 0 {
-                    return Err("--sample must be at least 1".into());
-                }
-            }
             "--workload" => {
                 i += 1;
                 workload = args.get(i).ok_or("--workload needs a value")?.clone();
@@ -616,10 +558,6 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             "--out" => {
                 i += 1;
                 out = PathBuf::from(args.get(i).ok_or("--out needs a value")?);
-            }
-            "--folded" => {
-                i += 1;
-                folded_out = Some(PathBuf::from(args.get(i).ok_or("--folded needs a value")?));
             }
             "--repeats" => {
                 i += 1;
@@ -649,56 +587,49 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         let config = HydraConfig::isca22_default(geom, 0).map_err(|e| e.to_string())?;
         (config, workload_rows(geom, &workload, acts, 42)?)
     };
-    println!("profile: {workload}/{geometry}, {acts} acts, sample 1/{sample}");
+    println!("profile: {workload}/{geometry}, {acts} acts, {repeats} rounds");
 
-    // The attributed run. Self-times are derived (total minus children),
-    // so conservation holds exactly per node; the 5% tolerance here only
-    // guards the harness against a future profiler regression.
-    let (tree, report) = profiled_cell_run(&config, geom, &rows, sample)?;
-    tree.check_conservation(0.05)
-        .map_err(|e| format!("span time conservation violated: {e}"))?;
+    let rows = &rows[..];
+    let hydra = |config: HydraConfig| {
+        move || {
+            replay_profile_stream(
+                geom,
+                rows,
+                Hydra::new(config.clone()).expect("valid config"),
+            )
+        }
+    };
+    let no_rcc = HydraConfig {
+        use_rcc: false,
+        ..config.clone()
+    };
+    let no_gct = HydraConfig {
+        use_gct: false,
+        ..config.clone()
+    };
+    let variants = vec![
+        Variant::new("full", hydra(config)),
+        Variant::new("no_rcc", hydra(no_rcc)),
+        Variant::new("no_gct", hydra(no_gct)),
+        Variant::new("null", || replay_profile_stream(geom, rows, NullTracker)),
+    ];
+    let profile = measure(repeats, acts, variants)?;
+    let deltas = [
+        profile.delta("tracker", "full", "null"),
+        profile.delta("gct", "full", "no_gct"),
+        profile.delta("rcc", "full", "no_rcc"),
+    ]
+    .map(|d| d.expect("every delta names a measured variant"));
 
-    // The profiler measuring itself on the same deterministic stream. The
-    // bare leg also proves the profiled run changed no simulated outcome.
-    let mut bare_report: Option<ActivationSimReport> = None;
-    let overhead = OverheadReport::measure(
-        repeats,
-        || {
-            let tracker = Hydra::new(config.clone()).expect("validated config");
-            let timing = DramTiming::ddr4_3200().with_scaled_window(1_000);
-            let mut sim = ActivationSim::new(geom, tracker).with_timing(timing);
-            let mut series = WindowSeries::new();
-            bare_report = Some(run_windowed(&mut sim, rows.iter().copied(), &mut series));
-        },
-        || {
-            profiled_cell_run(&config, geom, &rows, sample).expect("profiled run");
-        },
+    print!("{}", profile.render_table(&deltas));
+    let meta = format!(
+        "\"workload\":{},\"geometry\":{},\"acts\":{acts},",
+        quote(&workload),
+        quote(&geometry)
     );
-    if bare_report != Some(report) {
-        return Err("profiled run diverged from the unprofiled run".into());
-    }
-
-    print!("{}", tree.render_table());
-    println!("{}", render_phase_columns(&tree));
-    println!(
-        "overhead: {:.2}% (bare {:.3} ms, profiled {:.3} ms, best of {repeats})",
-        overhead.overhead_percent(),
-        overhead.bare_nanos as f64 / 1e6,
-        overhead.profiled_nanos as f64 / 1e6,
-    );
-
-    let extra = format!(
-        "\"workload\":\"{workload}\",\"geometry\":\"{geometry}\",\"acts\":{acts},\
-         \"sample_period\":{sample},\"overhead_pct\":{:.3},",
-        overhead.overhead_percent()
-    );
-    std::fs::write(&out, tree.to_json_with(&extra))
+    std::fs::write(&out, profile.to_json(&meta, &deltas, report_json))
         .map_err(|e| format!("{}: {e}", out.display()))?;
     println!("profile: wrote {}", out.display());
-    if let Some(path) = &folded_out {
-        std::fs::write(path, tree.to_folded()).map_err(|e| format!("{}: {e}", path.display()))?;
-        println!("profile: wrote {}", path.display());
-    }
     Ok(())
 }
 

@@ -15,7 +15,7 @@
 //! * [`engine`] — worker pool, sharded multi-channel simulation
 //! * [`faults`] — deterministic fault injection around the tracker
 //! * [`forensics`] — attack attribution, window classification, incident reports
-//! * [`profiler`] — zero-cost span seam, per-phase call-tree time attribution
+//! * [`profiler`] — differential host-time attribution: interleaved variant replays
 //! * [`server`] — Hydra-as-a-service: multi-tenant activation daemon over
 //!   Unix sockets, adversarial load client, session record/replay
 //! * [`sim`] — memory controller, LLC, core model, system simulator, batch harness

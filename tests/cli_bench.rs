@@ -1,12 +1,14 @@
 //! End-to-end tests of the experiment CLI surface that drives one
 //! activation stream per cell: `hydra bench --compare` exit-code gating
-//! over `hydra-sweep-v1` reports, and `hydra profile` on a multi-channel
-//! geometry.
+//! over `hydra-sweep-v1` reports, `hydra profile` on a multi-channel
+//! geometry, and `hydra audit` across many tracking windows.
 //!
 //! These run the real binary (`CARGO_BIN_EXE_hydra`), so they cover flag
 //! parsing and process exit codes — the contract CI scripts depend on.
 
 use hydra_repro::arena::SWEEP_SCHEMA_VERSION;
+use hydra_repro::profiler::PROFILE_SCHEMA_VERSION;
+use hydra_repro::types::json;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -106,6 +108,7 @@ fn profile_runs_a_registry_workload_on_a_multi_channel_geometry() {
         "--out",
         out.to_str().expect("utf-8 path"),
     ]);
+    let doc = std::fs::read_to_string(&out);
     let _ = std::fs::remove_file(&out);
     assert!(
         run.status.success(),
@@ -113,4 +116,47 @@ fn profile_runs_a_registry_workload_on_a_multi_channel_geometry() {
         String::from_utf8_lossy(&run.stderr)
     );
     assert!(stdout_of(&run).contains("profile: gups/isca22, 3000 acts"));
+    let doc = json::parse(&doc.expect("profile document written")).expect("valid JSON");
+    assert_eq!(
+        doc.get("schema").and_then(|v| v.as_str()),
+        Some(PROFILE_SCHEMA_VERSION)
+    );
+    let variants = doc
+        .get("variants")
+        .and_then(|v| v.as_array())
+        .expect("variants");
+    let names: Vec<&str> = variants
+        .iter()
+        .filter_map(|v| v.get("name").and_then(|n| n.as_str()))
+        .collect();
+    assert_eq!(names, ["full", "no_rcc", "no_gct", "null"]);
+    for v in variants {
+        let demand = v.get("outcome").and_then(|o| o.get("demand_acts"));
+        assert_eq!(demand.and_then(|d| d.as_u64()), Some(3000), "{v:?}");
+    }
+    let deltas = doc
+        .get("deltas")
+        .and_then(|v| v.as_array())
+        .expect("deltas");
+    let names: Vec<&str> = deltas
+        .iter()
+        .filter_map(|d| d.get("name").and_then(|n| n.as_str()))
+        .collect();
+    assert_eq!(names, ["tracker", "gct", "rcc"]);
+}
+
+/// Theorem 1 lets a row reach T_H − 1 in each of two adjacent windows, so
+/// a long audit must check the two-window bound T_RH = 2·T_H, not T_H:
+/// this run crosses many 64 ms windows and is secure.
+#[test]
+fn audit_holds_the_two_window_bound_across_many_windows() {
+    let run = hydra(&["audit", "half_double", "2000000"]);
+    let stdout = stdout_of(&run);
+    assert!(
+        run.status.success(),
+        "audit exits 0: {stdout}{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert!(stdout.contains("(bound T_RH = 500)"), "{stdout}");
+    assert!(stdout.contains("verdict          : SECURE"), "{stdout}");
 }
