@@ -9,37 +9,25 @@
 //! Hydra tracker and reports the slowdown of each.
 
 use hydra_bench::{
-    geomean_slowdown_pct, run_figure, verdict, ExperimentScale, Table, TrackerKind, Variant,
+    geomean_slowdown_pct, run_figure, verdict, windows_line, ExperimentScale, Table, TrackerKind,
+    Variant,
 };
 use hydra_types::mitigation::MitigationPolicy;
 use hydra_workloads::registry;
 
 fn main() {
-    let mut scale = ExperimentScale::from_env();
-    // Budget sized so hot rows cross the scaled threshold (~70+ ACTs per
-    // hot row needs ~80 K instructions/core for these workloads); the
-    // rate-limited runs then genuinely stall until window boundaries.
-    scale.instructions_per_core = 40_000;
+    let scale = ExperimentScale::from_env();
     println!(
         "\n=== Footnote 6: victim-refresh vs delay mitigation (S={}) ===\n",
         scale.scale
     );
 
-    // Hot-row-heavy workloads suffer most under rate control. The tracker
-    // threshold is scaled (250 -> 31) like the structures: compressed
-    // windows give hot rows proportionally fewer activations per window, so
-    // an unscaled threshold would never fire and the policies would be
-    // indistinguishable.
-    let tracker = TrackerKind::HydraCustom {
-        t_h: 31,
-        t_g: 24,
-        gct_total: 32_768,
-        rcc_total: 8_192,
-        use_gct: true,
-        use_rcc: true,
-    };
-    let variants = [MitigationPolicy::default(), MitigationPolicy::RateLimit]
-        .map(|policy| Variant { tracker, policy });
+    // Hot-row-heavy workloads suffer most under rate control.
+    let variants =
+        [MitigationPolicy::default(), MitigationPolicy::RateLimit].map(|policy| Variant {
+            tracker: TrackerKind::Hydra,
+            policy,
+        });
     let specs = [
         "parest",
         "cactuBSSN",
@@ -76,4 +64,5 @@ fn main() {
     println!("\nPaper's argument: delay insertion throttles legitimately hot rows into");
     println!("a denial of service at ultra-low thresholds, while victim refresh stays cheap.");
     println!("{}", verdict::delay_mitigation(means[1], means[0]));
+    println!("{}", windows_line(&runs));
 }

@@ -5,16 +5,15 @@
 //! forces a mitigation almost immediately after every spill for newly
 //! arriving rows. The paper picks 80 %.
 
-use hydra_bench::{run_all, suite_slowdown_table, verdict, ExperimentScale, TrackerKind, Variant};
+use hydra_bench::{
+    run_all, suite_slowdown_table, verdict, windows_line, ExperimentScale, TrackerKind, Variant,
+};
 
 fn hydra_with_tg(t_g: u32) -> Variant {
     Variant::from(TrackerKind::HydraCustom {
         t_h: 250,
         t_g,
-        // Pressure-rescaled (÷8) so activations-per-group sits between the
-        // swept T_G values, as in the paper's system (see fig9 and
-        // EXPERIMENTS.md for the argument).
-        gct_total: 32_768 / 8,
+        gct_total: 32_768,
         rcc_total: 8_192,
         use_gct: true,
         use_rcc: true,
@@ -39,4 +38,5 @@ fn main() {
 
     println!("\nPaper: GUPS suffers at T_G = 50 % (16 %); the default 80 % balances both ends.");
     println!("{}", verdict::fig10(overall[0], overall[2]));
+    println!("{}", windows_line(&runs));
 }

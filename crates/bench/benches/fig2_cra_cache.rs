@@ -3,7 +3,9 @@
 //! large slowdown (25.8 % → 16.8 % on average), because counter lines have
 //! poor locality over large row footprints.
 
-use hydra_bench::{normalized_table, run_all, verdict, ExperimentScale, TrackerKind, Variant};
+use hydra_bench::{
+    normalized_table, run_all, verdict, windows_line, ExperimentScale, TrackerKind, Variant,
+};
 
 fn main() {
     let scale = ExperimentScale::from_env();
@@ -25,4 +27,5 @@ fn main() {
 
     println!("\nPaper: 0.742 at 64 KB -> 0.832 at 256 KB (still a big slowdown).");
     println!("{}", verdict::fig2(means[0], means[2]));
+    println!("{}", windows_line(&runs));
 }

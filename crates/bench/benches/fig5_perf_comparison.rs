@@ -4,10 +4,12 @@
 //!
 //! Expected shape (paper): Graphene ≈ 1.0 (0.1 % slowdown), Hydra ≈ 0.993
 //! (0.7 % slowdown), CRA ≈ 0.75 (25 % slowdown). Runs are time-compressed
-//! (see `hydra_bench` docs); set `HYDRA_SCALE` / `HYDRA_INSTRS` to trade
-//! fidelity for runtime.
+//! (see `hydra_bench` docs); set `HYDRA_SCALE` to trade fidelity for
+//! runtime.
 
-use hydra_bench::{normalized_table, run_all, verdict, ExperimentScale, TrackerKind, Variant};
+use hydra_bench::{
+    normalized_table, run_all, verdict, windows_line, ExperimentScale, TrackerKind, Variant,
+};
 
 fn main() {
     let scale = ExperimentScale::from_env();
@@ -35,4 +37,5 @@ fn main() {
 
     println!("\nPaper: CRA ~0.75 (25 % slowdown), Graphene ~0.999, Hydra ~0.993.");
     println!("{}", verdict::fig5(means[0], means[1], means[2]));
+    println!("{}", windows_line(&runs));
 }

@@ -11,17 +11,16 @@ use hydra_sim::ActivationSim;
 use hydra_types::MemGeometry;
 use hydra_workloads::{registry, TraceSource};
 
+/// Channel-0 activations fed per workload.
+const ACTS_PER_WORKLOAD: u64 = 300_000;
+
 fn main() {
     let scale = ExperimentScale::from_env();
     let geom = MemGeometry::isca22_baseline();
-    let acts_per_workload: u64 = std::env::var("HYDRA_ACTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(300_000);
 
     println!(
         "\n=== Figure 6: Hydra activation-update breakdown (S={}, {} ACTs/workload) ===\n",
-        scale.scale, acts_per_workload
+        scale.scale, ACTS_PER_WORKLOAD
     );
     let mut table = Table::new(vec!["workload", "GCT-only %", "RCC-hit %", "RCT-access %"]);
     let mut sums = [0.0f64; 3];
@@ -40,7 +39,7 @@ fn main() {
         let mut trace = spec.build(geom, scale.scale, scale.seed);
         let mut fed = 0;
         let mut last_row = None;
-        while fed < acts_per_workload {
+        while fed < ACTS_PER_WORKLOAD {
             let op = trace.next_op();
             let row = geom.row_of_line(op.addr);
             // Row-buffer filter: consecutive same-row accesses are hits, not

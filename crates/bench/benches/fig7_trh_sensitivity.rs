@@ -3,18 +3,18 @@
 //!
 //! Paper: 0.7 % → 1.6 % → 4 % average slowdown, with GUPS hit hardest.
 
-use hydra_bench::{run_all, suite_slowdown_table, verdict, ExperimentScale, TrackerKind, Variant};
+use hydra_bench::{
+    run_all, suite_slowdown_table, verdict, windows_line, ExperimentScale, TrackerKind, Variant,
+};
 
-/// Thresholds are pressure-rescaled (÷4) alongside the structures: the
-/// compressed window gives each row proportionally fewer activations, so an
-/// unscaled threshold would mask the trend the figure demonstrates (see
-/// EXPERIMENTS.md). T_RH 500/250/125 → T_H 62/31/15.
+/// Hydra at the paper's T_H = T_RH / 2 and T_G = 80 % of T_H, with the
+/// structures grown as the threshold falls (2× at 250, 4× at 125).
 fn hydra_for_trh(t_rh: u32) -> Variant {
-    let factor = (500 / t_rh).max(1) as usize;
-    let t_h = (t_rh / 8).max(8);
+    let factor = (500 / t_rh) as usize;
+    let t_h = t_rh / 2;
     Variant::from(TrackerKind::HydraCustom {
         t_h,
-        t_g: (t_h * 4 / 5).max(1),
+        t_g: t_h * 4 / 5,
         gct_total: 32_768 * factor,
         rcc_total: 8_192 * factor,
         use_gct: true,
@@ -40,4 +40,5 @@ fn main() {
 
     println!("\nPaper: 0.7 % at 500, 1.6 % at 250, 4 % at 125.");
     println!("{}", verdict::fig7([overall[0], overall[1], overall[2]]));
+    println!("{}", windows_line(&runs));
 }

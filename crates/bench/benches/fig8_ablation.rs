@@ -2,7 +2,9 @@
 //! Hydra-NoGCT (20 % average slowdown), Hydra-NoRCC (4.5 %), full Hydra
 //! (0.7 %). The GCT's filtering is the critical component.
 
-use hydra_bench::{normalized_table, run_all, verdict, ExperimentScale, TrackerKind, Variant};
+use hydra_bench::{
+    normalized_table, run_all, verdict, windows_line, ExperimentScale, TrackerKind, Variant,
+};
 
 /// Hydra at the paper's default thresholds and sizes with one structure
 /// switched off.
@@ -40,4 +42,5 @@ fn main() {
 
     println!("\nPaper: NoGCT ~0.83 (20 % slowdown), NoRCC ~0.957 (4.5 %), Hydra ~0.993 (0.7 %).");
     println!("{}", verdict::fig8(means[0], means[1], means[2]));
+    println!("{}", windows_line(&runs));
 }

@@ -3,20 +3,15 @@
 //! so entries saturate faster; the paper sees GUPS blow up at 16K while 32K
 //! is a good cost/performance point.
 
-use hydra_bench::{run_all, suite_slowdown_table, verdict, ExperimentScale, TrackerKind, Variant};
-
-/// The sweep's paper-scale sizes are additionally divided by 4 ("pressure
-/// rescaling"): our scaled runs sustain a different activations-per-window
-/// rate than the paper's testbed, and this factor places the
-/// activations-per-group-vs-T_G knee at the same sweep point (16K) where
-/// the paper observes the GUPS blowup. See EXPERIMENTS.md.
-const PRESSURE: usize = 4;
+use hydra_bench::{
+    run_all, suite_slowdown_table, verdict, windows_line, ExperimentScale, TrackerKind, Variant,
+};
 
 fn hydra_with_gct(gct_total: usize) -> Variant {
     Variant::from(TrackerKind::HydraCustom {
         t_h: 250,
         t_g: 200,
-        gct_total: gct_total / PRESSURE,
+        gct_total,
         rcc_total: 8_192,
         use_gct: true,
         use_rcc: true,
@@ -42,4 +37,5 @@ fn main() {
 
     println!("\nPaper: 16K hurts (GUPS 18.3 %); 32K is the sweet spot; 64K is marginal.");
     println!("{}", verdict::fig9([overall[0], overall[1], overall[2]]));
+    println!("{}", windows_line(&runs));
 }

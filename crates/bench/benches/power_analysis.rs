@@ -5,7 +5,9 @@
 //! (2) SRAM power: the GCT and RCC draw tens of milliwatts (paper: 10.6 mW
 //!     + 8 mW at 22 nm from CACTI).
 
-use hydra_bench::{run_figure, verdict, ExperimentScale, SramPowerModel, Table, TrackerKind};
+use hydra_bench::{
+    run_figure, verdict, windows_line, ExperimentScale, SramPowerModel, Table, TrackerKind,
+};
 use hydra_dram::{DramEnergyModel, PowerCounters};
 use hydra_sim::SimResult;
 use hydra_types::Clock;
@@ -68,12 +70,21 @@ fn main() {
         "\nMean DRAM dynamic-energy overhead: {mean:.2}% (paper: ~0.2 % of total DRAM power)."
     );
 
-    // SRAM side.
+    // SRAM side: every activation touches the GCT, ~9 % touch the RCC. The
+    // rate is the Hydra runs' demand activations over their simulated time.
     let sram = SramPowerModel::cacti_22nm();
-    // A memory-intensive 8-core workload sustains on the order of 10^8–10^9
-    // activations per second system-wide; every activation touches the GCT,
-    // ~9 % touch the RCC.
-    let act_rate = 5.0e8;
+    let (acts, seconds) = runs.iter().fold((0, 0.0), |(acts, seconds), run| {
+        let result = &run.variants[0];
+        (
+            acts + result.demand_acts(),
+            seconds + result.cycles as f64 / clock.freq_hz(),
+        )
+    });
+    let act_rate = acts as f64 / seconds;
+    println!(
+        "\nMeasured activation rate: {act_rate:.3e} ACT/s \
+         (system-wide, pooled over the six Hydra runs)"
+    );
     let gct_mw = sram.power_mw(32 * 1024, act_rate);
     let rcc_mw = sram.power_mw(24 * 1024, act_rate * 0.093);
     println!("\nSRAM power (CACTI-substitute model at 22 nm):");
@@ -84,4 +95,5 @@ fn main() {
         gct_mw + rcc_mw
     );
     println!("{}", verdict::sram_power(gct_mw + rcc_mw));
+    println!("{}", windows_line(&runs));
 }

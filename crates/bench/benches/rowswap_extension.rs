@@ -6,35 +6,27 @@
 //! activations) but breaks aggressor/victim spatial correlation, and its
 //! cost concentrates on genuinely hot rows.
 
-use hydra_bench::{geomean_slowdown_pct, run_figure, ExperimentScale, Table, TrackerKind, Variant};
+use hydra_bench::{
+    geomean_slowdown_pct, run_figure, windows_line, ExperimentScale, Table, TrackerKind, Variant,
+};
 use hydra_types::mitigation::MitigationPolicy;
 use hydra_workloads::registry;
 
 fn main() {
-    let mut scale = ExperimentScale::from_env();
-    // Budget sized so hot rows cross the scaled threshold and swaps
-    // actually fire (see delay_mitigation).
-    scale.instructions_per_core = 40_000;
+    let scale = ExperimentScale::from_env();
     println!(
         "\n=== Extension: victim-refresh vs row-swap mitigation (S={}) ===\n",
         scale.scale
     );
 
-    // Threshold scaled (250 -> 31) like the structures so mitigations fire
-    // at compressed-window activation rates (see delay_mitigation).
-    let tracker = TrackerKind::HydraCustom {
-        t_h: 31,
-        t_g: 24,
-        gct_total: 32_768,
-        rcc_total: 8_192,
-        use_gct: true,
-        use_rcc: true,
-    };
     let variants = [
         MitigationPolicy::default(),
         MitigationPolicy::RowSwap { seed: 0xABCD },
     ]
-    .map(|policy| Variant { tracker, policy });
+    .map(|policy| Variant {
+        tracker: TrackerKind::Hydra,
+        policy,
+    });
     // parest/cactuBSSN (thousands of hot rows) make row swapping pathologically
     // expensive — every hot row pays two full row copies per T_H activations,
     // a finding in itself; the runnable comparison uses moderate hot-row
@@ -76,4 +68,5 @@ fn main() {
         "Observed: victim-refresh {:.2}% vs row-swap {:.2}% average slowdown.",
         means[0], means[1]
     );
+    println!("{}", windows_line(&runs));
 }

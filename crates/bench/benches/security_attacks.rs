@@ -13,13 +13,16 @@ use hydra_types::{MemGeometry, RowAddr};
 use hydra_workloads::AttackPattern;
 use std::collections::HashMap;
 
+/// Adversarial activations replayed per attack pattern.
+const ACTS: u64 = 500_000;
+
 struct AttackOutcome {
     max_unmitigated: u32,
     inflation: f64,
     mitigations: u64,
 }
 
-fn run_attack(pattern: &AttackPattern, acts: u64, scale: &ExperimentScale) -> AttackOutcome {
+fn run_attack(pattern: &AttackPattern, scale: &ExperimentScale) -> AttackOutcome {
     let geom = MemGeometry::isca22_baseline();
     let hydra = scaled_hydra(geom, 0, scale, 250, 200, 32_768, 8_192, true, true).expect("hydra");
     let t_h = hydra.config().t_h;
@@ -34,7 +37,7 @@ fn run_attack(pattern: &AttackPattern, acts: u64, scale: &ExperimentScale) -> At
     let mut oracle: HashMap<RowAddr, u32> = HashMap::new();
     let mut max_unmitigated = 0u32;
     let mut seen_resets = 0;
-    for _ in 0..acts {
+    for _ in 0..ACTS {
         let mut row = rows.next_row();
         row.channel = 0; // the per-channel tracker under test
                          // Theorem-1 bounds unmitigated activations *within a tracking
@@ -68,13 +71,9 @@ fn run_attack(pattern: &AttackPattern, acts: u64, scale: &ExperimentScale) -> At
 
 fn main() {
     let scale = ExperimentScale::from_env();
-    let acts: u64 = std::env::var("HYDRA_ACTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500_000);
     println!(
         "\n=== Secs. 5.2/5.3: adaptive attacks vs Hydra (S={}, {} ACTs each) ===\n",
-        scale.scale, acts
+        scale.scale, ACTS
     );
 
     let geom = MemGeometry::isca22_baseline();
@@ -102,7 +101,7 @@ fn main() {
     ]);
     let mut worst_inflation: f64 = 1.0;
     for pattern in &patterns {
-        let out = run_attack(pattern, acts, &scale);
+        let out = run_attack(pattern, &scale);
         worst_inflation = worst_inflation.max(out.inflation);
         table.row(vec![
             pattern.name().to_string(),

@@ -20,6 +20,14 @@
 //! ratios that drive the results, so the *shape* of each figure reproduces
 //! even though absolute IPCs differ from the authors' testbed.
 //! EXPERIMENTS.md records the scale used for every reported number.
+//!
+//! Hydra does all of its work per tracking window (spills, resets,
+//! mitigation at `T_H`), so the instruction budget is derived from `S`
+//! rather than set: each core runs three scaled windows at its peak retire
+//! rate ([`ExperimentScale::at`]), and no run can end before three windows
+//! complete. Every `SystemSim` figure prints the fewest windows any of its
+//! runs completed ([`windows_line`]) beside its verdict, and every figure
+//! runs the paper's thresholds and structure totals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +38,8 @@ pub mod sram_power;
 pub mod verdict;
 
 pub use report::{
-    fmt_bytes, fmt_kb, geomean_slowdown_pct, normalized_table, suite_slowdown_table, Table,
+    fmt_bytes, fmt_kb, geomean_slowdown_pct, normalized_table, suite_slowdown_table, windows_line,
+    Table,
 };
 pub use runner::{
     run_all, run_figure, scaled_hydra, ExperimentScale, TrackerKind, Variant, WorkloadRuns,

@@ -219,6 +219,17 @@ pub fn suite_slowdown_table(headers: &[&str], runs: &[WorkloadRuns]) -> (Table, 
     (table, overall)
 }
 
+/// The line every `SystemSim` figure prints beside its verdict: the fewest
+/// tracking windows any channel of any of its runs completed.
+pub fn windows_line(runs: &[WorkloadRuns]) -> String {
+    let fewest = runs
+        .iter()
+        .map(WorkloadRuns::min_windows)
+        .min()
+        .unwrap_or(0);
+    format!("Windows completed: {fewest} (fewest of any run)")
+}
+
 /// Formats a byte count the way the paper's tables do (KB / MB).
 ///
 /// # Example

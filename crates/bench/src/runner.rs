@@ -23,31 +23,40 @@ pub struct ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Reads the scale from the environment (`HYDRA_SCALE`, `HYDRA_INSTRS`)
-    /// or uses the defaults (S = 256, 50 K instructions/core — sized so the
-    /// full `cargo bench` suite finishes in tens of minutes; lower S and
-    /// raise the instruction budget for higher fidelity).
+    /// Tracking windows every figure run completes at least.
+    pub const WINDOWS: u64 = 3;
+
+    /// Reads the time-compression factor from `HYDRA_SCALE` (default 256)
+    /// and derives the instruction budget from it ([`ExperimentScale::at`]).
     pub fn from_env() -> Self {
         let scale = std::env::var("HYDRA_SCALE")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(256);
-        let instructions_per_core = std::env::var("HYDRA_INSTRS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(50_000);
+        ExperimentScale::at(scale)
+    }
+
+    /// The experiment at compression factor `scale`. Each core's budget is
+    /// [`WINDOWS`](Self::WINDOWS) scaled tracking windows at its peak
+    /// retire rate (`fetch_width × cpu_per_mem_cycle` per memory cycle), so
+    /// no core can finish before that many windows have passed: 9.6 M
+    /// instructions at S = 256.
+    pub fn at(scale: u64) -> Self {
+        let config = SystemConfig::scaled(scale);
+        let peak_per_cycle = u64::from(config.fetch_width * config.cpu_per_mem_cycle);
         ExperimentScale {
             scale,
-            instructions_per_core,
+            instructions_per_core: Self::WINDOWS * config.timing.refresh_window * peak_per_cycle,
             seed: 0x5EED,
         }
     }
 
     /// The scaled system configuration (paper geometry, window / S).
     pub fn system_config(&self) -> SystemConfig {
-        let mut config = SystemConfig::scaled(self.scale);
-        config.instructions_per_core = self.instructions_per_core;
-        config
+        SystemConfig {
+            instructions_per_core: self.instructions_per_core,
+            ..SystemConfig::scaled(self.scale)
+        }
     }
 
     /// The divisor applied to tracker structure sizes.
@@ -273,6 +282,16 @@ impl WorkloadRuns {
             .collect()
     }
 
+    /// The fewest tracking windows any channel of these runs completed.
+    pub fn min_windows(&self) -> u64 {
+        std::iter::once(&self.baseline)
+            .chain(&self.variants)
+            .flat_map(|r| &r.controllers)
+            .map(|c| c.window_resets)
+            .min()
+            .unwrap_or(0)
+    }
+
     /// Each variant's `1 + slowdown/100`: the ratio whose geomean Figs. 7, 9
     /// and 10 and the mitigation-policy extensions report.
     pub fn slowdown_ratios(&self) -> Vec<f64> {
@@ -390,6 +409,31 @@ mod tests {
                 let alone = simulate(spec, variant, &scale).expect("single run");
                 assert_eq!(slot.cycles, alone.cycles);
             }
+        }
+    }
+
+    #[test]
+    fn derived_budget_completes_three_windows_on_every_channel() {
+        // At S = 4096 one window is 25 K cycles: 3 × 25 K × 8 instructions.
+        let scale = ExperimentScale::at(4096);
+        assert_eq!(scale.instructions_per_core, 600_000);
+        // The compute-bound and the memory-bound end of the registry.
+        let specs = ["povray", "mcf"].map(|n| registry::by_name(n).expect("registered"));
+        let runs = run_figure(specs, &[TrackerKind::Hydra.into()], &scale).expect("figure runs");
+        for run in &runs {
+            let mut fewest = u64::MAX;
+            for result in std::iter::once(&run.baseline).chain(&run.variants) {
+                for (ch, c) in result.controllers.iter().enumerate() {
+                    assert!(
+                        c.window_resets >= ExperimentScale::WINDOWS,
+                        "{} channel {ch}: {} windows",
+                        run.spec.name,
+                        c.window_resets
+                    );
+                    fewest = fewest.min(c.window_resets);
+                }
+            }
+            assert_eq!(run.min_windows(), fewest);
         }
     }
 

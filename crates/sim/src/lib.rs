@@ -3,9 +3,10 @@
 //! Ties together the DDR4 device model from `hydra-dram`, an
 //! [`ActivationTracker`](hydra_types::ActivationTracker) per channel, a
 //! FR-FCFS memory controller with read-priority and write-drain scheduling,
-//! a shared LLC model, and ROB-occupancy core models, into a full-system
-//! simulation ([`system::SystemSim`]) that reports per-core IPC — the metric
-//! behind every performance figure in the paper.
+//! and ROB-occupancy core models, into a full-system simulation
+//! ([`system::SystemSim`]) that reports per-core IPC — the metric behind
+//! every performance figure in the paper. The cores issue post-LLC miss
+//! streams straight to the controllers; no cache is simulated.
 //!
 //! A lighter [`fastsim::ActivationSim`] replays raw activation streams
 //! against a tracker with a bandwidth cost model; the security experiments
@@ -45,12 +46,10 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod cache;
 pub mod config;
 pub mod controller;
 pub mod core;
 pub mod fastsim;
-pub mod llc;
 pub mod metrics;
 pub mod oracle;
 pub mod rowswap;
@@ -58,12 +57,10 @@ pub mod stats;
 pub mod system;
 
 pub use batch::{BatchConfig, BatchJob, BatchReport, BatchRunner, JobReport, JobStatus};
-pub use cache::CoreCaches;
 pub use config::SystemConfig;
 pub use controller::{CompletedRead, MemController, RequestKind};
 pub use core::CoreModel;
 pub use fastsim::{ActivationSim, ActivationSimReport};
-pub use llc::SharedLlc;
 pub use metrics::{run_windowed, LatencySummary, StatsSource, WindowRecord, WindowSeries};
 pub use oracle::{OracleReport, ShadowOracle, Violation, ViolationKind};
 pub use rowswap::RowIndirection;

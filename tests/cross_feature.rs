@@ -1,12 +1,12 @@
-//! Cross-feature integration: trace record/replay, workload mixes, the
-//! private cache hierarchy, and row-swap mitigation working together.
+//! Cross-feature integration: trace record/replay, workload mixes and
+//! row-swap mitigation working together.
 
 use hydra_repro::core::{Hydra, HydraConfig};
-use hydra_repro::sim::{CoreCaches, SharedLlc, SystemConfig, SystemSim};
+use hydra_repro::sim::{SystemConfig, SystemSim};
 use hydra_repro::types::mitigation::MitigationPolicy;
 use hydra_repro::types::{MemGeometry, RowAddr};
 use hydra_repro::workloads::{
-    registry, AttackPattern, MixSlot, TraceFile, TraceSource, TraceWriter, WorkloadMix,
+    registry, AttackPattern, MixSlot, TraceFile, TraceWriter, WorkloadMix,
 };
 
 #[test]
@@ -69,39 +69,6 @@ fn mix_with_attacker_is_mitigated_without_hurting_victims_much() {
         "the attacker thread must be mitigated"
     );
     assert!(result.instructions >= 4 * 20_000, "all cores must finish");
-}
-
-#[test]
-fn cache_hierarchy_filters_a_recorded_loop_to_nothing() {
-    // A looping recorded trace with a small footprint should be entirely
-    // absorbed by L1/L2/LLC after warmup.
-    let geom = MemGeometry::isca22_baseline();
-    let spec = registry::by_name("leela").unwrap();
-    let mut buf = Vec::new();
-    {
-        let mut writer = TraceWriter::new(&mut buf).unwrap();
-        writer.record(&mut spec.build(geom, 1024, 3), 500).unwrap();
-    }
-    let mut trace = TraceFile::parse("leela-loop", &buf[..]).unwrap();
-
-    let mut llc = SharedLlc::isca22_baseline();
-    let mut caches = CoreCaches::isca22_baseline();
-    let mut dram_accesses = 0u64;
-    let mut total = 0u64;
-    for _ in 0..5_000 {
-        let op = trace.next_op();
-        total += 1;
-        if caches
-            .access(op.addr, op.is_write, &mut llc)
-            .hit_level
-            .is_none()
-        {
-            dram_accesses += 1;
-        }
-    }
-    // 500 distinct ops replayed 10x: only the cold pass misses.
-    assert!(dram_accesses <= 500, "{dram_accesses} DRAM accesses");
-    assert!(total == 5_000 && caches.l1_hits() > 3_000);
 }
 
 #[test]
