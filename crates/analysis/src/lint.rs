@@ -43,6 +43,11 @@
 //!   wrapping add or truncating cast on an activation counter silently
 //!   voids the security bound the paper proves; use `saturating_*`,
 //!   `checked_*` or `try_from` instead.
+//! * **`std-hash-maps`** — no `HashMap`/`HashSet` under std's randomly
+//!   keyed SipHash in non-test code of the simulation crates (`core`,
+//!   `sim`, `baselines`, `arena`): row-keyed maps use
+//!   `hydra_types::hash::{RowMap, RowSet}`, which hash in a few multiplies
+//!   and iterate in the same order in every process.
 //! * **`crate-layering`** — inter-crate dependencies (Cargo.toml and
 //!   `use hydra_*` paths) must follow the DAG declared in [`crate::dag`].
 //!
@@ -111,7 +116,7 @@ pub struct RuleInfo {
 /// otherwise), and `hydra-verify self-test` proves every entry fires on a
 /// known-bad snippet — so this table, the implementation, and the DESIGN.md
 /// catalog cannot drift apart silently.
-pub const RULES: [RuleInfo; 12] = [
+pub const RULES: [RuleInfo; 13] = [
     RuleInfo {
         id: "forbid-unsafe",
         severity: Severity::Error,
@@ -180,6 +185,13 @@ pub const RULES: [RuleInfo; 12] = [
         summary: "no wrapping +/*/as-narrowing on counters and row addresses in hot paths",
         fix_hint: "use saturating_*/checked_*/try_from, or annotate \
                    `// lint:allow(counter-arithmetic): <why the value provably fits>`",
+    },
+    RuleInfo {
+        id: "std-hash-maps",
+        severity: Severity::Error,
+        summary: "no std-hashed HashMap/HashSet in non-test code of core, sim, baselines, arena",
+        fix_hint:
+            "use hydra_types::hash::RowMap / RowSet (fixed hasher, process-independent order)",
     },
     RuleInfo {
         id: "crate-layering",
@@ -385,6 +397,10 @@ const CURSOR_NAMES: &[&str] = &[
 
 /// Crates whose library code is subject to `counter-arithmetic`.
 const HOT_PATH_CRATES: &[&str] = &["core", "baselines", "forensics"];
+
+/// Crates whose library code is subject to `std-hash-maps`: everything an
+/// activation passes through in simulation.
+const SIM_CRATES: &[&str] = &["core", "sim", "baselines", "arena"];
 
 /// Lints the workspace rooted at `root`. Returns all findings (empty =
 /// clean), sorted by file then line.
@@ -703,6 +719,7 @@ impl<'s> ScannedFile<'s> {
         let hot_path = self
             .crate_name()
             .is_some_and(|c| HOT_PATH_CRATES.contains(&c));
+        let sim_crate = self.crate_name().is_some_and(|c| SIM_CRATES.contains(&c));
         for i in 0..self.ts.code_len() {
             let in_test = self.in_test[i];
             let Some(text) = self.text(i) else { continue };
@@ -843,6 +860,24 @@ impl<'s> ScannedFile<'s> {
                         );
                     }
                 }
+            }
+
+            // std-hash-maps: the std map types name RandomState as their
+            // default hasher; the simulation crates use the row hasher.
+            if sim_crate
+                && !in_test
+                && tok.kind == TokenKind::Ident
+                && matches!(text, "HashMap" | "HashSet")
+            {
+                self.emit(
+                    findings,
+                    "std-hash-maps",
+                    tok.line,
+                    format!(
+                        "std {text} in a simulation crate hashes with randomly keyed SipHash; use hydra_types::hash::{} instead",
+                        if text == "HashMap" { "RowMap" } else { "RowSet" }
+                    ),
+                );
             }
 
             // counter-arithmetic: hot-path crates only.
@@ -1210,7 +1245,7 @@ struct SelfTestCase {
 
 const FORBID: &str = "#![forbid(unsafe_code)]\n";
 
-const SELF_TEST_CASES: [SelfTestCase; 12] = [
+const SELF_TEST_CASES: [SelfTestCase; 13] = [
     SelfTestCase {
         rule: "forbid-unsafe",
         files: &[("src/lib.rs", "pub fn f() {}\n")],
@@ -1285,6 +1320,16 @@ const SELF_TEST_CASES: [SelfTestCase; 12] = [
             (
                 "crates/core/src/lib.rs",
                 "#![forbid(unsafe_code)]\npub fn f(counts: &mut [u32]) { counts[0] += 1; }\n",
+            ),
+        ],
+    },
+    SelfTestCase {
+        rule: "std-hash-maps",
+        files: &[
+            ("src/lib.rs", FORBID),
+            (
+                "crates/sim/src/lib.rs",
+                "#![forbid(unsafe_code)]\npub fn f() -> std::collections::HashMap<u32, u32> { Default::default() }\n",
             ),
         ],
     },
@@ -1608,6 +1653,20 @@ mod tests {
             "use std::os::unix::net::{UnixListener, UnixStream};\npub fn f(l: &UnixListener) -> std::io::Result<UnixStream> {\n    l.accept().map(|(s, _)| s)\n}\n",
         );
         assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn flags_std_hash_maps_in_simulation_crates_outside_tests() {
+        let source = "use std::collections::{HashMap, HashSet};\npub struct T {\n    rows: HashMap<u32, u32>,\n}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        let _ = std::collections::HashSet::<u32>::new();\n    }\n}\n";
+        for krate in ["core", "sim", "baselines", "arena"] {
+            let diags = lint_at("stdhash", krate, "x.rs", source);
+            assert_eq!(diags.len(), 3, "{krate}: {diags:?}");
+            assert!(diags.iter().all(|d| d.rule == "std-hash-maps"));
+            assert_eq!(diags.iter().map(|d| d.line).collect::<Vec<_>>(), [1, 1, 3]);
+            assert!(diags[2].message.contains("RowMap"));
+        }
+        // Crates off the simulation path keep std maps.
+        assert!(lint_at("stdhashok", "server", "x.rs", source).is_empty());
     }
 
     #[test]

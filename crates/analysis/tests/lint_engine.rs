@@ -12,12 +12,13 @@ fn fixture_root() -> PathBuf {
 }
 
 /// Where a fixture for `rule` must live inside the scratch workspace:
-/// hot-path rules only apply under specific crates, layering under a
-/// leaf crate; everything else lints the facade library.
+/// hot-path and hashing rules only apply under specific crates, layering
+/// under a leaf crate; everything else lints the facade library.
 fn placement(rule: &str) -> &'static str {
     match rule {
         "counter-arithmetic" => "crates/core/src/lib.rs",
         "crate-layering" => "crates/types/src/lib.rs",
+        "std-hash-maps" => "crates/sim/src/lib.rs",
         _ => "src/lib.rs",
     }
 }

@@ -30,11 +30,11 @@
 //! sound provisioning (`entries ≥ 2·ACT_max / T_RH`, mirroring the paper's
 //! `N_RH_entries`) shows up as a zero in the leaderboard.
 
+use hydra_types::hash::RowMap;
 use hydra_types::{
     ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, MitigationRequest,
     RowAddr, TrackerResponse,
 };
-use std::collections::HashMap;
 
 /// ABACuS configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ pub struct Abacus {
     channel: u8,
     banks_per_rank: u8,
     /// One shared table per rank: row id → entry.
-    ranks: Vec<HashMap<u32, Entry>>,
+    ranks: Vec<RowMap<u32, Entry>>,
     mitigations: u64,
     table_full_mitigations: u64,
 }
@@ -125,7 +125,7 @@ impl Abacus {
             ));
         }
         let ranks = (0..geometry.ranks_per_channel())
-            .map(|_| HashMap::with_capacity(config.entries_per_rank))
+            .map(|_| RowMap::with_capacity_and_hasher(config.entries_per_rank, Default::default()))
             .collect();
         Ok(Abacus {
             config,

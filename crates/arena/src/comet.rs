@@ -27,10 +27,10 @@
 //! unmitigated accumulation by `2·(T_H − 1) < T_RH`.
 
 use hydra_baselines::sketch::CountMinSketch;
+use hydra_types::hash::RowMap;
 use hydra_types::{
     ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
 };
-use std::collections::HashMap;
 
 /// CoMeT configuration. See the module docs for the roles of the fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +78,7 @@ struct BankState {
     sketch: CountMinSketch,
     /// Exact recounting table: row → count upper bound since the last
     /// mitigation (seeded with the sketch estimate at promotion).
-    rat: HashMap<u32, u64>,
+    rat: RowMap<u32, u64>,
 }
 
 /// The CoMeT tracker for one channel. See the module docs.
@@ -121,7 +121,7 @@ impl Comet {
         let banks = (0..nbanks)
             .map(|_| BankState {
                 sketch: CountMinSketch::new(config.width, config.depth),
-                rat: HashMap::with_capacity(config.rat_entries),
+                rat: RowMap::with_capacity_and_hasher(config.rat_entries, Default::default()),
             })
             .collect();
         Ok(Comet {

@@ -32,10 +32,10 @@
 //! fallback mitigates rather than drops, so exhaustion degrades
 //! performance, never security.
 
+use hydra_types::hash::RowMap;
 use hydra_types::{
     ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
 };
-use std::collections::HashMap;
 
 /// START configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +99,7 @@ pub struct Start {
     config: StartConfig,
     channel: u8,
     /// Lazily-allocated counter groups.
-    groups: HashMap<GroupKey, Vec<u32>>,
+    groups: RowMap<GroupKey, Vec<u32>>,
     /// High-water mark of concurrently-allocated groups (any window).
     peak_groups: usize,
     mitigations: u64,
@@ -128,7 +128,7 @@ impl Start {
         Ok(Start {
             config,
             channel,
-            groups: HashMap::new(),
+            groups: RowMap::default(),
             peak_groups: 0,
             mitigations: 0,
             pool_full_mitigations: 0,

@@ -16,8 +16,8 @@ use crate::dcbf::DualCountingBloomFilter;
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
 use hydra_types::error::ConfigError;
+use hydra_types::hash::RowSet;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, TrackerResponse};
-use std::collections::HashSet;
 
 /// BlockHammer-style blacklisting tracker.
 ///
@@ -40,7 +40,7 @@ pub struct BlockHammer {
     filter: DualCountingBloomFilter,
     /// Rows already reported this epoch (one rate-limit request suffices;
     /// the controller's blacklist persists until the window reset).
-    reported: HashSet<RowAddr>,
+    reported: RowSet<RowAddr>,
     counters: usize,
     blacklists: u64,
 }
@@ -55,7 +55,7 @@ impl BlockHammer {
     pub fn new(counters: usize, threshold: u32, window: MemCycle) -> Result<Self, ConfigError> {
         Ok(BlockHammer {
             filter: DualCountingBloomFilter::new(counters, threshold, (window / 2).max(1))?,
-            reported: HashSet::new(),
+            reported: RowSet::default(),
             counters,
             blacklists: 0,
         })

@@ -7,7 +7,7 @@
 //! the estimate therefore never misses a true aggressor. (Graphene paper,
 //! MICRO 2020.)
 
-use std::collections::HashMap;
+use hydra_types::hash::RowMap;
 use std::hash::Hash;
 
 /// A Misra-Gries summary over items of type `K`.
@@ -25,7 +25,7 @@ use std::hash::Hash;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MisraGries<K> {
-    entries: HashMap<K, u64>,
+    entries: RowMap<K, u64>,
     capacity: usize,
     spillover: u64,
 }
@@ -39,7 +39,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "Misra-Gries needs at least one entry");
         MisraGries {
-            entries: HashMap::with_capacity(capacity),
+            entries: RowMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             spillover: 0,
         }
@@ -108,7 +108,9 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
         self.entries.contains_key(item)
     }
 
-    /// Iterates over the tracked `(item, count)` pairs in arbitrary order.
+    /// Iterates over the tracked `(item, count)` pairs in an unspecified
+    /// order that depends only on the operations applied (the map uses the
+    /// fixed [`hydra_types::hash::RowHasher`]).
     ///
     /// Counts carry the usual Misra-Gries over-approximation (up to
     /// [`Self::spillover`] phantom occurrences); heavy-hitter consumers
@@ -215,6 +217,25 @@ mod tests {
         mg.clear();
         assert!(mg.is_empty());
         assert_eq!(mg.spillover(), 0);
+    }
+
+    #[test]
+    fn two_summaries_fed_one_stream_agree_entry_for_entry() {
+        // Which floor entry gets evicted follows map iteration order; under
+        // the fixed row hasher that order is the same in every instance
+        // (and every process), so replays agree entry for entry.
+        let stream: Vec<u32> = (0..5000u32)
+            .map(|i| i.wrapping_mul(2_654_435_761) % 97)
+            .collect();
+        let (mut a, mut b) = (MisraGries::new(8), MisraGries::new(8));
+        for item in &stream {
+            assert_eq!(a.increment(item), b.increment(item));
+        }
+        let pairs = |mg: &MisraGries<u32>| mg.entries().map(|(&k, c)| (k, c)).collect::<Vec<_>>();
+        assert_eq!(pairs(&a), pairs(&b));
+        for item in 0..97 {
+            assert_eq!(a.estimate(&item), b.estimate(&item));
+        }
     }
 
     #[test]

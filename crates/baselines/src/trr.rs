@@ -18,8 +18,8 @@ use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
+use hydra_types::hash::RowMap;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, TrackerResponse};
-use std::collections::HashMap;
 
 /// A deliberately weak TRR-style sampler (see module docs).
 ///
@@ -44,7 +44,7 @@ pub struct VendorTrr {
     threshold: u32,
     capacity: usize,
     /// Per-bank sampler tables: row → count.
-    tables: Vec<HashMap<u32, u32>>,
+    tables: Vec<RowMap<u32, u32>>,
     mitigations: u64,
     escaped_activations: u64,
 }
@@ -75,7 +75,7 @@ impl VendorTrr {
             banks_per_rank: geometry.banks_per_rank(),
             threshold,
             capacity,
-            tables: vec![HashMap::new(); nbanks],
+            tables: vec![RowMap::default(); nbanks],
             mitigations: 0,
             escaped_activations: 0,
         })

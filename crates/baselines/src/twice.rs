@@ -14,7 +14,7 @@
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
 use hydra_types::error::ConfigError;
-use std::collections::HashMap;
+use hydra_types::hash::RowMap;
 
 /// A TWiCE-style table for one bank (or any address scope the caller picks).
 ///
@@ -34,7 +34,7 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug, Clone)]
 pub struct TwiceTable {
-    entries: HashMap<RowAddr, u32>,
+    entries: RowMap<RowAddr, u32>,
     capacity: usize,
     threshold: u32,
     window: MemCycle,
@@ -69,7 +69,7 @@ impl TwiceTable {
             ));
         }
         Ok(TwiceTable {
-            entries: HashMap::with_capacity(capacity),
+            entries: RowMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
             threshold,
             window,

@@ -128,7 +128,9 @@ impl Client {
 
     /// Sends `frame` and waits for its reply, absorbing `Busy` with
     /// exponential backoff (resending the same frame) and counting
-    /// stray `Reject`s along the way.
+    /// stray `Reject`s along the way. Incident frames are never a reply:
+    /// on a subscriber the daemon may publish one before it acks the
+    /// request (the subscription itself included), so they are skipped.
     ///
     /// # Errors
     ///
@@ -158,6 +160,7 @@ impl Client {
                         }
                         return Err(format!("rejected: {}", reason.as_str()));
                     }
+                    DecodeEvent::Frame(Frame::Incident { .. }) => {}
                     DecodeEvent::Frame(other) => return Ok(other),
                     DecodeEvent::Rejected { .. } => {
                         // Corrupted daemon->client bytes never happen in
@@ -680,4 +683,42 @@ pub fn run_load(config: &LoadConfig) -> Result<LoadReport, String> {
     }
     report.tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixListener;
+
+    #[test]
+    fn subscribe_skips_an_incident_that_arrives_before_its_ack() {
+        let path = std::env::temp_dir().join(format!(
+            "hydra-client-subscribe-{}.sock",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path).unwrap();
+        let daemon = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let incident = Frame::Incident {
+                tenant: "t0".to_string(),
+                line: "{}".to_string(),
+            };
+            stream.write_all(&incident.encode()).unwrap();
+            let ack = Frame::Ack {
+                seq: 0,
+                accepted: 0,
+            };
+            stream.write_all(&ack.encode()).unwrap();
+            // Hold the connection open until the client has read both.
+            let mut sink = Vec::new();
+            let _ = stream.read_to_end(&mut sink);
+        });
+        let mut client = Client::connect(&path).unwrap();
+        let reply = client.subscribe();
+        drop(client);
+        daemon.join().unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(reply, Ok(()));
+    }
 }

@@ -23,9 +23,10 @@ use hydra_dram::DramChannel;
 use hydra_telemetry::{CtrlQueue, EventSink, TelemetryEvent};
 use hydra_types::addr::{LineAddr, RowAddr};
 use hydra_types::clock::MemCycle;
+use hydra_types::hash::RowMap;
 use hydra_types::mitigation::MitigationPolicy;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, SideRequestKind};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Why a request is in the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,9 +123,11 @@ pub struct MemController {
     /// Rows barred from activation until a given cycle (rate-limit
     /// mitigation: blacklisted until the end of the tracking window,
     /// matching D-CBF semantics — Sec. 7.1).
-    blacklist: HashMap<RowAddr, MemCycle>,
+    blacklist: RowMap<RowAddr, MemCycle>,
     /// Logical→physical row remapping (row-swap mitigation only).
     indirection: Option<RowIndirection>,
+    /// Banks per rank: `pick` numbers a bank `rank * banks_per_rank + bank`.
+    banks_per_rank: u32,
     stats: ControllerStats,
     /// Optional telemetry sink for queue enqueue/issue events; `None` costs
     /// one branch per emission site.
@@ -137,14 +140,25 @@ pub struct MemController {
 
 impl MemController {
     /// Creates a controller for `channel_index` with the given tracker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 64 banks per channel: the
+    /// scheduler tracks bank ownership in one 64-bit mask.
     pub fn new(
         config: &SystemConfig,
         channel_index: u8,
         tracker: Box<dyn ActivationTracker>,
     ) -> Self {
+        let geometry = config.geometry;
+        let banks = u32::from(geometry.ranks_per_channel()) * u32::from(geometry.banks_per_rank());
+        assert!(
+            banks <= u64::BITS,
+            "the controller schedules at most 64 banks per channel, got {banks}"
+        );
         MemController {
             channel_index,
-            dram: DramChannel::new(config.geometry, config.timing, channel_index),
+            dram: DramChannel::new(geometry, config.timing, channel_index),
             tracker,
             read_q: VecDeque::new(),
             write_q: VecDeque::new(),
@@ -161,14 +175,15 @@ impl MemController {
             write_high: config.write_drain_high,
             write_low: config.write_drain_low,
             mitigation: config.mitigation,
-            blacklist: HashMap::new(),
+            blacklist: RowMap::default(),
             indirection: match config.mitigation {
                 MitigationPolicy::RowSwap { seed } => Some(RowIndirection::new(
-                    config.geometry,
+                    geometry,
                     seed ^ u64::from(channel_index).wrapping_mul(0x9E37_79B9),
                 )),
                 _ => None,
             },
+            banks_per_rank: u32::from(geometry.banks_per_rank()),
             stats: ControllerStats::default(),
             probe: None,
             idle_until: 0,
@@ -557,7 +572,7 @@ impl MemController {
             {
                 continue;
             }
-            let bank_bit = 1u64 << (u32::from(rank) * 16 + u32::from(bank)).min(63);
+            let bank_bit = 1u64 << (u32::from(rank) * self.banks_per_rank + u32::from(bank));
             if seen_banks & bank_bit != 0 {
                 continue; // an older request owns this bank's next command
             }
@@ -879,6 +894,37 @@ mod tests {
         fn sram_bytes(&self) -> u64 {
             0
         }
+    }
+
+    #[test]
+    fn bank_ownership_distinguishes_every_bank_of_a_two_rank_channel() {
+        // 2 ranks × 32 banks: rank 1/bank 0 and rank 0/bank 16 are two
+        // banks, so a blocked command on one must not hold up the other.
+        let mut config = SystemConfig::tiny_test();
+        config.geometry = MemGeometry::new(1, 2, 32, 1024, 1024).unwrap();
+        let geom = config.geometry;
+        let mut c = MemController::new(&config, 0, Box::new(NullTracker));
+        c.dram.activate(0, 16, 1, 100);
+        let now = 101;
+        // A row conflict at rank 0/bank 16, whose precharge waits on tRAS...
+        let conflict = geom.line_of_row(RowAddr::new(0, 0, 16, 2), 0);
+        c.enqueue_read(conflict, 0, now).unwrap();
+        // ...and a read to the closed rank 1/bank 0 behind it.
+        let free = geom.line_of_row(RowAddr::new(0, 1, 0, 3), 0);
+        c.enqueue_read(free, 0, now).unwrap();
+        assert!(!c.dram.can_precharge(0, 16, now));
+        assert!(
+            matches!(c.pick(QueueSel::Read, now), Some(Pick::Activate(1))),
+            "the younger request's bank is free: activate it"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 banks per channel")]
+    fn more_than_64_banks_per_channel_is_rejected() {
+        let mut config = SystemConfig::tiny_test();
+        config.geometry = MemGeometry::new(1, 4, 32, 1024, 1024).unwrap();
+        let _ = MemController::new(&config, 0, Box::new(NullTracker));
     }
 
     #[test]

@@ -40,9 +40,9 @@
 //! assert_eq!(oracle.report().violations_total, 1);
 //! ```
 
+use hydra_types::hash::RowMap;
 use hydra_types::tracker::NullTracker;
 use hydra_types::{ActivationKind, ActivationTracker, MemCycle, RowAddr, TrackerResponse};
-use std::collections::HashMap;
 use std::fmt;
 
 /// What kind of contract breach the sanitizer observed.
@@ -97,7 +97,9 @@ impl fmt::Display for Violation {
 pub struct OracleReport {
     /// Activations observed.
     pub activations: u64,
-    /// Distinct rows with nonzero counts at any point.
+    /// Rows the oracle holds when the report is taken: every row with a
+    /// nonzero count in the current or previous window, plus rows touched
+    /// only by a mitigation since the last window reset.
     pub rows_tracked: u64,
     /// Total violations recorded (all kinds).
     pub violations_total: u64,
@@ -138,7 +140,7 @@ pub struct ShadowOracle<T> {
     inner: T,
     t_rh: u64,
     name: String,
-    rows: HashMap<RowAddr, RowState>,
+    rows: RowMap<RowAddr, RowState>,
     violations: Vec<Violation>,
     report: OracleReport,
 }
@@ -151,7 +153,7 @@ impl<T: ActivationTracker> ShadowOracle<T> {
             inner,
             t_rh: u64::from(t_rh),
             name,
-            rows: HashMap::new(),
+            rows: RowMap::default(),
             violations: Vec::new(),
             report: OracleReport::default(),
         }
@@ -230,18 +232,28 @@ impl<T: ActivationTracker> ActivationTracker for ShadowOracle<T> {
         kind: ActivationKind,
     ) -> TrackerResponse {
         self.report.activations += 1;
+        let response = self.inner.on_activation(row, now, kind);
         // Every activation disturbs the row's neighbors, whatever caused it
         // — demand, victim refresh (Half-Double), or tracker side traffic.
-        self.rows.entry(row).or_default().current += 1;
-
-        let response = self.inner.on_activation(row, now, kind);
-        self.apply_mitigations(&response, now);
-
-        if let Some(state) = self.rows.get_mut(&row) {
+        // The inner tracker never sees the oracle's counts, so counting
+        // after its call is the same as counting before it.
+        let state = if response.mitigations.is_empty() {
+            // The common case: one probe counts the activation and checks
+            // the row.
+            let state = self.rows.entry(row).or_default();
+            state.current += 1;
+            Some(state)
+        } else {
+            self.rows.entry(row).or_default().current += 1;
+            self.apply_mitigations(&response, now);
+            self.rows.get_mut(&row)
+        };
+        if let Some(state) = state {
             let total = state.total();
+            let breach = total >= self.t_rh && !state.flagged;
+            state.flagged |= breach;
             self.report.worst_unmitigated = self.report.worst_unmitigated.max(total);
-            if total >= self.t_rh && !state.flagged {
-                state.flagged = true;
+            if breach {
                 self.record(ViolationKind::ExcessActivations, row, total, now);
             }
         }
@@ -251,16 +263,17 @@ impl<T: ActivationTracker> ActivationTracker for ShadowOracle<T> {
     fn reset_window(&mut self, now: MemCycle) {
         self.report.window_resets += 1;
         // The regular refresh restores charge once per window: disturbance
-        // can only straddle two adjacent windows. Shift current → prev and
-        // drop the older window's contribution.
-        for state in self.rows.values_mut() {
+        // can only straddle two adjacent windows. Shift current → prev,
+        // drop the older window's contribution, and forget rows left empty.
+        let t_rh = self.t_rh;
+        self.rows.retain(|_, state| {
             state.prev = state.current;
             state.current = 0;
-            if state.total() < self.t_rh {
+            if state.total() < t_rh {
                 state.flagged = false;
             }
-        }
-        self.rows.retain(|_, s| s.total() > 0);
+            state.total() > 0
+        });
         self.inner.reset_window(now);
     }
 
@@ -296,14 +309,14 @@ mod tests {
     /// stay clean on it.
     struct Exact {
         t_h: u32,
-        counts: HashMap<RowAddr, u32>,
+        counts: RowMap<RowAddr, u32>,
     }
 
     impl Exact {
         fn new(t_h: u32) -> Self {
             Exact {
                 t_h,
-                counts: HashMap::new(),
+                counts: RowMap::default(),
             }
         }
     }

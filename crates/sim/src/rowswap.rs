@@ -16,9 +16,9 @@
 
 use hydra_types::addr::RowAddr;
 use hydra_types::geometry::MemGeometry;
+use hydra_types::hash::RowMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Logical→physical row indirection with randomized swapping.
 ///
@@ -38,8 +38,8 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct RowIndirection {
     geometry: MemGeometry,
-    map: HashMap<RowAddr, RowAddr>,
-    inverse: HashMap<RowAddr, RowAddr>,
+    map: RowMap<RowAddr, RowAddr>,
+    inverse: RowMap<RowAddr, RowAddr>,
     rng: SmallRng,
     swaps: u64,
 }
@@ -49,8 +49,8 @@ impl RowIndirection {
     pub fn new(geometry: MemGeometry, seed: u64) -> Self {
         RowIndirection {
             geometry,
-            map: HashMap::new(),
-            inverse: HashMap::new(),
+            map: RowMap::default(),
+            inverse: RowMap::default(),
             rng: SmallRng::seed_from_u64(seed),
             swaps: 0,
         }

@@ -16,6 +16,8 @@
 //!   traffic such as counter-table reads/writes) whose bandwidth cost the
 //!   controller must model.
 //! * [`mitigation`] — victim-refresh mitigation policy types.
+//! * [`hash`] — the fixed hasher behind every row-keyed map
+//!   ([`hash::RowMap`], [`hash::RowSet`]).
 //! * [`json`] — the JSON string escaper every hand-rolled writer shares,
 //!   and the parser every reader shares.
 //!
@@ -38,6 +40,7 @@ pub mod clock;
 pub mod deadline;
 pub mod error;
 pub mod geometry;
+pub mod hash;
 pub mod json;
 pub mod mitigation;
 pub mod tracker;
