@@ -77,17 +77,6 @@ impl Bank {
         self.next_precharge
     }
 
-    /// The smallest of this bank's timing registers that lies after `now`
-    /// (`MemCycle::MAX` if all have passed): until then, every `can_*`
-    /// predicate answers as it does at `now`.
-    #[inline]
-    pub(crate) fn next_change(&self, now: MemCycle) -> MemCycle {
-        first_after(
-            now,
-            [self.next_activate, self.next_column, self.next_precharge],
-        )
-    }
-
     /// True if the bank is closed and past its tRC/tRP constraints at `now`.
     #[inline]
     pub fn can_activate(&self, _timing: &DramTiming, now: MemCycle) -> bool {
@@ -181,17 +170,6 @@ impl Bank {
         self.open_row = None;
         self.next_activate = self.next_activate.max(ready_at);
     }
-}
-
-/// The earliest of `registers` strictly after `now`, or `MemCycle::MAX`.
-pub(crate) fn first_after<const N: usize>(now: MemCycle, registers: [MemCycle; N]) -> MemCycle {
-    let mut next = MemCycle::MAX;
-    for t in registers {
-        if t > now && t < next {
-            next = t;
-        }
-    }
-    next
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Rank and channel aggregation: tRRD / tFAW, refresh, and the shared data
 //! bus.
 
-use crate::bank::{first_after, Bank};
+use crate::bank::Bank;
 use crate::power::PowerCounters;
 use crate::refresh::RefreshState;
 use crate::timing::DramTiming;
@@ -65,24 +65,17 @@ impl Rank {
         self.faw[self.faw_cursor].is_none_or(|oldest| now >= oldest + timing.tfaw)
     }
 
-    /// The smallest cycle after `now` at which this rank's constraints
-    /// (tRRD, tFAW, refresh) or any of its banks' timing registers expire,
-    /// or `MemCycle::MAX` if none is pending.
-    pub(crate) fn next_change(&self, timing: &DramTiming, now: MemCycle) -> MemCycle {
+    /// The earliest cycle at which an activate to `bank` can be legal: the
+    /// latest of the bank's tRC/tRP register, the rank's tRRD and tFAW
+    /// windows and the end of an in-flight refresh.
+    #[inline]
+    fn activate_ready_at(&self, timing: &DramTiming, bank: u8) -> MemCycle {
         let tfaw_expiry = self.faw[self.faw_cursor].map_or(0, |oldest| oldest + timing.tfaw);
-        let rank = first_after(
-            now,
-            [
-                self.next_act_any,
-                tfaw_expiry,
-                self.refresh.busy_until(),
-                self.refresh.next_due(),
-            ],
-        );
-        self.banks
-            .iter()
-            .map(|b| b.next_change(now))
-            .fold(rank, MemCycle::min)
+        self.bank(bank)
+            .activate_ready_at()
+            .max(self.next_act_any)
+            .max(tfaw_expiry)
+            .max(self.refresh.busy_until())
     }
 
     fn record_activate(&mut self, timing: &DramTiming, now: MemCycle) {
@@ -186,6 +179,35 @@ impl DramChannel {
     pub fn can_activate(&self, rank: u8, bank: u8, now: MemCycle) -> bool {
         let r = &self.ranks[rank as usize];
         r.rank_allows_activate(&self.timing, now) && r.bank(bank).can_activate(&self.timing, now)
+    }
+
+    /// The earliest cycle at which an ACT to `(rank, bank)` can be legal:
+    /// once the bank is closed, [`Self::can_activate`] holds exactly from
+    /// this cycle on, as long as no command issues and no refresh starts.
+    #[inline]
+    pub fn activate_ready_at(&self, rank: u8, bank: u8) -> MemCycle {
+        self.ranks[rank as usize].activate_ready_at(&self.timing, bank)
+    }
+
+    /// The earliest cycle at which a column command (read or write) to
+    /// `(rank, bank)` can be legal: the latest of the bank's tRCD register,
+    /// the end of an in-flight refresh and the data bus's next free slot.
+    /// With a row open, [`Self::can_read`] holds exactly from this cycle on.
+    #[inline]
+    pub fn column_ready_at(&self, rank: u8, bank: u8) -> MemCycle {
+        let r = &self.ranks[rank as usize];
+        r.bank(bank)
+            .column_ready_at()
+            .max(r.refresh().busy_until())
+            .max(self.bus_free_at)
+    }
+
+    /// The earliest cycle at which a precharge of `(rank, bank)` can be
+    /// legal (the bank's tRAS/tRTP/tWR register). With a row open,
+    /// [`Self::can_precharge`] holds exactly from this cycle on.
+    #[inline]
+    pub fn precharge_ready_at(&self, rank: u8, bank: u8) -> MemCycle {
+        self.ranks[rank as usize].bank(bank).precharge_ready_at()
     }
 
     /// Issues an ACT.
@@ -297,32 +319,6 @@ impl DramChannel {
         issued
     }
 
-    /// The smallest cycle after `now` at which any command's legality on this
-    /// channel, or its refresh schedule, can change without a command being
-    /// issued; `MemCycle::MAX` if nothing is pending.
-    ///
-    /// `can_activate`, `can_read`, `can_write` and `can_precharge` on every
-    /// bank, and whether [`Self::maintain_refresh`] issues, are constant
-    /// over `now..next_change(now)` as long as no command issues: every
-    /// predicate compares `now` against one register (bank
-    /// `next_activate` / `next_column` / `next_precharge`, rank tRRD, tFAW
-    /// expiry, refresh `busy_until` / `next_due`, the bus), and this is the
-    /// first register still ahead of `now`.
-    pub fn next_change(&self, now: MemCycle) -> MemCycle {
-        self.ranks
-            .iter()
-            .map(|r| r.next_change(&self.timing, now))
-            .fold(first_after(now, [self.bus_free_at]), MemCycle::min)
-    }
-
-    /// Earliest cycle at which another column command may issue (data bursts
-    /// pipeline behind CAS latency, so back-to-back commands are legal every
-    /// `burst` cycles).
-    #[inline]
-    pub fn bus_free_at(&self) -> MemCycle {
-        self.bus_free_at
-    }
-
     /// Marks a column command issued at `now`: the next one may issue once
     /// its burst slot frees, `burst` cycles later (CAS latency pipelines).
     fn occupy_bus(&mut self, now: MemCycle) {
@@ -387,15 +383,24 @@ mod tests {
     }
 
     #[test]
-    fn next_change_is_the_first_pending_register() {
+    fn ready_at_is_the_binding_register() {
         let mut ch = channel();
         let t = *ch.timing();
-        // Idle channel: only the first refresh is pending.
-        assert_eq!(ch.next_change(0), t.trefi);
+        // Idle channel: everything is legal from cycle 0.
+        assert_eq!(ch.activate_ready_at(0, 1), 0);
         ch.activate(0, 0, 5, 0);
-        assert_eq!(ch.next_change(0), t.trrd);
-        assert_eq!(ch.next_change(t.trrd), t.trcd);
-        assert_eq!(ch.next_change(t.trcd), t.tras);
+        // Bank 0 waits on tRCD and tRAS, bank 1 on tRRD.
+        assert_eq!(ch.column_ready_at(0, 0), t.trcd);
+        assert_eq!(ch.precharge_ready_at(0, 0), t.tras);
+        assert_eq!(ch.activate_ready_at(0, 1), t.trrd);
+        // A read holds the bus for one burst.
+        ch.read(0, 0, t.trcd);
+        assert_eq!(ch.column_ready_at(0, 0), t.trcd + t.burst);
+        // A refresh blocks activates and columns until it ends.
+        ch.maintain_refresh(t.trefi);
+        let end = t.trefi + t.trp + t.trfc;
+        assert_eq!(ch.activate_ready_at(0, 1), end);
+        assert_eq!(ch.column_ready_at(0, 0), end);
     }
 
     #[test]

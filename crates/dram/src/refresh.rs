@@ -59,11 +59,6 @@ impl RefreshState {
         self.busy_until
     }
 
-    /// Cycle at which the next REF falls due.
-    pub(crate) fn next_due(&self) -> MemCycle {
-        self.next_due
-    }
-
     /// Number of REF commands issued so far.
     pub fn refreshes_issued(&self) -> u64 {
         self.refreshes_issued

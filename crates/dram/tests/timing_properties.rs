@@ -59,21 +59,48 @@ fn apply(ch: &mut DramChannel, rank: u8, op: Op, now: &mut MemCycle) {
     }
 }
 
-/// Every time-dependent answer the channel gives at `t`: per bank
-/// (activate, read, precharge legality), then per rank whether a refresh
-/// would issue.
-fn legality(ch: &DramChannel, geom: &MemGeometry, t: MemCycle) -> Vec<bool> {
-    let mut answers = Vec::new();
+/// Checks, at cycle `t`, that every bank's `can_*` predicate is its
+/// bank-state condition AND `t >= *_ready_at`.
+fn check_ready_at(ch: &DramChannel, geom: &MemGeometry, t: MemCycle) -> Result<(), TestCaseError> {
     for rank in 0..geom.ranks_per_channel() {
         for bank in 0..geom.banks_per_rank() {
-            answers.push(ch.can_activate(rank, bank, t));
-            answers.push(ch.can_read(rank, bank, t));
-            answers.push(ch.can_precharge(rank, bank, t));
+            let open = ch.open_row(rank, bank).is_some();
+            let column = open && t >= ch.column_ready_at(rank, bank);
+            prop_assert_eq!(
+                ch.can_activate(rank, bank, t),
+                !open && t >= ch.activate_ready_at(rank, bank),
+                "ACT rank {} bank {} t {}",
+                rank,
+                bank,
+                t
+            );
+            prop_assert_eq!(
+                ch.can_read(rank, bank, t),
+                column,
+                "RD rank {} bank {} t {}",
+                rank,
+                bank,
+                t
+            );
+            prop_assert_eq!(
+                ch.can_write(rank, bank, t),
+                column,
+                "WR rank {} bank {} t {}",
+                rank,
+                bank,
+                t
+            );
+            prop_assert_eq!(
+                ch.can_precharge(rank, bank, t),
+                open && t >= ch.precharge_ready_at(rank, bank),
+                "PRE rank {} bank {} t {}",
+                rank,
+                bank,
+                t
+            );
         }
-        let refresh = ch.rank(rank).refresh();
-        answers.push(refresh.is_due(t) && !refresh.is_refreshing(t));
     }
-    answers
+    Ok(())
 }
 
 proptest! {
@@ -161,16 +188,17 @@ proptest! {
         prop_assert!(ch.stats().refreshes >= 4, "refreshes {}", ch.stats().refreshes);
     }
 
-    /// Between commands, nothing about the channel changes before
-    /// `next_change(now)`: every bank's `can_activate` / `can_read` /
-    /// `can_precharge` and every rank's refresh trigger answer the same at
-    /// any cycle in `now..next_change(now)` as at `now`. The memory
-    /// controller relies on this to skip cycles in which it cannot issue.
-    /// A short tREFI makes refreshes land inside the sequences.
+    /// Between commands, each `*_ready_at` is the exact cycle its command
+    /// becomes legal: at any probe cycle `t`, `can_activate` / `can_read` /
+    /// `can_write` / `can_precharge` equal the bank-state condition (closed
+    /// or open) AND `t >= *_ready_at`. The memory controller relies on this
+    /// to sleep until a queued command becomes legal. Probes sit at random
+    /// offsets and on both sides of every register, where a missing term
+    /// shows; a short tREFI makes refreshes land inside the sequences.
     #[test]
-    fn legality_is_constant_until_next_change(
+    fn ready_at_matches_legality(
         ops in prop::collection::vec(rank_op_strategy(), 1..300),
-        probes in prop::collection::vec(0.0f64..1.0, 4),
+        probes in prop::collection::vec(0u64..2_000, 4),
     ) {
         let geom = MemGeometry::new(1, 2, 8, 64, 1024).expect("valid geometry");
         let mut timing = DramTiming::ddr4_3200();
@@ -180,16 +208,20 @@ proptest! {
         for (rank, op) in ops {
             ch.maintain_refresh(now);
             apply(&mut ch, rank, op, &mut now);
-            let next = ch.next_change(now);
-            prop_assert!(next > now);
-            let at_now = legality(&ch, &geom, now);
-            // The answers are threshold tests on `now`, so the last cycle
-            // before `next` is the decisive probe; a few interior cycles
-            // guard against non-monotone predicates.
-            let last = next.min(now + 4 * timing.trefi) - 1;
-            let interior = probes.iter().map(|p| now + ((last - now) as f64 * p) as MemCycle);
-            for t in interior.chain([now + 1, last]).filter(|&t| t <= last) {
-                prop_assert_eq!(&legality(&ch, &geom, t), &at_now, "t={} now={} next={}", t, now, next);
+            let mut at = probes.iter().map(|p| now + p).collect::<Vec<_>>();
+            for r in 0..geom.ranks_per_channel() {
+                for b in 0..geom.banks_per_rank() {
+                    for ready in [
+                        ch.activate_ready_at(r, b),
+                        ch.column_ready_at(r, b),
+                        ch.precharge_ready_at(r, b),
+                    ] {
+                        at.extend([ready.saturating_sub(1), ready]);
+                    }
+                }
+            }
+            for t in at.into_iter().filter(|&t| t >= now) {
+                check_ready_at(&ch, &geom, t)?;
             }
             now += 1;
         }

@@ -27,6 +27,7 @@ use hydra_types::hash::RowMap;
 use hydra_types::mitigation::MitigationPolicy;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, SideRequestKind};
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// Why a request is in the controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,9 +133,9 @@ pub struct MemController {
     /// Optional telemetry sink for queue enqueue/issue events; `None` costs
     /// one branch per emission site.
     probe: Option<Box<dyn EventSink>>,
-    /// Memo of the last tick that issued nothing: until this cycle no
-    /// scheduling decision can differ from that tick's, so `tick` skips the
-    /// queue scan. Zero (never ahead of `now`) when no memo is held.
+    /// Memo of the last tick that issued nothing: the earliest cycle at
+    /// which any queued command can become legal, so `tick` skips the queue
+    /// scans before it. Zero (never ahead of `now`) when no memo is held.
     idle_until: MemCycle,
 }
 
@@ -242,7 +243,8 @@ impl MemController {
     }
 
     /// Queues a demand read; returns its id, or `None` if the read queue is
-    /// full (the core must retry next cycle).
+    /// full (the core must retry next cycle). A held idle memo is narrowed to
+    /// the cycle the new read could first get a command.
     pub fn enqueue_read(&mut self, addr: LineAddr, core: usize, now: MemCycle) -> Option<u64> {
         if self.read_q.len() >= self.read_capacity {
             return None;
@@ -254,7 +256,7 @@ impl MemController {
             .map_or(logical, |i| i.physical(logical));
         let id = self.next_id;
         self.next_id += 256;
-        self.idle_until = 0;
+        self.idle_until = self.idle_until.min(self.ready_at(row));
         self.read_q.push_back(Request {
             id,
             row,
@@ -272,7 +274,9 @@ impl MemController {
         Some(id)
     }
 
-    /// Queues a demand write; returns `false` if the write queue is full.
+    /// Queues a demand write; returns `false` if the write queue is full. A
+    /// held idle memo is narrowed to the cycle the new write could first get
+    /// a command, or dropped if the write reaches the drain watermark.
     pub fn enqueue_write(&mut self, addr: LineAddr, now: MemCycle) -> bool {
         if self.write_q.len() >= self.write_capacity {
             return false;
@@ -284,7 +288,11 @@ impl MemController {
             .map_or(logical, |i| i.physical(logical));
         let id = self.next_id;
         self.next_id += 256;
-        self.idle_until = 0;
+        self.idle_until = if self.write_q.len() + 1 >= self.write_high {
+            0 // the write drain may start, adding the whole write queue
+        } else {
+            self.idle_until.min(self.ready_at(row))
+        };
         self.write_q.push_back(Request {
             id,
             row,
@@ -300,6 +308,19 @@ impl MemController {
             },
         );
         true
+    }
+
+    /// The earliest cycle a request for `row` could get a command, ignoring
+    /// bank ownership and the blacklist (both can only delay it): a column
+    /// command on its open row, else a precharge of the open row, else an
+    /// activate.
+    fn ready_at(&self, row: RowAddr) -> MemCycle {
+        let (rank, bank) = (row.rank, row.bank);
+        match self.dram.open_row(rank, bank) {
+            Some(open) if open == row.row => self.dram.column_ready_at(rank, bank),
+            Some(_) => self.dram.precharge_ready_at(rank, bank),
+            None => self.dram.activate_ready_at(rank, bank),
+        }
     }
 
     /// Reports an activation to the tracker and enqueues whatever mitigation
@@ -407,16 +428,18 @@ impl MemController {
         }
     }
 
-    /// Advances one memory cycle; returns any demand reads whose data burst
-    /// was scheduled this cycle (their `done_at` may be in the future).
+    /// Advances one memory cycle, appending to `completions` any demand
+    /// reads whose data burst was scheduled this cycle (their `done_at` may
+    /// be in the future).
     ///
-    /// A tick that issues nothing leaves the controller's state untouched,
-    /// so its outcome can only differ at a later cycle once some timing
-    /// register it compared against passes. Such a tick records that cycle
-    /// (`next_wake`), and the ticks before it return right after the window
-    /// and refresh checks; an enqueue, a refresh or a window reset drops the
-    /// memo.
-    pub fn tick(&mut self, now: MemCycle) -> Vec<CompletedRead> {
+    /// A tick that issues nothing leaves the controller's state untouched.
+    /// It records the earliest cycle at which any command it scanned for can
+    /// become legal (`next_wake`), and the ticks before that cycle return
+    /// right after the window and refresh checks: every cycle they skip is
+    /// one in which nothing could have issued. An enqueue narrows the memo
+    /// to the new request's ready cycle; a write that reaches the drain
+    /// watermark, a refresh and a window reset drop it.
+    pub fn tick(&mut self, now: MemCycle, completions: &mut Vec<CompletedRead>) {
         // Tracking-window reset (Sec. 4.6).
         if now >= self.next_window_reset {
             self.tracker.reset_window(now);
@@ -432,7 +455,7 @@ impl MemController {
             self.idle_until = 0;
         }
         if now < self.idle_until {
-            return Vec::new();
+            return;
         }
 
         // Write-drain hysteresis.
@@ -442,36 +465,37 @@ impl MemController {
             self.draining_writes = false;
         }
 
-        let mut completions = Vec::new();
-        // A cycle no queue uses closes a victim-refresh bank; if none can
-        // close either, this tick changed nothing.
-        if !self.try_issue(now, &mut completions) && !self.service_auto_close(now) {
-            self.idle_until = self.next_wake(now);
+        if let ControlFlow::Continue(wake) = self.try_issue(now, completions) {
+            self.idle_until = self.next_wake(now, wake);
         }
-        completions
     }
 
-    /// The first cycle after `now` at which a scheduling predicate can
-    /// change on its own: a DRAM timing register passing
-    /// ([`DramChannel::next_change`]) or a blacklist entry expiring. Window
+    /// The cycle an idle tick sleeps until: `wake`, the earliest cycle at
+    /// which a command the tick scanned for becomes legal, or an earlier
+    /// blacklist expiry, which can hand a bank to an older request. Window
     /// resets and refreshes need no wake-up here, since `tick` checks them
     /// every cycle and drops the memo when one fires. Neither does the side
-    /// queue's promotion by age: it only reorders the queue scans, and a
-    /// tick that found nothing in any queue finds nothing in another order.
-    fn next_wake(&self, now: MemCycle) -> MemCycle {
+    /// queue's promotion by age: it only reorders the queue scans, and every
+    /// queue a tick may scan is scanned either way.
+    fn next_wake(&self, now: MemCycle, wake: MemCycle) -> MemCycle {
         self.blacklist
             .values()
             .copied()
             .filter(|&t| t > now)
-            .fold(self.dram.next_change(now), MemCycle::min)
+            .fold(wake, MemCycle::min)
     }
 
-    /// Attempts to issue one command, in priority order. Returns true if a
-    /// command issued.
-    fn try_issue(&mut self, now: MemCycle, completions: &mut Vec<CompletedRead>) -> bool {
-        if self.issue_mitigation(now) {
-            return true;
-        }
+    /// Attempts to issue one command, in priority order: a mitigation, the
+    /// side queue when promoted, reads, writes while draining (or with no
+    /// read queued), the side queue, and last a victim-refresh bank's
+    /// auto-close. Breaks once a command issues; otherwise continues with
+    /// the earliest cycle at which any of them becomes legal.
+    fn try_issue(
+        &mut self,
+        now: MemCycle,
+        completions: &mut Vec<CompletedRead>,
+    ) -> ControlFlow<(), MemCycle> {
+        let mut wake = self.issue_mitigation(now)?;
         // Anti-starvation: tracker metadata traffic is off the critical path
         // (Sec. 5.3) but must not starve behind a saturated demand stream —
         // its bandwidth cost is precisely what the CRA experiments measure.
@@ -481,34 +505,42 @@ impl MemController {
                 .side_q
                 .front()
                 .is_some_and(|r| now.saturating_sub(r.arrival) >= SIDE_PROMOTE_AGE);
-        if side_urgent && self.issue_from_queue(QueueSel::Side, now, completions) {
-            return true;
-        }
-        if self.issue_from_queue(QueueSel::Read, now, completions) {
-            return true;
-        }
         let drain = self.draining_writes || self.read_q.is_empty();
-        if drain && self.issue_from_queue(QueueSel::Write, now, completions) {
-            return true;
+        for (scan, sel) in [
+            (side_urgent, QueueSel::Side),
+            (true, QueueSel::Read),
+            (drain, QueueSel::Write),
+            (!side_urgent, QueueSel::Side),
+        ] {
+            if scan {
+                wake = wake.min(self.issue_from_queue(sel, now, completions)?);
+            }
         }
-        self.issue_from_queue(QueueSel::Side, now, completions)
+        // A cycle no queue uses closes a victim-refresh bank.
+        ControlFlow::Continue(wake.min(self.service_auto_close(now)?))
     }
 
     /// Victim refresh: one ACT on the victim row (the refresh), auto-closed
     /// later. Counting it through the tracker is the Half-Double defense.
-    fn issue_mitigation(&mut self, now: MemCycle) -> bool {
+    /// If no queued refresh can precharge or activate its bank now,
+    /// continues with the earliest cycle one can.
+    fn issue_mitigation(&mut self, now: MemCycle) -> ControlFlow<(), MemCycle> {
+        let mut wake = MemCycle::MAX;
         for i in 0..self.mitigation_q.len() {
             let req = self.mitigation_q[i];
-            let (_, rank, bank) = (req.row.channel, req.row.rank, req.row.bank);
+            let (rank, bank) = (req.row.rank, req.row.bank);
             if self.dram.open_row(rank, bank).is_some() {
                 // Need the bank closed first.
-                if self.dram.can_precharge(rank, bank, now) {
+                let ready = self.dram.precharge_ready_at(rank, bank);
+                if now >= ready {
                     self.dram.precharge(rank, bank, now);
-                    return true;
+                    return ControlFlow::Break(());
                 }
+                wake = wake.min(ready);
                 continue;
             }
-            if self.dram.can_activate(rank, bank, now) {
+            let ready = self.dram.activate_ready_at(rank, bank);
+            if now >= ready {
                 self.dram.activate(rank, bank, req.row.row, now);
                 self.mitigation_q.remove(i);
                 self.auto_close.push((rank, bank));
@@ -520,23 +552,31 @@ impl MemController {
                     },
                 );
                 self.notify_tracker(req.row, now, ActivationKind::MitigationRefresh);
-                return true;
+                return ControlFlow::Break(());
             }
+            wake = wake.min(ready);
         }
-        false
+        ControlFlow::Continue(wake)
     }
 
-    /// Precharges one victim-refresh bank that may close; true if one did.
-    fn service_auto_close(&mut self, now: MemCycle) -> bool {
+    /// Precharges one victim-refresh bank that may close. If none can,
+    /// continues with the earliest cycle one whose row is still open can.
+    fn service_auto_close(&mut self, now: MemCycle) -> ControlFlow<(), MemCycle> {
+        let mut wake = MemCycle::MAX;
         for i in 0..self.auto_close.len() {
             let (rank, bank) = self.auto_close[i];
-            if self.dram.can_precharge(rank, bank, now) {
+            if self.dram.open_row(rank, bank).is_none() {
+                continue; // closed by another precharge; only a new ACT reopens it
+            }
+            let ready = self.dram.precharge_ready_at(rank, bank);
+            if now >= ready {
                 self.dram.precharge(rank, bank, now);
                 self.auto_close.swap_remove(i);
-                return true;
+                return ControlFlow::Break(());
             }
+            wake = wake.min(ready);
         }
-        false
+        ControlFlow::Continue(wake)
     }
 
     /// FR-FCFS over one queue, in a single pass over its depth-capped head.
@@ -549,20 +589,29 @@ impl MemController {
     ///   would serialize conflicts across banks. Rate-limited rows may not
     ///   be (re)activated; younger requests proceed around them.
     ///
+    /// If nothing is legal at `now`, returns the earliest cycle at which
+    /// this same scan would pick something, as long as no command issues,
+    /// no request is queued and no blacklist entry expires: the minimum of
+    /// every row hit's column-ready cycle and every bank owner's activate or
+    /// precharge ready cycle.
+    ///
     /// Scans are depth-capped: the side queue can grow very large under
     /// bursty metadata traffic (e.g. row-swap copies), and an O(queue) scan
     /// per cycle would melt down; the head window preserves FR-FCFS
     /// behaviour where it matters.
-    fn pick(&self, sel: QueueSel, now: MemCycle) -> Option<Pick> {
-        // While the data bus is busy no column command is legal anywhere.
-        let columns_legal = now >= self.dram.bus_free_at();
+    fn pick(&self, sel: QueueSel, now: MemCycle) -> Result<Pick, MemCycle> {
         let mut seen_banks: u64 = 0;
         let mut row_command = None;
+        let mut wake = MemCycle::MAX;
         for (i, req) in self.queue(sel).iter().take(SCAN_DEPTH).enumerate() {
             let (rank, bank, row) = (req.row.rank, req.row.bank, req.row.row);
             let open = self.dram.open_row(rank, bank);
-            if columns_legal && open == Some(row) && self.dram.can_read(rank, bank, now) {
-                return Some(Pick::Column(i));
+            if open == Some(row) {
+                let ready = self.dram.column_ready_at(rank, bank);
+                if now >= ready {
+                    return Ok(Pick::Column(i));
+                }
+                wake = wake.min(ready);
             }
             if row_command.is_some()
                 || self
@@ -577,34 +626,42 @@ impl MemController {
                 continue; // an older request owns this bank's next command
             }
             seen_banks |= bank_bit;
-            row_command = match open {
-                None if self.dram.can_activate(rank, bank, now) => Some(Pick::Activate(i)),
-                Some(open) if open != row && self.dram.can_precharge(rank, bank, now) => {
-                    Some(Pick::Precharge(i))
+            let (ready, command) = match open {
+                None => (self.dram.activate_ready_at(rank, bank), Pick::Activate(i)),
+                Some(open) if open != row => {
+                    (self.dram.precharge_ready_at(rank, bank), Pick::Precharge(i))
                 }
-                _ => None, // timing-blocked, or a row hit waiting on the bus
+                Some(_) => continue, // a row hit waiting on its column
             };
+            if now >= ready {
+                row_command = Some(command);
+            } else {
+                wake = wake.min(ready);
+            }
         }
-        row_command
+        row_command.ok_or(wake)
     }
 
-    /// Issues the command [`Self::pick`] chooses from `sel`, if any.
+    /// Issues the command [`Self::pick`] chooses from `sel`; if there is
+    /// none, continues with the cycle `pick` says one becomes legal.
     fn issue_from_queue(
         &mut self,
         sel: QueueSel,
         now: MemCycle,
         completions: &mut Vec<CompletedRead>,
-    ) -> bool {
-        let Some(pick) = self.pick(sel, now) else {
-            return false;
+    ) -> ControlFlow<(), MemCycle> {
+        let pick = match self.pick(sel, now) {
+            Ok(pick) => pick,
+            Err(wake) => return ControlFlow::Continue(wake),
         };
         match pick {
             Pick::Column(i) => {
                 // The index came from the same queue a moment ago, so the
                 // remove cannot miss; the let-else just avoids a panic path.
                 let Some(req) = self.queue_mut(sel).remove(i) else {
-                    return false;
+                    return ControlFlow::Continue(now + 1);
                 };
+
                 self.emit(
                     now,
                     TelemetryEvent::CtrlIssue {
@@ -651,7 +708,7 @@ impl MemController {
                 self.dram.precharge(req.row.rank, req.row.bank, now);
             }
         }
-        true
+        ControlFlow::Break(())
     }
 
     fn queue(&self, sel: QueueSel) -> &VecDeque<Request> {
@@ -672,7 +729,7 @@ impl MemController {
 }
 
 /// Maximum queue entries the scheduler examines per cycle (see
-/// `issue_from_queue`).
+/// `MemController::pick`).
 const SCAN_DEPTH: usize = 64;
 /// Side-queue depth beyond which metadata requests jump ahead of reads.
 const SIDE_PROMOTE_DEPTH: usize = 8;
@@ -735,7 +792,7 @@ mod tests {
         let mut done = Vec::new();
         let mut now = start;
         while !c.is_idle() && now < start + 1_000_000 {
-            done.extend(c.tick(now));
+            c.tick(now, &mut done);
             now += 1;
         }
         (done, now)
@@ -806,14 +863,13 @@ mod tests {
                 0,
             )
             .unwrap();
-        let mut first_done = None;
+        let mut done = Vec::new();
         let mut now = 0;
-        while first_done.is_none() && now < 100_000 {
-            for d in c.tick(now) {
-                first_done.get_or_insert(d.id);
-            }
+        while done.is_empty() && now < 100_000 {
+            c.tick(now, &mut done);
             now += 1;
         }
+        let first_done = done.first().map(|d| d.id);
         assert_eq!(first_done, Some(id), "the read must finish first");
     }
 
@@ -859,7 +915,7 @@ mod tests {
         let mut c = controller();
         let window = c.dram().timing().refresh_window;
         for now in 0..(3 * window + 2) {
-            c.tick(now);
+            c.tick(now, &mut Vec::new());
         }
         assert_eq!(c.stats().window_resets, 3);
     }
@@ -914,7 +970,7 @@ mod tests {
         c.enqueue_read(free, 0, now).unwrap();
         assert!(!c.dram.can_precharge(0, 16, now));
         assert!(
-            matches!(c.pick(QueueSel::Read, now), Some(Pick::Activate(1))),
+            matches!(c.pick(QueueSel::Read, now), Ok(Pick::Activate(1))),
             "the younger request's bank is free: activate it"
         );
     }
@@ -1006,18 +1062,21 @@ mod tests {
         // Phase 2: a new read to `row` needs a fresh ACT, which the
         // blacklist forbids until the window resets.
         c.enqueue_read(geom.line_of_row(row, 1), 0, now2);
-        let mut done = 0;
+        let mut done = Vec::new();
         while now2 < window - 1 {
-            done += c.tick(now2).len();
+            c.tick(now2, &mut done);
             now2 += 1;
         }
-        assert_eq!(done, 0, "blacklisted row must not be served this window");
+        assert!(
+            done.is_empty(),
+            "blacklisted row must not be served this window"
+        );
         // Past the window reset: the read completes.
         while now2 < 2 * window && !c.is_idle() {
-            done += c.tick(now2).len();
+            c.tick(now2, &mut done);
             now2 += 1;
         }
-        assert_eq!(done, 1, "read completes after the blacklist expires");
+        assert_eq!(done.len(), 1, "read completes after the blacklist expires");
     }
 
     #[test]
@@ -1091,5 +1150,115 @@ mod tests {
         assert!(mit_in >= 4, "blast radius 2 -> at least 4 victim refreshes");
         assert_eq!(count(CtrlQueue::Mitigation, false), mit_in);
         assert_eq!(mit_in as u64, c.stats().mitigation_acts);
+    }
+
+    /// Drives a reference controller, whose idle memo is cleared before
+    /// every tick, and a memoized one in lockstep through a random bursty
+    /// enqueue script spanning two tracking windows. Every tick's
+    /// completions, every enqueue's answer and the counters after every
+    /// tick must match: the memo may only skip ticks in which nothing could
+    /// have issued.
+    fn memo_matches_reference(
+        config: SystemConfig,
+        tracker: impl Fn() -> Box<dyn ActivationTracker>,
+        seed: u64,
+    ) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let geom = config.geometry;
+        let mut reference = MemController::new(&config, 0, tracker());
+        let mut memo = MemController::new(&config, 0, tracker());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (mut ref_done, mut memo_done) = (Vec::new(), Vec::new());
+        let (mut read_p, mut write_p, mut phase_end) = (0.0, 0.0, 0);
+        let mut skipped = 0u64;
+        let cycles = 2 * config.timing.refresh_window + 10_000;
+        for now in 0..cycles {
+            reference.idle_until = 0;
+            skipped += u64::from(now < memo.idle_until);
+            reference.tick(now, &mut ref_done);
+            memo.tick(now, &mut memo_done);
+            assert_eq!(ref_done, memo_done, "completions at {now}");
+            assert_eq!(reference.stats(), memo.stats(), "stats at {now}");
+            ref_done.clear();
+            memo_done.clear();
+            // Bursts and lulls: quiet phases let the memo sleep, write
+            // floods cross the drain watermark.
+            if now >= phase_end {
+                phase_end = now + rng.gen_range(100u64..3_000);
+                read_p = [0.0, 0.02, 0.2, 0.6][rng.gen_range(0usize..4)];
+                write_p = [0.0, 0.02, 0.3, 0.8][rng.gen_range(0usize..4)];
+            }
+            let row = RowAddr::new(0, 0, rng.gen_range(0u8..4), rng.gen_range(0u32..16));
+            let addr = geom.line_of_row(row, rng.gen_range(0u32..16));
+            if rng.gen_bool(read_p) {
+                let core = rng.gen_range(0usize..2);
+                assert_eq!(
+                    reference.enqueue_read(addr, core, now).is_some(),
+                    memo.enqueue_read(addr, core, now).is_some(),
+                    "read admission at {now}"
+                );
+            } else if rng.gen_bool(write_p) {
+                assert_eq!(
+                    reference.enqueue_write(addr, now),
+                    memo.enqueue_write(addr, now),
+                    "write admission at {now}"
+                );
+            }
+        }
+        assert_eq!(reference.dram().stats(), memo.dram().stats());
+        assert!(
+            skipped > cycles / 10,
+            "the memo must skip ticks to be tested: {skipped} of {cycles}"
+        );
+    }
+
+    fn every_n(n: u64) -> impl Fn() -> Box<dyn ActivationTracker> {
+        move || Box::new(EveryN { n, count: 0 })
+    }
+
+    #[test]
+    fn memo_matches_reference_under_mitigations() {
+        for seed in 0..4 {
+            memo_matches_reference(SystemConfig::tiny_test(), every_n(3), seed);
+        }
+    }
+
+    #[test]
+    fn memo_matches_reference_under_side_traffic() {
+        let cra = || -> Box<dyn ActivationTracker> {
+            Box::new(
+                hydra_baselines::Cra::new(hydra_baselines::CraConfig {
+                    geometry: MemGeometry::tiny(),
+                    channel: 0,
+                    threshold: 64,
+                    cache_bytes: 128,
+                    cache_ways: 2,
+                })
+                .expect("valid config"),
+            )
+        };
+        for seed in 0..4 {
+            memo_matches_reference(SystemConfig::tiny_test(), cra, seed);
+        }
+    }
+
+    #[test]
+    fn memo_matches_reference_under_rate_limit() {
+        let mut config = SystemConfig::tiny_test();
+        config.mitigation = MitigationPolicy::RateLimit;
+        for seed in 0..4 {
+            memo_matches_reference(config.clone(), every_n(4), seed);
+        }
+    }
+
+    #[test]
+    fn memo_matches_reference_under_row_swap() {
+        let mut config = SystemConfig::tiny_test();
+        config.mitigation = MitigationPolicy::RowSwap { seed: 5 };
+        for seed in 0..4 {
+            memo_matches_reference(config.clone(), every_n(40), seed);
+        }
     }
 }

@@ -42,6 +42,11 @@ pub struct CoreModel {
     pending: Option<(TraceOp, u8)>,
     /// Outstanding misses, oldest first (at most `max_outstanding`).
     outstanding: VecDeque<Miss>,
+    /// Set when the ROB or the MSHRs fill: the data-ready cycle of the
+    /// oldest miss, which alone can unblock the core. Ticks before it stall
+    /// without running the retire loop. [`Self::data_ready`] may only lower
+    /// it, never raise it past the oldest miss's data.
+    blocked_until: MemCycle,
     stall_cycles: u64,
 }
 
@@ -67,6 +72,7 @@ impl CoreModel {
             gap_remaining: 0,
             pending: None,
             outstanding: VecDeque::new(),
+            blocked_until: 0,
             stall_cycles: 0,
         }
     }
@@ -96,6 +102,7 @@ impl CoreModel {
     pub fn data_ready(&mut self, request_id: u64, at: MemCycle) {
         if let Some(miss) = self.outstanding.iter_mut().find(|m| m.id == request_id) {
             miss.ready_at = at;
+            self.blocked_until = self.blocked_until.min(at);
         }
     }
 
@@ -125,6 +132,12 @@ impl CoreModel {
         }
     }
 
+    /// Stalls the core until the oldest miss's data arrives: with the ROB or
+    /// the MSHRs full, nothing else can let it retire or issue.
+    fn block(&mut self) {
+        self.blocked_until = self.outstanding.front().map_or(0, |m| m.ready_at);
+    }
+
     /// True if the ROB window is exhausted behind the oldest miss.
     fn rob_blocked(&self) -> bool {
         self.outstanding
@@ -135,9 +148,15 @@ impl CoreModel {
     /// Advances one memory cycle, retiring instructions and issuing memory
     /// operations into `controller`. Operations whose address belongs to a
     /// different channel than `controller` stay pending until the system
-    /// hands this core the owning channel's controller.
+    /// hands this core the owning channel's controller. A core blocked on
+    /// its oldest miss stalls without running its loop until the miss's
+    /// data arrives.
     pub fn tick(&mut self, now: MemCycle, controller: &mut MemController) {
         if self.is_done() {
+            return;
+        }
+        if now < self.blocked_until {
+            self.stall_cycles += 1;
             return;
         }
         self.retire_ready_misses(now);
@@ -146,6 +165,7 @@ impl CoreModel {
         let mut progressed = false;
         while budget > 0 && !self.is_done() {
             if self.rob_blocked() {
+                self.block();
                 break;
             }
             // Burn compute instructions of the current gap.
@@ -174,6 +194,7 @@ impl CoreModel {
                 }
             } else {
                 if self.outstanding.len() >= self.max_outstanding {
+                    self.block();
                     break;
                 }
                 let Some(id) = controller.enqueue_read(op.addr, self.id, now) else {
@@ -233,8 +254,10 @@ mod tests {
 
     fn run(core: &mut CoreModel, controller: &mut MemController, max_cycles: u64) -> u64 {
         let mut now = 0;
+        let mut completions = Vec::new();
         while !core.is_done() && now < max_cycles {
-            for done in controller.tick(now) {
+            controller.tick(now, &mut completions);
+            for done in completions.drain(..) {
                 core.data_ready(done.id, done.done_at);
             }
             core.tick(now, controller);
@@ -323,5 +346,71 @@ mod tests {
         assert!(core.is_done());
         assert!(core.retired() >= 100);
         assert!(core.retired() <= 108, "overshoot {}", core.retired());
+    }
+
+    /// Drives a reference core, whose block is cleared before every tick,
+    /// and a blocking one in lockstep, each against its own controller,
+    /// over a random trace that alternates read bursts (which fill the
+    /// MSHRs) with long compute gaps (which fill the ROB behind a miss).
+    /// Retired instructions, stall cycles and the controller counters must
+    /// match after every cycle.
+    fn block_matches_reference(seed: u64) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let geom = MemGeometry::tiny();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ops = Vec::new();
+        while ops.len() < 2_000 {
+            let max_gap = [2u32, 40, 400][rng.gen_range(0usize..3)];
+            for _ in 0..64 {
+                let row = RowAddr::new(0, 0, rng.gen_range(0u8..4), rng.gen_range(0u32..16));
+                let addr = geom.line_of_row(row, rng.gen_range(0u32..16));
+                let gap = rng.gen_range(0..max_gap);
+                ops.push(if rng.gen_bool(0.2) {
+                    TraceOp::write(gap, addr)
+                } else {
+                    TraceOp::read(gap, addr)
+                });
+            }
+        }
+        let (mut reference, mut reference_ctrl) = core_with(ops.clone(), 200_000);
+        let (mut blocking, mut blocking_ctrl) = core_with(ops, 200_000);
+        let mut completions = Vec::new();
+        let (mut now, mut skipped) = (0, 0u64);
+        while !reference.is_done() {
+            assert!(now < 10_000_000, "the reference core must finish");
+            reference.blocked_until = 0;
+            skipped += u64::from(now < blocking.blocked_until);
+            for (core, ctrl) in [
+                (&mut reference, &mut reference_ctrl),
+                (&mut blocking, &mut blocking_ctrl),
+            ] {
+                ctrl.tick(now, &mut completions);
+                for done in completions.drain(..) {
+                    core.data_ready(done.id, done.done_at);
+                }
+                core.tick(now, ctrl);
+            }
+            assert_eq!(
+                (reference.retired(), reference.stall_cycles()),
+                (blocking.retired(), blocking.stall_cycles()),
+                "core state at {now}"
+            );
+            assert_eq!(reference_ctrl.stats(), blocking_ctrl.stats(), "at {now}");
+            now += 1;
+        }
+        assert!(blocking.is_done());
+        assert!(
+            skipped > now / 10,
+            "the block must skip ticks to be tested: {skipped} of {now}"
+        );
+    }
+
+    #[test]
+    fn blocked_core_matches_reference() {
+        for seed in 0..4 {
+            block_matches_reference(seed);
+        }
     }
 }

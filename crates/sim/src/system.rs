@@ -1,7 +1,7 @@
 //! The full-system simulator: cores × channels × trackers.
 
 use crate::config::SystemConfig;
-use crate::controller::{ControllerStats, MemController};
+use crate::controller::{CompletedRead, ControllerStats, MemController};
 use crate::core::CoreModel;
 use crate::stats::SimResult;
 use hydra_types::clock::MemCycle;
@@ -18,6 +18,8 @@ pub struct SystemSim {
     config: SystemConfig,
     cores: Vec<CoreModel>,
     controllers: Vec<MemController>,
+    /// Read completions of the controller being ticked, reused every cycle.
+    completions: Vec<CompletedRead>,
 }
 
 impl SystemSim {
@@ -48,6 +50,7 @@ impl SystemSim {
             config,
             cores,
             controllers,
+            completions: Vec::new(),
         }
     }
 
@@ -131,7 +134,8 @@ impl SystemSim {
     /// One memory cycle: every controller, then every unfinished core.
     fn step(&mut self, now: MemCycle) {
         for controller in &mut self.controllers {
-            for done in controller.tick(now) {
+            controller.tick(now, &mut self.completions);
+            for done in self.completions.drain(..) {
                 self.cores[done.core].data_ready(done.id, done.done_at);
             }
         }

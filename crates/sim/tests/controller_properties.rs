@@ -30,6 +30,13 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Ticks the controller once; returns the number of reads it completed.
+fn tick(controller: &mut MemController, now: MemCycle) -> u64 {
+    let mut done = Vec::new();
+    controller.tick(now, &mut done);
+    done.len() as u64
+}
+
 /// Drives a controller with an arbitrary op sequence; returns
 /// (reads enqueued, read completions observed, cycles to drain).
 fn drive(mut controller: MemController, script: Vec<Op>) -> (u64, u64, MemCycle) {
@@ -44,7 +51,7 @@ fn drive(mut controller: MemController, script: Vec<Op>) -> (u64, u64, MemCycle)
                 // Retry until the queue accepts (bounded by queue drain).
                 let mut guard = 0;
                 while controller.enqueue_read(addr, 0, now).is_none() {
-                    completed += controller.tick(now).len() as u64;
+                    completed += tick(&mut controller, now);
                     now += 1;
                     guard += 1;
                     assert!(guard < 1_000_000, "read admission starved");
@@ -55,7 +62,7 @@ fn drive(mut controller: MemController, script: Vec<Op>) -> (u64, u64, MemCycle)
                 let addr = geom.line_of_row(RowAddr::new(0, 0, bank, row), col);
                 let mut guard = 0;
                 while !controller.enqueue_write(addr, now) {
-                    completed += controller.tick(now).len() as u64;
+                    completed += tick(&mut controller, now);
                     now += 1;
                     guard += 1;
                     assert!(guard < 1_000_000, "write admission starved");
@@ -63,17 +70,17 @@ fn drive(mut controller: MemController, script: Vec<Op>) -> (u64, u64, MemCycle)
             }
             Op::Wait { cycles } => {
                 for _ in 0..cycles {
-                    completed += controller.tick(now).len() as u64;
+                    completed += tick(&mut controller, now);
                     now += 1;
                 }
             }
         }
-        completed += controller.tick(now).len() as u64;
+        completed += tick(&mut controller, now);
         now += 1;
     }
     let mut guard = 0;
     while !controller.is_idle() {
-        completed += controller.tick(now).len() as u64;
+        completed += tick(&mut controller, now);
         now += 1;
         guard += 1;
         assert!(guard < 5_000_000, "controller failed to drain");

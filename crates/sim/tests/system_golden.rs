@@ -11,7 +11,9 @@
 //! and several refreshes, and the cases cover every path an idle controller
 //! must wake up for or stay out of the way of: mitigation refreshes, heavy
 //! side traffic (CRA with a tiny cache), rate-limit blacklisting and
-//! row-swap copies.
+//! row-swap copies. Two cases put two ranks on each channel, so that one
+//! controller's wake-up meets per-rank tRRD, tFAW and staggered refresh
+//! registers.
 
 use hydra_baselines::{Cra, CraConfig};
 use hydra_core::config::defaults;
@@ -75,8 +77,7 @@ fn tracker(kind: Tracker, geometry: MemGeometry, channel: u8) -> Box<dyn Activat
     }
 }
 
-fn run(program: &str, kind: Tracker, mitigation: MitigationPolicy) -> (SimResult, Vec<u64>) {
-    let config = config(mitigation);
+fn run(program: &str, kind: Tracker, config: SystemConfig) -> (SimResult, Vec<u64>) {
     let geometry = config.geometry;
     let spec = registry::by_name(program).expect("registered program");
     let mut sim = SystemSim::new(config, |core| {
@@ -116,7 +117,11 @@ fn run(program: &str, kind: Tracker, mitigation: MitigationPolicy) -> (SimResult
 }
 
 fn check(program: &str, kind: Tracker, mitigation: MitigationPolicy, golden: &[u64]) -> SimResult {
-    let (result, flat) = run(program, kind, mitigation);
+    check_config(program, kind, config(mitigation), golden)
+}
+
+fn check_config(program: &str, kind: Tracker, config: SystemConfig, golden: &[u64]) -> SimResult {
+    let (result, flat) = run(program, kind, config);
     assert_eq!(flat, golden, "{program}: simulated numbers moved");
     assert!(
         result.controllers.iter().all(|c| c.window_resets >= 2),
@@ -220,6 +225,44 @@ fn mcf_cra_small_cache() {
             142061, 800018, 6264, 2016, 1354772, 7160, 0, 0, 0, 7256, 14303, 5, 14416, 13421, 9162,
             14275, 11, 90332, 5933, 1984, 1183180, 6985, 0, 0, 0, 7109, 13942, 5, 14094, 12909,
             8950, 13956, 11, 87436,
+        ],
+    );
+    assert!(r.controllers.iter().any(|c| c.side_done > 0));
+}
+
+/// The paper's capacity as 2 channels × 2 ranks × 8 banks: two ranks'
+/// activate windows and refresh schedules per controller.
+fn two_rank_config() -> SystemConfig {
+    let mut config = config(MitigationPolicy::default());
+    config.geometry = MemGeometry::new(2, 2, 8, 131_072, 8192).expect("valid geometry");
+    config
+}
+
+#[test]
+fn parest_hydra_two_ranks() {
+    let r = check_config(
+        "parest",
+        Tracker::Hydra,
+        two_rank_config(),
+        &[
+            119928, 800012, 8085, 3436, 1851952, 4011, 0, 0, 28, 115, 13353, 4, 4154, 14782, 10092,
+            4053, 18, 99496, 6964, 3029, 671241, 3011, 0, 0, 0, 5, 1025, 4, 3016, 7477, 3541, 2943,
+            17, 44072,
+        ],
+    );
+    assert!(r.controllers.iter().any(|c| c.mitigation_acts > 0));
+}
+
+#[test]
+fn mcf_cra_small_cache_two_ranks() {
+    let r = check_config(
+        "mcf",
+        Tracker::Cra,
+        two_rank_config(),
+        &[
+            148280, 800018, 6263, 2016, 1313742, 7661, 0, 0, 0, 7784, 15310, 5, 15445, 13924, 9665,
+            15287, 22, 94356, 5930, 1994, 1158748, 7418, 0, 0, 0, 7553, 14810, 5, 14971, 13340,
+            9394, 14816, 22, 90936,
         ],
     );
     assert!(r.controllers.iter().any(|c| c.side_done > 0));
