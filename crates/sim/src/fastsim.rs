@@ -15,8 +15,8 @@ use hydra_dram::DramTiming;
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
 use hydra_types::geometry::MemGeometry;
-use hydra_types::mitigation::BlastRadius;
-use hydra_types::tracker::{ActivationKind, ActivationTracker};
+use hydra_types::mitigation::{BlastRadius, MitigationRequest};
+use hydra_types::tracker::{ActivationKind, ActivationTracker, SideRequestKind};
 use std::collections::VecDeque;
 
 /// Counters produced by an [`ActivationSim`] run.
@@ -112,6 +112,8 @@ pub struct ActivationSim<T> {
     report: ActivationSimReport,
     /// Rows mitigated since the last [`Self::drain_mitigated`] call.
     mitigated_log: Vec<RowAddr>,
+    /// Victim refreshes still to replay, FIFO; empty between activations.
+    victims: VecDeque<RowAddr>,
 }
 
 impl<T: ActivationTracker> ActivationSim<T> {
@@ -128,6 +130,7 @@ impl<T: ActivationTracker> ActivationSim<T> {
             now: 0,
             report: ActivationSimReport::default(),
             mitigated_log: Vec::new(),
+            victims: VecDeque::new(),
         }
     }
 
@@ -216,48 +219,44 @@ impl<T: ActivationTracker> ActivationSim<T> {
             self.next_reset += self.timing.refresh_window;
             on_window_reset(&self.tracker, self.now);
         }
-        // Work queue: (row, kind). Mitigation victims append more entries.
-        let mut work: VecDeque<(RowAddr, ActivationKind)> = VecDeque::new();
-        work.push_back((row, ActivationKind::Demand));
-        while let Some((r, kind)) = work.pop_front() {
-            match kind {
-                ActivationKind::Demand => self.report.demand_acts += 1,
-                ActivationKind::MitigationRefresh => self.report.mitigation_acts += 1,
-                ActivationKind::TrackerSide => {}
-            }
-            let response = self.tracker.on_activation(r, self.now, kind);
-            self.report.mitigations += response.mitigations.len() as u64;
-            for m in response.mitigations {
-                self.mitigated_log.push(m.aggressor);
-                for offset in self.blast.offsets() {
-                    if let Some(victim) =
-                        m.aggressor.neighbor(offset, self.geometry.rows_per_bank())
-                    {
-                        work.push_back((victim, ActivationKind::MitigationRefresh));
-                    }
-                }
-            }
+        self.report.demand_acts += 1;
+        let mut response = self
+            .tracker
+            .on_activation(row, self.now, ActivationKind::Demand);
+        if response.is_empty() {
+            return;
+        }
+        // Mitigations, then side requests; RIT-ACT sees each metadata ACT at once.
+        loop {
+            self.queue_victims(response.mitigations);
             for s in response.side_requests {
                 match s.kind {
-                    hydra_types::SideRequestKind::Read => self.report.side_reads += 1,
-                    hydra_types::SideRequestKind::Write => self.report.side_writes += 1,
+                    SideRequestKind::Read => self.report.side_reads += 1,
+                    SideRequestKind::Write => self.report.side_writes += 1,
                 }
-                // Metadata accesses open their own DRAM row: report it to
-                // the tracker (RIT-ACT sees counter-row activations).
-                let side_response =
-                    self.tracker
-                        .on_activation(s.row, self.now, ActivationKind::TrackerSide);
-                self.report.mitigations += side_response.mitigations.len() as u64;
-                for m in side_response.mitigations {
-                    self.mitigated_log.push(m.aggressor);
-                    for offset in self.blast.offsets() {
-                        if let Some(victim) =
-                            m.aggressor.neighbor(offset, self.geometry.rows_per_bank())
-                        {
-                            work.push_back((victim, ActivationKind::MitigationRefresh));
-                        }
-                    }
-                }
+                let side = self
+                    .tracker
+                    .on_activation(s.row, self.now, ActivationKind::TrackerSide);
+                self.queue_victims(side.mitigations);
+            }
+            let Some(victim) = self.victims.pop_front() else {
+                return;
+            };
+            self.report.mitigation_acts += 1;
+            response =
+                self.tracker
+                    .on_activation(victim, self.now, ActivationKind::MitigationRefresh);
+        }
+    }
+
+    /// Logs and counts each mitigation and queues its blast-radius victims.
+    fn queue_victims(&mut self, mitigations: Vec<MitigationRequest>) {
+        self.report.mitigations += mitigations.len() as u64;
+        let rows = self.geometry.rows_per_bank();
+        for m in mitigations {
+            self.mitigated_log.push(m.aggressor);
+            for offset in self.blast.offsets() {
+                self.victims.extend(m.aggressor.neighbor(offset, rows));
             }
         }
     }
@@ -278,7 +277,8 @@ mod tests {
     use super::*;
     use hydra_baselines::Ocpr;
     use hydra_core::{Hydra, HydraConfig};
-    use hydra_types::tracker::NullTracker;
+    use hydra_types::tracker::{NullTracker, TrackerResponse};
+    use hydra_types::SideRequest;
 
     fn tiny_hydra() -> Hydra {
         let geom = MemGeometry::tiny();
@@ -381,6 +381,243 @@ mod tests {
         assert!(mitigated_rows.contains(&b));
         // The log drains: a second call returns nothing new.
         assert!(sim.drain_mitigated().is_empty());
+    }
+
+    /// The replay loop before the queue-free demand path (verbatim, with
+    /// `self` as `sim`): a fresh work queue of `(row, kind)` per activation,
+    /// each popped entry's response expanded by one of two copies of the
+    /// victim loop. Kept as the reference that pins the tracker call order.
+    fn reference_activate<T: ActivationTracker>(sim: &mut ActivationSim<T>, row: RowAddr) {
+        sim.now += sim.cycles_per_act;
+        if sim.now >= sim.next_reset {
+            sim.tracker.reset_window(sim.now);
+            sim.report.window_resets += 1;
+            sim.next_reset += sim.timing.refresh_window;
+        }
+        // Work queue: (row, kind). Mitigation victims append more entries.
+        let mut work: VecDeque<(RowAddr, ActivationKind)> = VecDeque::new();
+        work.push_back((row, ActivationKind::Demand));
+        while let Some((r, kind)) = work.pop_front() {
+            match kind {
+                ActivationKind::Demand => sim.report.demand_acts += 1,
+                ActivationKind::MitigationRefresh => sim.report.mitigation_acts += 1,
+                ActivationKind::TrackerSide => {}
+            }
+            let response = sim.tracker.on_activation(r, sim.now, kind);
+            sim.report.mitigations += response.mitigations.len() as u64;
+            for m in response.mitigations {
+                sim.mitigated_log.push(m.aggressor);
+                for offset in sim.blast.offsets() {
+                    if let Some(victim) = m.aggressor.neighbor(offset, sim.geometry.rows_per_bank())
+                    {
+                        work.push_back((victim, ActivationKind::MitigationRefresh));
+                    }
+                }
+            }
+            for s in response.side_requests {
+                match s.kind {
+                    SideRequestKind::Read => sim.report.side_reads += 1,
+                    SideRequestKind::Write => sim.report.side_writes += 1,
+                }
+                // Metadata accesses open their own DRAM row: report it to
+                // the tracker (RIT-ACT sees counter-row activations).
+                let side_response =
+                    sim.tracker
+                        .on_activation(s.row, sim.now, ActivationKind::TrackerSide);
+                sim.report.mitigations += side_response.mitigations.len() as u64;
+                for m in side_response.mitigations {
+                    sim.mitigated_log.push(m.aggressor);
+                    for offset in sim.blast.offsets() {
+                        if let Some(victim) =
+                            m.aggressor.neighbor(offset, sim.geometry.rows_per_bank())
+                        {
+                            work.push_back((victim, ActivationKind::MitigationRefresh));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Forwards to a tracker and records every `(row, kind)` it is shown.
+    struct Recording<T> {
+        inner: T,
+        calls: Vec<(RowAddr, ActivationKind)>,
+    }
+
+    impl<T: ActivationTracker> ActivationTracker for Recording<T> {
+        fn on_activation(
+            &mut self,
+            row: RowAddr,
+            now: MemCycle,
+            kind: ActivationKind,
+        ) -> TrackerResponse {
+            self.calls.push((row, kind));
+            self.inner.on_activation(row, now, kind)
+        }
+
+        fn reset_window(&mut self, now: MemCycle) {
+            self.inner.reset_window(now);
+        }
+
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn sram_bytes(&self) -> u64 {
+            self.inner.sram_bytes()
+        }
+    }
+
+    /// Mitigates every `n`th activation and every metadata-row activation,
+    /// and reads then writes back a metadata row every `side`th, so victim
+    /// refreshes cascade and a response's own victims and its side
+    /// requests' victims interleave. The cascade stays finite while
+    /// `4 / n + 10 / side < 1`.
+    struct EveryNth {
+        n: u64,
+        side: u64,
+        count: u64,
+    }
+
+    impl ActivationTracker for EveryNth {
+        fn on_activation(
+            &mut self,
+            row: RowAddr,
+            _: MemCycle,
+            kind: ActivationKind,
+        ) -> TrackerResponse {
+            self.count += 1;
+            let mut response = TrackerResponse::none();
+            if kind == ActivationKind::TrackerSide || self.count.is_multiple_of(self.n) {
+                response.mitigations.push(MitigationRequest::new(row));
+            }
+            if self.count.is_multiple_of(self.side) {
+                let meta = |i| RowAddr::new(0, 0, 3, 1000 + i);
+                let i = (self.count % 8) as u32;
+                response
+                    .side_requests
+                    .extend([SideRequest::read(meta(i)), SideRequest::write(meta(i + 8))]);
+            }
+            response
+        }
+
+        fn reset_window(&mut self, _: MemCycle) {}
+
+        fn name(&self) -> &str {
+            "every-nth"
+        }
+
+        fn sram_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Replays one random tiny-geometry stream across several window resets
+    /// through the simulator and through [`reference_activate`], and
+    /// requires the same report, the same mitigation log after every
+    /// activation and the same tracker call sequence. Returns the report
+    /// and the tracker.
+    fn replay_matches_reference<T: ActivationTracker>(
+        tracker: impl Fn() -> T,
+        seed: u64,
+    ) -> (ActivationSimReport, T) {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let geom = MemGeometry::tiny();
+        let timing = DramTiming::ddr4_3200().with_scaled_window(2048);
+        let sim = |tracker| {
+            let recording = Recording {
+                inner: tracker,
+                calls: Vec::new(),
+            };
+            ActivationSim::new(geom, recording).with_timing(timing)
+        };
+        let (mut fast, mut reference) = (sim(tracker()), sim(tracker()));
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let acts = 5 * timing.refresh_window / timing.trc;
+        for i in 0..acts {
+            // Hot rows (several at distance 2, so refreshes feed back) mixed
+            // with a scatter wide enough to thrash small caches.
+            let row = if rng.gen_bool(0.6) {
+                RowAddr::new(
+                    0,
+                    0,
+                    rng.gen_range(0u8..2),
+                    100 + 2 * rng.gen_range(0u32..3),
+                )
+            } else {
+                RowAddr::new(0, 0, rng.gen_range(0u8..4), rng.gen_range(0u32..1024))
+            };
+            fast.activate(row);
+            reference_activate(&mut reference, row);
+            assert_eq!(
+                fast.drain_mitigated(),
+                reference.drain_mitigated(),
+                "act {i}"
+            );
+        }
+        assert_eq!(fast.report(), reference.report());
+        assert_eq!(fast.tracker().calls, reference.tracker().calls);
+        assert!(fast.victims.is_empty());
+        let report = fast.report();
+        assert!(report.window_resets >= 4, "{report:?}");
+        (report, fast.into_tracker().inner)
+    }
+
+    #[test]
+    fn replay_matches_reference_for_hydra() {
+        // Four RCC lines thrash under the scatter; T_H = 8 lets RIT-ACT
+        // mitigate the RCT rows that side traffic opens.
+        let hydra = || {
+            let mut b = HydraConfig::builder(MemGeometry::tiny(), 0);
+            b.thresholds(8, 6).gct_entries(16).rcc_entries(4);
+            Hydra::new(b.build().unwrap()).unwrap()
+        };
+        for seed in 0..4 {
+            let (report, hydra) = replay_matches_reference(hydra, seed);
+            assert!(
+                report.side_reads > 0 && report.side_writes > 0,
+                "{report:?}"
+            );
+            assert!(hydra.stats().rct_accesses > 0, "{:?}", hydra.stats());
+            assert!(hydra.stats().rit_mitigations > 0, "{:?}", hydra.stats());
+        }
+    }
+
+    #[test]
+    fn replay_matches_reference_for_cra() {
+        let cra = || {
+            hydra_baselines::Cra::new(hydra_baselines::CraConfig {
+                geometry: MemGeometry::tiny(),
+                channel: 0,
+                threshold: 16,
+                cache_bytes: 128,
+                cache_ways: 2,
+            })
+            .expect("valid config")
+        };
+        for seed in 0..4 {
+            let (report, _) = replay_matches_reference(cra, seed);
+            assert!(
+                report.side_reads > 0 && report.mitigations > 0,
+                "{report:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn replay_matches_reference_for_cascading_mitigations() {
+        let every_nth = || EveryNth {
+            n: 8,
+            side: 23,
+            count: 0,
+        };
+        for seed in 0..4 {
+            let (report, _) = replay_matches_reference(every_nth, seed);
+            assert!(report.mitigation_acts > report.demand_acts, "{report:?}");
+        }
     }
 
     #[test]

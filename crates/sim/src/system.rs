@@ -8,6 +8,10 @@ use hydra_types::clock::MemCycle;
 use hydra_types::tracker::{ActivationTracker, NullTracker};
 use hydra_workloads::trace::TraceSource;
 
+/// Consecutive tracking windows in which no unfinished core retires an
+/// instruction before [`SystemSim::run`] declares a deadlock.
+const STALL_WINDOWS: u32 = 8;
+
 /// A configured full-system simulation.
 ///
 /// Build with a per-core trace factory, optionally attach per-channel
@@ -99,8 +103,9 @@ impl SystemSim {
     ///
     /// # Panics
     ///
-    /// Panics if the simulation exceeds a safety bound of 100 billion
-    /// cycles, which indicates a deadlock bug rather than a slow workload.
+    /// Panics with "simulation deadlock" if no core retires an instruction
+    /// for eight consecutive tracking windows, which indicates a deadlock
+    /// or livelock bug rather than a slow workload.
     pub fn run(&mut self) -> SimResult {
         self.run_with_progress(0, |_| {})
     }
@@ -113,12 +118,13 @@ impl SystemSim {
     ///
     /// # Panics
     ///
-    /// Panics on the same deadlock bound as [`Self::run`].
+    /// Panics on the same watchdog as [`Self::run`].
     pub fn run_with_progress<F>(&mut self, report_every: MemCycle, mut report: F) -> SimResult
     where
         F: FnMut(&str),
     {
-        const SAFETY_BOUND: MemCycle = 100_000_000_000;
+        let window = self.config.timing.refresh_window;
+        let (mut retired, mut stalled, mut sample_at) = (0, 0, window);
         let mut now: MemCycle = 0;
         while !self.cores.iter().all(|c| c.is_done()) {
             if report_every > 0 && now.is_multiple_of(report_every) && now > 0 {
@@ -126,7 +132,19 @@ impl SystemSim {
             }
             self.step(now);
             now += 1;
-            assert!(now < SAFETY_BOUND, "simulation deadlock");
+            if now == sample_at {
+                sample_at += window;
+                // Finished cores retire nothing, so an unchanged total means
+                // no unfinished core made progress this window.
+                let total: u64 = self.cores.iter().map(|c| c.retired()).sum();
+                stalled = if total == retired { stalled + 1 } else { 0 };
+                retired = total;
+                assert!(
+                    stalled < STALL_WINDOWS,
+                    "simulation deadlock: no core retired an instruction in \
+                     {STALL_WINDOWS} tracking windows (cycle {now})"
+                );
+            }
         }
         self.collect(now)
     }
@@ -224,6 +242,17 @@ mod tests {
         assert_eq!(plain, reported);
         assert_eq!(reports.len() as u64, (plain.cycles - 1) / 1_000);
         assert!(reports[0].starts_with("cycle 1000: retired"));
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation deadlock")]
+    fn a_run_that_cannot_enqueue_panics_as_a_deadlock() {
+        // No read-queue slot: the first miss can never issue, so nothing
+        // retires past it and the watchdog fires after eight windows.
+        let mut config = SystemConfig::tiny_test();
+        config.read_queue_capacity = 0;
+        let geom = config.geometry;
+        SystemSim::new(config, replay_per_core(geom, &[1, 2, 3])).run();
     }
 
     #[test]
