@@ -18,9 +18,10 @@
 //!   with `hydra-analysis`'s exhaustive schedule explorer so the checked
 //!   model and the shipped code cannot drift apart.
 //! - [`shard`] — the sharded multi-channel simulator: one independent
-//!   tracker per memory channel, per-channel substreams replayed
-//!   concurrently, merged with order-insensitive reductions so the
-//!   parallel run is bit-identical to the sequential reference.
+//!   tracker per memory channel, each worker replaying a group of
+//!   channels in one pass straight off the borrowed stream, merged with
+//!   order-insensitive reductions so the parallel run is bit-identical to
+//!   the sequential one-pass reference.
 //!
 //! Threading discipline: `hydra-verify lint`'s `thread-spawn-layer` rule confines
 //! thread spawning to this crate and the batch harness, the same way

@@ -9,14 +9,14 @@
 //! same computation whether the other channels run before, after, or
 //! concurrently.
 //!
-//! [`ShardedSim`] exploits exactly that: it partitions a system-wide
-//! activation stream by channel (preserving each channel's arrival order),
-//! runs one independent `Hydra` per shard — in parallel on a
-//! [`WorkerPool`](crate::pool::WorkerPool) or sequentially as the reference
-//! — and merges per-shard results with order-insensitive reductions:
-//! counter sums for [`HydraStats`]/[`ActivationSimReport`] and a *sorted*
-//! union for the mitigated-row set. The merged result is therefore
-//! bit-identical between the parallel and sequential paths, which
+//! [`ShardedSim`] exploits exactly that: one independent `Hydra` per
+//! channel, the channels split into contiguous groups (one per
+//! [`WorkerPool`](crate::pool::WorkerPool) worker, or one on the calling
+//! thread), each group replaying the caller's borrowed stream in a single
+//! dispatching pass. Per-shard results merge with order-insensitive
+//! reductions: counter sums for [`HydraStats`]/[`ActivationSimReport`] and
+//! a *sorted* union for the mitigated-row set. The merged result is
+//! therefore bit-identical across worker counts, which
 //! `crates/engine/tests/shard_determinism.rs` proves by proptest.
 
 use crate::pool::{CellOutcome, WorkerPool};
@@ -139,13 +139,13 @@ impl ShardedSim {
         partition_by_channel(self.geometry.channels(), rows)
     }
 
-    /// Runs every shard on the pool and merges. The merge is deterministic:
-    /// the result is bit-identical to [`run_sequential`](Self::run_sequential)
-    /// on the same stream regardless of worker count or completion order.
+    /// Runs `min(workers, channels)` channel groups on the pool and merges,
+    /// bit-identically to [`run_sequential`](Self::run_sequential) whatever
+    /// the worker count or completion order.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError`] if any shard panics or is skipped; partial
+    /// Returns [`EngineError`] if any group panics or is skipped; partial
     /// results are discarded (a merged run with a missing channel would
     /// silently under-count).
     pub fn run_parallel(
@@ -153,55 +153,76 @@ impl ShardedSim {
         pool: &WorkerPool,
         rows: &[RowAddr],
     ) -> Result<MergedRun, EngineError> {
-        let shards = self.partition_by_channel(rows);
-        let items: Vec<(HydraConfig, Vec<RowAddr>)> =
-            self.configs.iter().cloned().zip(shards).collect();
-        let geometry = self.geometry;
-        let timing = self.timing;
-        let outcomes = pool.run_ordered(items, move |_, (config, sub)| {
-            run_shard(geometry, timing, config, &sub)
-        });
-        let mut results = Vec::with_capacity(outcomes.len());
-        for (channel, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                CellOutcome::Done(Ok(result)) => results.push(result),
-                CellOutcome::Done(Err(e)) => {
-                    return Err(EngineError::new(format!("shard {channel} failed: {e}")));
+        let channels = self.configs.len();
+        let groups = pool.workers().min(channels);
+        // Ceiling bounds put the larger groups first: 4 channels on 3 split 2/1/1.
+        let bound = |g: usize| (g * channels).div_ceil(groups);
+        let ranges: Vec<_> = (0..groups).map(|g| bound(g)..bound(g + 1)).collect();
+        let outcomes = pool.run_ordered(ranges.clone(), |_, group| self.run_group(group, rows));
+        let mut results = Vec::with_capacity(channels);
+        for (group, outcome) in ranges.into_iter().zip(outcomes) {
+            let failure = match outcome {
+                CellOutcome::Done(shards) => {
+                    results.extend(shards?);
+                    continue;
                 }
-                CellOutcome::Panicked(msg) => {
-                    return Err(EngineError::new(format!("shard {channel} panicked: {msg}")));
-                }
-                CellOutcome::Skipped => {
-                    return Err(EngineError::new(format!("shard {channel} never ran")));
-                }
-            }
+                CellOutcome::Panicked(msg) => format!("panicked: {msg}"),
+                CellOutcome::Skipped => "never ran".to_string(),
+            };
+            return Err(EngineError::new(format!("channels {group:?} {failure}")));
         }
         Ok(merge_shards(results))
     }
 
-    /// The sequential reference: runs each shard one at a time, in channel
-    /// order, on the calling thread, then merges identically to
-    /// [`run_parallel`](Self::run_parallel).
+    /// The sequential reference: one pass over the stream on the calling
+    /// thread, dispatching every row to its channel's shard, then the same
+    /// merge as [`run_parallel`](Self::run_parallel).
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] if a shard's tracker cannot be built.
     pub fn run_sequential(&self, rows: &[RowAddr]) -> Result<MergedRun, EngineError> {
-        let shards = self.partition_by_channel(rows);
-        let mut results = Vec::with_capacity(shards.len());
-        for (config, sub) in self.configs.iter().cloned().zip(shards) {
-            let channel = config.channel;
-            results.push(
-                run_shard(self.geometry, self.timing, config, &sub)
-                    .map_err(|e| EngineError::new(format!("shard {channel} failed: {e}")))?,
-            );
+        Ok(merge_shards(self.run_group(0..self.configs.len(), rows)?))
+    }
+
+    /// Replays the `group` channels' shards on fresh trackers in one pass
+    /// over `rows`, each row going where [`partition_by_channel`] would put
+    /// it. Results come back in channel order.
+    fn run_group(
+        &self,
+        group: std::ops::Range<usize>,
+        rows: &[RowAddr],
+    ) -> Result<Vec<ShardResult>, EngineError> {
+        let channels = self.configs.len();
+        let mut sims = Vec::with_capacity(group.len());
+        for config in &self.configs[group.clone()] {
+            let tracker = Hydra::new(config.clone())
+                .map_err(|e| EngineError::new(format!("shard {} failed: {e}", config.channel)))?;
+            sims.push(ActivationSim::new(self.geometry, tracker).with_timing(self.timing));
         }
-        Ok(merge_shards(results))
+        for row in rows {
+            let c = usize::from(row.channel);
+            let slot = if c < channels { c } else { c % channels };
+            if group.contains(&slot) {
+                sims[slot - group.start].activate(*row);
+            }
+        }
+        let mut results = Vec::with_capacity(sims.len());
+        for (config, mut sim) in self.configs[group].iter().zip(sims) {
+            results.push(ShardResult {
+                channel: config.channel,
+                shard_acts: sim.report().demand_acts,
+                stats: sim.tracker().stats(),
+                report: sim.report(),
+                mitigated: sim.drain_mitigated(),
+            });
+        }
+        Ok(results)
     }
 }
 
 /// Splits `rows` into per-channel substreams, preserving arrival order
-/// within each channel.
+/// within each channel. (No run path copies the stream this way.)
 pub fn partition_by_channel(channels: u8, rows: &[RowAddr]) -> Vec<Vec<RowAddr>> {
     let mut shards: Vec<Vec<RowAddr>> = (0..channels).map(|_| Vec::new()).collect();
     for row in rows {
@@ -209,27 +230,6 @@ pub fn partition_by_channel(channels: u8, rows: &[RowAddr]) -> Vec<Vec<RowAddr>>
         shards[slot].push(*row);
     }
     shards
-}
-
-/// Replays one channel's substream through a fresh tracker.
-fn run_shard(
-    geometry: MemGeometry,
-    timing: DramTiming,
-    config: HydraConfig,
-    rows: &[RowAddr],
-) -> Result<ShardResult, String> {
-    let channel = config.channel;
-    let tracker = Hydra::new(config).map_err(|e| e.to_string())?;
-    let mut sim = ActivationSim::new(geometry, tracker).with_timing(timing);
-    let report = sim.run(rows.iter().copied());
-    let mitigated = sim.drain_mitigated();
-    Ok(ShardResult {
-        channel,
-        shard_acts: rows.len() as u64,
-        stats: sim.tracker().stats(),
-        report,
-        mitigated,
-    })
 }
 
 /// Merges shard results with order-insensitive reductions: shards are
