@@ -15,7 +15,7 @@ use hydra_workloads::{registry, TraceSource};
 const ACTS_PER_WORKLOAD: u64 = 300_000;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = ExperimentScale::from_env().unwrap_or_else(|e| panic!("{e}"));
     let geom = MemGeometry::isca22_baseline();
 
     println!(

@@ -70,7 +70,7 @@ fn run_attack(pattern: &AttackPattern, scale: &ExperimentScale) -> AttackOutcome
 }
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = ExperimentScale::from_env().unwrap_or_else(|e| panic!("{e}"));
     println!(
         "\n=== Secs. 5.2/5.3: adaptive attacks vs Hydra (S={}, {} ACTs each) ===\n",
         scale.scale, ACTS

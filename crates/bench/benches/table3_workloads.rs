@@ -11,7 +11,7 @@ use hydra_workloads::{registry, TraceSource};
 use std::collections::HashMap;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = ExperimentScale::from_env().unwrap_or_else(|e| panic!("{e}"));
     let geom = MemGeometry::isca22_baseline();
     // One scaled window's worth of activations at full bandwidth is
     // ACT_max/S per bank; workloads use a fraction of that. Feed each

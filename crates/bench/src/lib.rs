@@ -1,10 +1,12 @@
 //! Experiment harness for the Hydra reproduction.
 //!
-//! One bench target per table/figure of the paper lives in `benches/`; this
-//! library provides what they share: the scaled experiment configuration
-//! ([`ExperimentScale`]), tracker factories ([`TrackerKind`]), the workload
-//! × variant runner ([`run_figure`]), the figure tables, and the shape
-//! checks ([`verdict`]) that hold each figure against the paper.
+//! The paper's `SystemSim` figures (Figs. 2, 5, 7–10, Sec. 6.8, footnote 6
+//! and the Sec. 8 extension) are one [`plan`], run by the `figures` bench
+//! target; the tables and the remaining figures have a bench target each in
+//! `benches/`. This library provides what they share: the scaled experiment
+//! configuration ([`ExperimentScale`]), tracker factories ([`TrackerKind`]),
+//! the figure plan and its deduplicated cell table, the figure tables, and
+//! the shape checks ([`verdict`]) that hold each figure against the paper.
 //!
 //! # Scaling
 //!
@@ -26,22 +28,18 @@
 //! rather than set: each core runs three scaled windows at its peak retire
 //! rate ([`ExperimentScale::at`]), and no run can end before three windows
 //! complete. Every `SystemSim` figure prints the fewest windows any of its
-//! runs completed ([`windows_line`]) beside its verdict, and every figure
-//! runs the paper's thresholds and structure totals.
+//! runs completed beside its verdict ([`plan::Figure::render`]), and every
+//! figure runs the paper's thresholds and structure totals.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod plan;
 pub mod report;
 pub mod runner;
 pub mod sram_power;
 pub mod verdict;
 
-pub use report::{
-    fmt_bytes, fmt_kb, geomean_slowdown_pct, normalized_table, suite_slowdown_table, windows_line,
-    Table,
-};
-pub use runner::{
-    run_all, run_figure, scaled_hydra, ExperimentScale, TrackerKind, Variant, WorkloadRuns,
-};
+pub use report::{fmt_bytes, geomean_slowdown_pct, normalized_table, suite_slowdown_table, Table};
+pub use runner::{scaled_hydra, ExperimentScale, TrackerKind, Variant, WorkloadRuns};
 pub use sram_power::SramPowerModel;

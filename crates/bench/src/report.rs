@@ -43,16 +43,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as fixed-width text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -101,16 +91,6 @@ impl Table {
         out
     }
 
-    /// Writes the CSV rendering to `path` (used by bench targets when
-    /// `HYDRA_CSV_DIR` is set, so results can be plotted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_csv(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
     /// If the `HYDRA_CSV_DIR` environment variable is set, writes this
     /// table there as `<name>.csv` (creating the directory) and returns the
     /// note a bench prints about it, `(csv written to <path>)` and a
@@ -128,7 +108,7 @@ impl Table {
         let dir = std::path::PathBuf::from(dir);
         let path = dir.join(format!("{name}.csv"));
         std::fs::create_dir_all(&dir)
-            .and_then(|()| self.write_csv(&path))
+            .and_then(|()| std::fs::write(&path, self.to_csv()))
             .map(|()| format!("(csv written to {})\n", path.display()))
             .map_err(|e| format!("csv export failed: {e}"))
     }
@@ -219,17 +199,6 @@ pub fn suite_slowdown_table(headers: &[&str], runs: &[WorkloadRuns]) -> (Table, 
     (table, overall)
 }
 
-/// The line every `SystemSim` figure prints beside its verdict: the fewest
-/// tracking windows any channel of any of its runs completed.
-pub fn windows_line(runs: &[WorkloadRuns]) -> String {
-    let fewest = runs
-        .iter()
-        .map(WorkloadRuns::min_windows)
-        .min()
-        .unwrap_or(0);
-    format!("Windows completed: {fewest} (fewest of any run)")
-}
-
 /// Formats a byte count the way the paper's tables do (KB / MB).
 ///
 /// # Example
@@ -248,11 +217,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
     } else {
         format!("{:.1} KB", b / KB)
     }
-}
-
-/// Formats a byte count as whole KB (for the ≤64 KB goal column).
-pub fn fmt_kb(bytes: u64) -> String {
-    format!("{} KB", bytes / 1024)
 }
 
 #[cfg(test)]
@@ -274,9 +238,7 @@ mod tests {
     fn rows_are_padded() {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["1".into()]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
-        assert!(t.render().contains('1'));
+        assert_eq!(t.render().lines().nth(2), Some("1        "));
     }
 
     #[test]
@@ -293,6 +255,5 @@ mod tests {
     fn byte_formatting() {
         assert_eq!(fmt_bytes(340 * 1024), "340.0 KB");
         assert_eq!(fmt_bytes(2_411_724), "2.3 MB");
-        assert_eq!(fmt_kb(64 * 1024), "64 KB");
     }
 }

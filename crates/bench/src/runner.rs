@@ -1,5 +1,6 @@
 //! The scaled experiment configuration, the tracker factories, and the
-//! workload × variant runner every `SystemSim` figure bench shares.
+//! single-cell runner the figure plan ([`crate::plan`]) runs every cell
+//! through.
 
 use hydra_baselines::{Cra, CraConfig, Graphene, GrapheneConfig, Ocpr, Para};
 use hydra_core::{Hydra, HydraConfig};
@@ -8,7 +9,7 @@ use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
 use hydra_types::mitigation::MitigationPolicy;
 use hydra_types::tracker::{ActivationTracker, NullTracker};
-use hydra_workloads::{registry, WorkloadSpec};
+use hydra_workloads::WorkloadSpec;
 
 /// The time-compression configuration for an experiment run (see the crate
 /// docs for the scaling argument).
@@ -26,14 +27,31 @@ impl ExperimentScale {
     /// Tracking windows every figure run completes at least.
     pub const WINDOWS: u64 = 3;
 
-    /// Reads the time-compression factor from `HYDRA_SCALE` (default 256)
-    /// and derives the instruction budget from it ([`ExperimentScale::at`]).
-    pub fn from_env() -> Self {
-        let scale = std::env::var("HYDRA_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(256);
-        ExperimentScale::at(scale)
+    /// Reads the time-compression factor from `HYDRA_SCALE` (see
+    /// [`parse_scale`](Self::parse_scale)) and derives the instruction
+    /// budget from it ([`ExperimentScale::at`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the message naming a set value that is not a positive
+    /// integer.
+    pub fn from_env() -> Result<Self, String> {
+        let value = std::env::var_os("HYDRA_SCALE");
+        let scale = Self::parse_scale(value.as_ref().map(|v| v.to_string_lossy()).as_deref())?;
+        Ok(ExperimentScale::at(scale))
+    }
+
+    /// The time-compression factor `HYDRA_SCALE` names: 256 when unset.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the value when it is set but not a positive
+    /// integer, so a typo such as `4k` fails at once instead of running at
+    /// the default scale.
+    pub fn parse_scale(value: Option<&str>) -> Result<u64, String> {
+        let Some(v) = value else { return Ok(256) };
+        let scale = v.parse().ok().filter(|&scale| scale > 0);
+        scale.ok_or_else(|| format!("HYDRA_SCALE={v:?} is not a positive integer"))
     }
 
     /// The experiment at compression factor `scale`. Each core's budget is
@@ -84,10 +102,9 @@ impl ExperimentScale {
 pub enum TrackerKind {
     /// No mitigation: the non-secure baseline every figure normalizes to.
     Baseline,
-    /// Hydra at the paper's default design point (scaled).
-    Hydra,
     /// Hydra with a custom (T_H, T_G, GCT entries, RCC entries) — entries
     /// are *totals* (split across channels) at paper scale, scaled by S.
+    /// [`TrackerKind::HYDRA`] is the paper's default design point.
     HydraCustom {
         /// Mitigation threshold.
         t_h: u32,
@@ -116,11 +133,21 @@ pub enum TrackerKind {
 }
 
 impl TrackerKind {
+    /// Hydra at the paper's default design point: T_H = 250, T_G = 200, a
+    /// 32K-entry GCT and an 8K-entry RCC (totals at paper scale).
+    pub const HYDRA: TrackerKind = TrackerKind::HydraCustom {
+        t_h: 250,
+        t_g: 200,
+        gct_total: 32_768,
+        rcc_total: 8_192,
+        use_gct: true,
+        use_rcc: true,
+    };
+
     /// Human-readable label for reports.
     pub fn label(&self) -> String {
         match self {
             TrackerKind::Baseline => "baseline".into(),
-            TrackerKind::Hydra => "hydra".into(),
             TrackerKind::HydraCustom {
                 t_h,
                 t_g,
@@ -159,9 +186,6 @@ impl TrackerKind {
         let channels = usize::from(geometry.channels());
         Ok(match *self {
             TrackerKind::Baseline => Box::new(NullTracker),
-            TrackerKind::Hydra => Box::new(scaled_hydra(
-                geometry, channel, scale, 250, 200, 32_768, 8_192, true, true,
-            )?),
             TrackerKind::HydraCustom {
                 t_h,
                 t_g,
@@ -282,16 +306,6 @@ impl WorkloadRuns {
             .collect()
     }
 
-    /// The fewest tracking windows any channel of these runs completed.
-    pub fn min_windows(&self) -> u64 {
-        std::iter::once(&self.baseline)
-            .chain(&self.variants)
-            .flat_map(|r| &r.controllers)
-            .map(|c| c.window_resets)
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Each variant's `1 + slowdown/100`: the ratio whose geomean Figs. 7, 9
     /// and 10 and the mitigation-policy extensions report.
     pub fn slowdown_ratios(&self) -> Vec<f64> {
@@ -302,47 +316,9 @@ impl WorkloadRuns {
     }
 }
 
-/// Runs every workload of `specs` once untracked and once per variant, and
-/// returns the results in workload order.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if a tracker cannot be built for the scaled
-/// geometry.
-pub fn run_figure(
-    specs: impl IntoIterator<Item = &'static WorkloadSpec>,
-    variants: &[Variant],
-    scale: &ExperimentScale,
-) -> Result<Vec<WorkloadRuns>, ConfigError> {
-    specs
-        .into_iter()
-        .map(|spec| {
-            Ok(WorkloadRuns {
-                spec,
-                baseline: simulate(spec, TrackerKind::Baseline.into(), scale)?,
-                variants: variants
-                    .iter()
-                    .map(|&variant| simulate(spec, variant, scale))
-                    .collect::<Result<_, _>>()?,
-            })
-        })
-        .collect()
-}
-
-/// [`run_figure`] over all 36 registered workloads.
-///
-/// # Errors
-///
-/// As [`run_figure`].
-pub fn run_all(
-    variants: &[Variant],
-    scale: &ExperimentScale,
-) -> Result<Vec<WorkloadRuns>, ConfigError> {
-    run_figure(&registry::ALL, variants, scale)
-}
-
-/// Runs one workload under one variant at the given scale.
-fn simulate(
+/// Runs one workload under one variant at the given scale: one cell of the
+/// figure plan.
+pub(crate) fn simulate(
     spec: &WorkloadSpec,
     variant: Variant,
     scale: &ExperimentScale,
@@ -384,69 +360,16 @@ mod tests {
     }
 
     #[test]
-    fn figure_runs_come_back_in_workload_by_variant_order() {
-        let scale = quick_scale();
-        let specs = ["gups", "mcf"].map(|n| registry::by_name(n).expect("registered"));
-        let variants = [
-            Variant::from(TrackerKind::Baseline),
-            Variant::from(TrackerKind::Hydra),
-            Variant {
-                tracker: TrackerKind::Hydra,
-                policy: MitigationPolicy::RateLimit,
-            },
-        ];
-        let runs = run_figure(specs, &variants, &scale).expect("figure runs");
-        let names: Vec<&str> = runs.iter().map(|r| r.spec.name).collect();
-        assert_eq!(names, ["gups", "mcf"]);
-        for (run, spec) in runs.iter().zip(specs) {
-            assert!(run.baseline.cycles > 0);
-            assert_eq!(run.variants.len(), variants.len());
-            // An untracked variant replays the baseline exactly.
-            assert_eq!(run.normalized()[0], 1.0);
-            assert_eq!(run.slowdown_ratios()[0], 1.0);
-            // Each slot holds its own variant's run.
-            for (slot, &variant) in run.variants.iter().zip(&variants) {
-                let alone = simulate(spec, variant, &scale).expect("single run");
-                assert_eq!(slot.cycles, alone.cycles);
-            }
-        }
-    }
-
-    #[test]
-    fn derived_budget_completes_three_windows_on_every_channel() {
-        // At S = 4096 one window is 25 K cycles: 3 × 25 K × 8 instructions.
-        let scale = ExperimentScale::at(4096);
-        assert_eq!(scale.instructions_per_core, 600_000);
-        // The compute-bound and the memory-bound end of the registry.
-        let specs = ["povray", "mcf"].map(|n| registry::by_name(n).expect("registered"));
-        let runs = run_figure(specs, &[TrackerKind::Hydra.into()], &scale).expect("figure runs");
-        for run in &runs {
-            let mut fewest = u64::MAX;
-            for result in std::iter::once(&run.baseline).chain(&run.variants) {
-                for (ch, c) in result.controllers.iter().enumerate() {
-                    assert!(
-                        c.window_resets >= ExperimentScale::WINDOWS,
-                        "{} channel {ch}: {} windows",
-                        run.spec.name,
-                        c.window_resets
-                    );
-                    fewest = fewest.min(c.window_resets);
-                }
-            }
-            assert_eq!(run.min_windows(), fewest);
-        }
-    }
-
-    #[test]
     fn tracker_labels_are_distinct() {
         let labels = [
             TrackerKind::Baseline.label(),
-            TrackerKind::Hydra.label(),
+            TrackerKind::HYDRA.label(),
             TrackerKind::Graphene.label(),
             TrackerKind::Cra { cache_bytes: 65536 }.label(),
             TrackerKind::Para.label(),
             TrackerKind::Ocpr.label(),
         ];
+        assert_eq!(labels[1], "hydra(th=250,tg=200,gct=32768)");
         for (i, a) in labels.iter().enumerate() {
             for b in &labels[i + 1..] {
                 assert_ne!(a, b);
@@ -463,12 +386,22 @@ mod tests {
     }
 
     #[test]
+    fn scale_parse_defaults_when_unset_and_names_a_bad_value() {
+        assert_eq!(ExperimentScale::parse_scale(None), Ok(256));
+        assert_eq!(ExperimentScale::parse_scale(Some("4096")), Ok(4096));
+        for bad in ["4k", "0", "-1", "", " 256"] {
+            let err = ExperimentScale::parse_scale(Some(bad)).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
     fn all_tracker_kinds_build() {
         let geom = MemGeometry::isca22_baseline();
         let s = quick_scale();
         for kind in [
             TrackerKind::Baseline,
-            TrackerKind::Hydra,
+            TrackerKind::HYDRA,
             TrackerKind::Graphene,
             TrackerKind::Cra { cache_bytes: 65536 },
             TrackerKind::Para,

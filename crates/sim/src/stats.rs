@@ -1,6 +1,7 @@
 //! Simulation results and statistics helpers.
 
 use crate::controller::ControllerStats;
+use hydra_dram::PowerCounters;
 use hydra_types::clock::MemCycle;
 use std::fmt;
 
@@ -15,6 +16,9 @@ pub struct SimResult {
     pub instructions: u64,
     /// Per-channel controller statistics.
     pub controllers: Vec<ControllerStats>,
+    /// Per-channel DRAM energy events (every ACT, RD, WR, PRE and REF the
+    /// channel issued), for the Sec. 6.8 energy model.
+    pub power: Vec<PowerCounters>,
 }
 
 impl SimResult {
@@ -122,6 +126,7 @@ mod tests {
             cpu_cycles: cycles * 2,
             instructions,
             controllers: vec![],
+            power: vec![],
         }
     }
 

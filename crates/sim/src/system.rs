@@ -190,6 +190,7 @@ impl SystemSim {
             instructions,
             cpu_cycles: cycles * u64::from(self.config.cpu_per_mem_cycle),
             controllers: controller_stats,
+            power: self.controllers.iter().map(|c| *c.dram().power()).collect(),
         }
     }
 }
@@ -228,6 +229,14 @@ mod tests {
         assert!(result.cycles > 0);
         assert!(result.ipc() > 0.0);
         assert_eq!(result.instructions, 2 * 10_000);
+        // Untracked, every ACT is a demand ACT and every burst a demand
+        // read; the DRAM's own counters also see the refreshes.
+        assert_eq!(result.power.len(), result.controllers.len());
+        for (power, c) in result.power.iter().zip(&result.controllers) {
+            assert_eq!(power.activations, c.demand_acts);
+            assert_eq!(power.reads, c.reads_done);
+            assert!(power.refreshes > 0);
+        }
     }
 
     #[test]
