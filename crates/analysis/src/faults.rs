@@ -22,6 +22,9 @@ use hydra_types::{ActivationKind, ActivationTracker, MemGeometry, RowAddr};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::fs;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Artifact format version header; the first line of every replay file.
 pub const ARTIFACT_HEADER: &str = "hydra-replay-v1";
@@ -99,6 +102,25 @@ impl FaultCaseSpec {
         ];
         lines.extend(self.plan.to_kv_lines());
         lines.join("\n") + "\n"
+    }
+
+    /// Writes [`to_artifact`](Self::to_artifact) to `dir/<label>.replay`,
+    /// creating `dir`, and returns the path. Every label character that is
+    /// not ASCII alphanumeric becomes `-` in the file name.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error that stopped the write.
+    pub fn write_artifact(&self, dir: &Path) -> io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
+        let stem: String = self
+            .label
+            .chars()
+            .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+            .collect();
+        let path = dir.join(format!("{stem}.replay"));
+        fs::write(&path, self.to_artifact())?;
+        Ok(path)
     }
 
     /// Parses an artifact produced by [`to_artifact`](Self::to_artifact).
@@ -388,6 +410,21 @@ mod tests {
         let text = spec.to_artifact();
         let parsed = FaultCaseSpec::parse_artifact(&text).expect("parses");
         assert_eq!(parsed, spec);
+    }
+
+    #[test]
+    fn failing_case_writes_a_replayable_artifact() {
+        let dir = std::env::temp_dir().join(format!("hydra-faults-test-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut spec = tiny_spec(DegradationPolicy::Off);
+        spec.label = "tiny/forced failure".to_string();
+        spec.plan = FaultPlan::none().with_seed(1).with_drop_mitigation(1.0);
+        assert!(!run_case(&spec).expect("runs").is_clean());
+        let path = spec.write_artifact(&dir).expect("artifact written");
+        assert_eq!(path, dir.join("tiny-forced-failure.replay"));
+        let text = fs::read_to_string(&path).expect("artifact readable");
+        assert_eq!(FaultCaseSpec::parse_artifact(&text), Ok(spec));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use std::time::Duration;
 fn batch(jobs: usize) -> BatchConfig {
     BatchConfig {
         watchdog: Duration::from_secs(300),
-        artifact_dir: None,
         jobs,
     }
 }

@@ -8,26 +8,19 @@
 //! * [`ocpr::Ocpr`] — One-Counter-Per-Row: the exact SRAM oracle that upper
 //!   bounds tracker storage (Table 1) and serves as the ground-truth tracker
 //!   in tests.
-//! * [`dcbf::DualCountingBloomFilter`] — the blacklisting filter of
-//!   BlockHammer (D-CBF), which supports only rate-control mitigation, and
-//!   [`blockhammer::BlockHammer`], its tracker wrapper for the full
-//!   simulator (pair with `MitigationPolicy::RateLimit`).
 //! * [`trr::VendorTrr`] — a deliberately weak vendor-TRR sampler, for the
 //!   TRRespass narrative (Sec. 7.4).
-//! * [`twice::TwiceTable`] — a TWiCE-style pruned counter table.
-//! * [`cat::CounterTree`] — a CAT-style adaptive tree of counters.
 //! * [`sketch::CountMinSketch`] — the shared count-min sketch primitive
 //!   (CoMeT's first counting tier; also re-exported by `hydra-forensics`
 //!   for attribution).
-//! * [`storage`] — the analytic per-rank storage models behind Tables 1 & 5.
+//! * [`storage`] — the analytic per-rank storage models behind Tables 1 & 5,
+//!   including TWiCE, CAT and D-CBF, which the paper compares only by
+//!   storage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blockhammer;
-pub mod cat;
 pub mod cra;
-pub mod dcbf;
 pub mod graphene;
 pub mod misra_gries;
 pub mod ocpr;
@@ -36,12 +29,8 @@ pub mod region;
 pub mod sketch;
 pub mod storage;
 pub mod trr;
-pub mod twice;
 
-pub use blockhammer::BlockHammer;
-pub use cat::CounterTree;
 pub use cra::{Cra, CraConfig};
-pub use dcbf::DualCountingBloomFilter;
 pub use graphene::{Graphene, GrapheneConfig};
 pub use misra_gries::MisraGries;
 pub use ocpr::Ocpr;
@@ -49,4 +38,3 @@ pub use para::Para;
 pub use region::CounterRegion;
 pub use sketch::CountMinSketch;
 pub use trr::VendorTrr;
-pub use twice::TwiceTable;

@@ -1,9 +1,6 @@
 //! Property-based tests of the baseline trackers' defining invariants.
 
-use hydra_baselines::{
-    CounterTree, Cra, CraConfig, DualCountingBloomFilter, Graphene, GrapheneConfig, MisraGries,
-    Ocpr, TwiceTable,
-};
+use hydra_baselines::{Cra, CraConfig, Graphene, GrapheneConfig, MisraGries, Ocpr};
 use hydra_types::{ActivationKind, ActivationTracker, MemGeometry, RowAddr};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -91,53 +88,5 @@ proptest! {
                 i
             );
         }
-    }
-
-    /// D-CBF estimates never undercount within an epoch.
-    #[test]
-    fn dcbf_never_undercounts(seq in sequences()) {
-        let mut f = DualCountingBloomFilter::new(8192, 1000, u64::MAX / 2).unwrap();
-        let mut exact: HashMap<RowAddr, u32> = HashMap::new();
-        for (i, row) in seq.into_iter().enumerate() {
-            *exact.entry(row).or_insert(0) += 1;
-            f.on_activation(row, i as u64);
-            prop_assert!(f.estimate(row) >= exact[&row]);
-        }
-    }
-
-    /// CAT's range counters upper-bound every row in the range, so its
-    /// mitigation can fire early but never late.
-    #[test]
-    fn cat_mitigation_never_late(rows in prop::collection::vec(0u32..64, 1..1000)) {
-        let threshold = 20u32;
-        let mut cat = CounterTree::new(64, 32, threshold, 8).unwrap();
-        let mut unmitigated: HashMap<u32, u32> = HashMap::new();
-        for row in rows {
-            let c = unmitigated.entry(row).or_insert(0);
-            *c += 1;
-            if let Some((start, end)) = cat.on_activation(row) {
-                // A CAT mitigation covers the fired leaf's whole range.
-                for r in start..end {
-                    unmitigated.insert(r, 0);
-                }
-            }
-            prop_assert!(*unmitigated.get(&row).unwrap_or(&0) <= threshold);
-        }
-    }
-
-    /// TWiCE with ample capacity mitigates hot rows like the oracle.
-    #[test]
-    fn twice_tracks_when_not_overflowed(hot_acts in 30u64..200) {
-        let threshold = 25u32;
-        let mut t = TwiceTable::new(4096, threshold, 1_000_000, 4).unwrap();
-        let row = RowAddr::new(0, 0, 0, 1);
-        let mut mitigations = 0u64;
-        for i in 0..hot_acts {
-            if t.on_activation(row, i) {
-                mitigations += 1;
-            }
-        }
-        prop_assert!(!t.overflowed());
-        prop_assert_eq!(mitigations, hot_acts / u64::from(threshold));
     }
 }

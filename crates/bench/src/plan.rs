@@ -189,7 +189,6 @@ impl CellTable {
         let jobs = cells.iter().map(|&cell| CellJob(cell, *scale)).collect();
         let config = BatchConfig {
             watchdog: Duration::MAX,
-            artifact_dir: None,
             jobs: workers,
         };
         let reports = BatchRunner::new(config).run(jobs).jobs;
@@ -373,7 +372,7 @@ pub(crate) fn figures() -> Vec<Figure> {
                     return String::new();
                 };
                 format!(
-                    "Mean DRAM dynamic-energy overhead: {mean:.2}% \
+                    "Mean DRAM energy overhead: {mean:.2}% \
                      (paper: ~0.2 % of total DRAM power).\n\n\
                      Measured activation rate: {act_rate:.3e} ACT/s \
                      (system-wide, pooled over the six Hydra runs)\n\n\
@@ -484,8 +483,8 @@ fn power_table(runs: &[WorkloadRuns]) -> (Table, Vec<f64>) {
     };
     let headers = [
         "workload",
-        "baseline dyn energy (uJ)",
-        "hydra dyn energy (uJ)",
+        "baseline DRAM energy (uJ)",
+        "hydra DRAM energy (uJ)",
         "overhead %",
     ];
     let mut table = Table::new(headers.to_vec());

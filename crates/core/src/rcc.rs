@@ -218,16 +218,6 @@ impl RowCountCache {
         true
     }
 
-    /// Fault-injection seam: invalidates `(set, way)`, modeling a tag upset
-    /// that makes the entry unreachable (its dirty count is lost). Returns
-    /// whether a valid way was hit.
-    pub fn invalidate_way(&mut self, set: usize, way: usize) -> bool {
-        let w = &mut self.sets[set][way];
-        let was_valid = w.valid;
-        *w = Way::default();
-        was_valid
-    }
-
     /// Number of valid entries (diagnostics).
     pub fn occupancy(&self) -> usize {
         self.sets

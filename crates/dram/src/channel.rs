@@ -44,11 +44,6 @@ impl Rank {
         &mut self.banks[bank as usize]
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Refresh bookkeeping for this rank.
     pub fn refresh(&self) -> &RefreshState {
         &self.refresh

@@ -9,7 +9,7 @@
 //! yields a verdict for the prefix.
 
 use crate::probe::ForensicsProbe;
-use hydra_telemetry::{CtrlQueue, TelemetryEvent, TRACE_SCHEMA_VERSION};
+use hydra_telemetry::{TelemetryEvent, TRACE_SCHEMA_VERSION};
 use hydra_types::json::{parse, JsonValue};
 use hydra_types::RowAddr;
 
@@ -71,13 +71,6 @@ pub fn parse_event_line(line: &str) -> Option<(u64, TelemetryEvent)> {
             row: u32::try_from(v.get("row").and_then(JsonValue::as_u64)?).ok()?,
         })
     };
-    let queue = || match v.get("queue").and_then(JsonValue::as_str) {
-        Some("read") => Some(CtrlQueue::Read),
-        Some("write") => Some(CtrlQueue::Write),
-        Some("side") => Some(CtrlQueue::Side),
-        Some("mitigation") => Some(CtrlQueue::Mitigation),
-        _ => None,
-    };
 
     let event = match name {
         "gct_only" => TelemetryEvent::GctOnly { group: group()? },
@@ -100,14 +93,6 @@ pub fn parse_event_line(line: &str) -> Option<(u64, TelemetryEvent)> {
         "degraded_reinit" => TelemetryEvent::DegradedReinit { slot: slot()? },
         "degraded_refresh" => TelemetryEvent::DegradedRefresh { slot: slot()? },
         "degraded_probabilistic" => TelemetryEvent::DegradedProbabilistic { group: group()? },
-        "ctrl_enqueue" => TelemetryEvent::CtrlEnqueue {
-            queue: queue()?,
-            depth: u32::try_from(v.get("depth").and_then(JsonValue::as_u64)?).ok()?,
-        },
-        "ctrl_issue" => TelemetryEvent::CtrlIssue {
-            queue: queue()?,
-            wait: v.get("wait").and_then(JsonValue::as_u64)?,
-        },
         "rct_access" => TelemetryEvent::RctAccess {
             row: row()?,
             count: u32::try_from(v.get("count").and_then(JsonValue::as_u64)?).ok()?,
@@ -183,14 +168,6 @@ mod tests {
             TelemetryEvent::DegradedReinit { slot: 2 },
             TelemetryEvent::DegradedRefresh { slot: 3 },
             TelemetryEvent::DegradedProbabilistic { group: 11 },
-            TelemetryEvent::CtrlEnqueue {
-                queue: CtrlQueue::Side,
-                depth: 12,
-            },
-            TelemetryEvent::CtrlIssue {
-                queue: CtrlQueue::Mitigation,
-                wait: 99,
-            },
             TelemetryEvent::RctAccess { row, count: 123 },
         ];
         assert_eq!(events.len(), EventKind::COUNT, "update when adding kinds");

@@ -4,10 +4,8 @@
 //! Parameter sweeps (and the fault-injection campaigns in
 //! `hydra-analysis`) run hundreds of independent configurations; one bad
 //! run must not take the whole campaign down. [`BatchRunner`] executes each
-//! [`BatchJob`] once, on its own thread behind `catch_unwind`, guards it
-//! with a wall-clock watchdog, and — when a job fails — writes the job's
-//! replay artifact (if it provides one) so the failure can be reproduced
-//! deterministically offline. Jobs are deterministic, so a failure is
+//! [`BatchJob`] once, on its own thread behind `catch_unwind`, and guards
+//! it with a wall-clock watchdog. Jobs are deterministic, so a failure is
 //! never retried: a second run would fail the same way.
 //!
 //! This module is the **only** place in the workspace allowed to call
@@ -18,23 +16,21 @@
 use hydra_types::Deadline;
 use std::any::Any;
 use std::collections::VecDeque;
-use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::Duration;
 
 /// One unit of batch work.
 ///
-/// Jobs must be `Send + Sync + 'static` because each job runs on a fresh
+/// Jobs must be `Send + 'static` because each job moves onto a fresh
 /// thread, and a timed-out job's thread is abandoned (it may still be
 /// holding the job after the runner has moved on).
-pub trait BatchJob: Send + Sync + 'static {
+pub trait BatchJob: Send + 'static {
     /// The value a successful run produces.
     type Output: Send + 'static;
 
-    /// Stable human-readable name; also seeds the replay-artifact filename.
+    /// Stable human-readable name.
     fn label(&self) -> String;
 
     /// Executes the job.
@@ -43,13 +39,6 @@ pub trait BatchJob: Send + Sync + 'static {
     ///
     /// Returns a description of the failure.
     fn run(&self) -> Result<Self::Output, String>;
-
-    /// A self-contained replay artifact reproducing this job, written to
-    /// the artifact directory when the job fails. `None` (the default)
-    /// means the job has nothing to persist.
-    fn replay_artifact(&self) -> Option<String> {
-        None
-    }
 }
 
 /// Batch-runner policy knobs.
@@ -58,14 +47,10 @@ pub struct BatchConfig {
     /// Wall-clock watchdog per job. A job that outlives it is recorded as
     /// [`JobStatus::TimedOut`] and its thread abandoned.
     pub watchdog: Duration,
-    /// Where to write replay artifacts of failed jobs.
-    /// `None` disables artifact emission.
-    pub artifact_dir: Option<PathBuf>,
-    /// Jobs run concurrently. The default of 1 preserves the original
-    /// strictly sequential execution (byte-identical output ordering for
-    /// existing consumers); higher values fan jobs across worker threads.
-    /// Reports are returned in submission order either way, and each job
-    /// keeps its own isolation thread and watchdog.
+    /// Jobs run concurrently (0 counts as 1). With the default of 1 the
+    /// jobs run one after another in submission order. Reports come back
+    /// in submission order either way, and each job keeps its own
+    /// isolation thread and watchdog.
     pub jobs: usize,
 }
 
@@ -73,7 +58,6 @@ impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
             watchdog: Duration::from_secs(60),
-            artifact_dir: None,
             jobs: 1,
         }
     }
@@ -109,10 +93,6 @@ pub struct JobReport<T> {
     pub status: JobStatus,
     /// The job's output, if it succeeded.
     pub output: Option<T>,
-    /// Where the replay artifact was written, when one was.
-    pub artifact_path: Option<PathBuf>,
-    /// Why writing the replay artifact failed, when it did.
-    pub artifact_error: Option<String>,
 }
 
 /// The whole batch's outcome.
@@ -137,18 +117,10 @@ impl<T> BatchReport<T> {
     pub fn is_clean(&self) -> bool {
         self.failed() == 0
     }
-
-    /// Paths of all replay artifacts written for this batch.
-    pub fn artifacts(&self) -> Vec<&Path> {
-        self.jobs
-            .iter()
-            .filter_map(|j| j.artifact_path.as_deref())
-            .collect()
-    }
 }
 
-/// Runs jobs — sequentially by default, or fanned across worker threads
-/// when [`BatchConfig::jobs`] > 1 — each job isolated on its own thread.
+/// Runs jobs on [`BatchConfig::jobs`] workers, each job isolated on its
+/// own thread.
 #[derive(Debug, Clone, Default)]
 pub struct BatchRunner {
     config: BatchConfig,
@@ -167,19 +139,14 @@ impl BatchRunner {
 
     /// Executes every job and reports, in submission order.
     ///
-    /// With [`BatchConfig::jobs`] = 1 (the default) jobs run one at a time
-    /// on the calling thread's schedule, exactly as the original sequential
-    /// runner did. With more, jobs are pulled off a shared queue by that
-    /// many workers; because every job is independent and reports are
-    /// reordered by submission index, the returned [`BatchReport`] is
+    /// Jobs are pulled off a shared queue, in submission order, by
+    /// [`BatchConfig::jobs`] workers (one worker runs them one after
+    /// another). Because every job is independent and reports are
+    /// re-slotted by submission index, the returned [`BatchReport`] is
     /// identical (minus wall-clock) regardless of the worker count.
     pub fn run<J: BatchJob>(&self, jobs: Vec<J>) -> BatchReport<J::Output> {
         let n = jobs.len();
-        let workers = self.config.jobs.max(1).min(n.max(1));
-        if workers <= 1 {
-            let reports = jobs.into_iter().map(|job| self.run_job(job)).collect();
-            return BatchReport { jobs: reports };
-        }
+        let workers = self.config.jobs.clamp(1, n.max(1));
         let queue: Mutex<VecDeque<(usize, J)>> = Mutex::new(jobs.into_iter().enumerate().collect());
         let (tx, rx) = mpsc::channel();
         let mut slots: Vec<Option<JobReport<J::Output>>> = (0..n).map(|_| None).collect();
@@ -218,8 +185,6 @@ impl BatchRunner {
                         error: "batch worker died before reporting".to_string(),
                     },
                     output: None,
-                    artifact_path: None,
-                    artifact_error: None,
                 })
             })
             .collect();
@@ -227,12 +192,11 @@ impl BatchRunner {
     }
 
     /// Runs one job on a fresh thread behind `catch_unwind`, bounded by the
-    /// watchdog, and writes its replay artifact if it fails. On timeout the
-    /// thread is abandoned, not joined — the receiver end is dropped, so a
-    /// late completion dies quietly in its failed `send`.
+    /// watchdog. On timeout the thread is abandoned, not joined — the
+    /// receiver end is dropped, so a late completion dies quietly in its
+    /// failed `send`.
     fn run_job<J: BatchJob>(&self, job: J) -> JobReport<J::Output> {
         let label = job.label();
-        let job = Arc::new(job);
         // Arm the watchdog before spawning so thread-creation time counts
         // against the budget: the shared `Deadline` (also used by the
         // daemon's connection watchdog) anchors once and saturates, with
@@ -240,11 +204,10 @@ impl BatchRunner {
         // expired.
         let deadline = Deadline::after(self.config.watchdog);
         let (tx, rx) = mpsc::channel();
-        let worker = Arc::clone(&job);
         let spawned = thread::Builder::new()
             .name(format!("batch-{label}"))
             .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| worker.run()));
+                let result = catch_unwind(AssertUnwindSafe(|| job.run()));
                 let _ = tx.send(result);
             });
         let (status, output) = match spawned {
@@ -270,36 +233,12 @@ impl BatchRunner {
                 Err(_) => (JobStatus::TimedOut, None),
             },
         };
-        let mut report = JobReport {
+        JobReport {
             label,
             status,
             output,
-            artifact_path: None,
-            artifact_error: None,
-        };
-        if report.status.is_success() {
-            return report;
         }
-        if let (Some(dir), Some(artifact)) = (&self.config.artifact_dir, job.replay_artifact()) {
-            match write_artifact(dir, &report.label, &artifact) {
-                Ok(path) => report.artifact_path = Some(path),
-                Err(e) => report.artifact_error = Some(e.to_string()),
-            }
-        }
-        report
     }
-}
-
-/// Writes `artifact` to `dir/<sanitized label>.replay`, creating `dir`.
-fn write_artifact(dir: &Path, label: &str, artifact: &str) -> std::io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let stem: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
-    let path = dir.join(format!("{stem}.replay"));
-    fs::write(&path, artifact)?;
-    Ok(path)
 }
 
 /// Renders a panic payload: `&str` and `String` payloads verbatim,
@@ -322,7 +261,6 @@ mod tests {
     fn fast_config() -> BatchConfig {
         BatchConfig {
             watchdog: Duration::from_secs(5),
-            artifact_dir: None,
             jobs: 1,
         }
     }
@@ -354,9 +292,6 @@ mod tests {
                     Ok(0)
                 }
             }
-        }
-        fn replay_artifact(&self) -> Option<String> {
-            Some(format!("hydra-replay-v1\nlabel={}\n", self.label()))
         }
     }
 
@@ -413,31 +348,6 @@ mod tests {
         let report = BatchRunner::new(config).run(vec![TestJob::Hang]);
         assert_eq!(report.failed(), 1);
         assert_eq!(report.jobs[0].status, JobStatus::TimedOut);
-    }
-
-    #[test]
-    fn failure_writes_replay_artifact() {
-        let dir = std::env::temp_dir().join(format!(
-            "hydra-batch-test-{}-{:?}",
-            std::process::id(),
-            thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let mut config = fast_config();
-        config.artifact_dir = Some(dir.clone());
-        let runner = BatchRunner::new(config);
-        let report = runner.run(vec![TestJob::Fail, TestJob::Ok(0)]);
-        let artifacts = report.artifacts();
-        assert_eq!(artifacts.len(), 1, "only the failed job writes one");
-        let written = fs::read_to_string(artifacts[0]).expect("artifact readable");
-        assert_eq!(written, "hydra-replay-v1\nlabel=fail\n");
-        assert_eq!(
-            report.jobs[0].artifact_path.as_deref(),
-            Some(dir.join("fail.replay").as_path())
-        );
-        assert!(report.jobs[0].artifact_error.is_none());
-        assert!(report.jobs[1].artifact_path.is_none());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 use crate::config::SystemConfig;
 use crate::rowswap::RowIndirection;
 use hydra_dram::DramChannel;
-use hydra_telemetry::{CtrlQueue, EventSink, TelemetryEvent};
 use hydra_types::addr::{LineAddr, RowAddr};
 use hydra_types::clock::MemCycle;
 use hydra_types::hash::RowMap;
@@ -91,17 +90,6 @@ pub struct ControllerStats {
     pub window_resets: u64,
 }
 
-impl ControllerStats {
-    /// Mean demand-read latency in cycles.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads_done == 0 {
-            0.0
-        } else {
-            self.read_latency_sum as f64 / self.reads_done as f64
-        }
-    }
-}
-
 /// One channel's memory controller.
 pub struct MemController {
     channel_index: u8,
@@ -111,8 +99,10 @@ pub struct MemController {
     write_q: VecDeque<Request>,
     side_q: VecDeque<Request>,
     mitigation_q: VecDeque<Request>,
-    /// Banks opened for a victim refresh, awaiting auto-precharge.
-    auto_close: Vec<(u8, u8)>,
+    /// Rows opened by a victim refresh, awaiting auto-precharge. An entry
+    /// is stale once its bank no longer holds the row (another command
+    /// closed it first) and is dropped at the next auto-close pass.
+    auto_close: Vec<RowAddr>,
     draining_writes: bool,
     next_id: u64,
     next_window_reset: MemCycle,
@@ -130,9 +120,6 @@ pub struct MemController {
     /// Banks per rank: `pick` numbers a bank `rank * banks_per_rank + bank`.
     banks_per_rank: u32,
     stats: ControllerStats,
-    /// Optional telemetry sink for queue enqueue/issue events; `None` costs
-    /// one branch per emission site.
-    probe: Option<Box<dyn EventSink>>,
     /// Memo of the last tick that issued nothing: the earliest cycle at
     /// which any queued command can become legal, so `tick` skips the queue
     /// scans before it. Zero (never ahead of `now`) when no memo is held.
@@ -186,31 +173,7 @@ impl MemController {
             },
             banks_per_rank: u32::from(geometry.banks_per_rank()),
             stats: ControllerStats::default(),
-            probe: None,
             idle_until: 0,
-        }
-    }
-
-    /// Attaches a telemetry sink: queue enqueue/issue events and window
-    /// resets are emitted into it from now on.
-    pub fn set_probe(&mut self, probe: Box<dyn EventSink>) {
-        self.probe = Some(probe);
-    }
-
-    /// The attached telemetry sink, if any.
-    pub fn probe(&self) -> Option<&dyn EventSink> {
-        self.probe.as_deref().map(|p| p as &dyn EventSink)
-    }
-
-    /// Detaches and returns the telemetry sink (collect a trace post-run).
-    pub fn take_probe(&mut self) -> Option<Box<dyn EventSink>> {
-        self.probe.take()
-    }
-
-    #[inline]
-    fn emit(&mut self, now: MemCycle, event: TelemetryEvent) {
-        if let Some(p) = self.probe.as_mut() {
-            p.emit(now, event);
         }
     }
 
@@ -263,14 +226,6 @@ impl MemController {
             kind: RequestKind::DemandRead { core },
             arrival: now,
         });
-        let depth = self.read_q.len() as u32;
-        self.emit(
-            now,
-            TelemetryEvent::CtrlEnqueue {
-                queue: CtrlQueue::Read,
-                depth,
-            },
-        );
         Some(id)
     }
 
@@ -299,14 +254,6 @@ impl MemController {
             kind: RequestKind::DemandWrite,
             arrival: now,
         });
-        let depth = self.write_q.len() as u32;
-        self.emit(
-            now,
-            TelemetryEvent::CtrlEnqueue {
-                queue: CtrlQueue::Write,
-                depth,
-            },
-        );
         true
     }
 
@@ -349,14 +296,6 @@ impl MemController {
                                 kind: RequestKind::VictimRefresh,
                                 arrival: now,
                             });
-                            let depth = self.mitigation_q.len() as u32;
-                            self.emit(
-                                now,
-                                TelemetryEvent::CtrlEnqueue {
-                                    queue: CtrlQueue::Mitigation,
-                                    depth,
-                                },
-                            );
                         }
                     }
                 }
@@ -417,14 +356,6 @@ impl MemController {
                 },
                 arrival: now,
             });
-            let depth = self.side_q.len() as u32;
-            self.emit(
-                now,
-                TelemetryEvent::CtrlEnqueue {
-                    queue: CtrlQueue::Side,
-                    depth,
-                },
-            );
         }
     }
 
@@ -432,8 +363,9 @@ impl MemController {
     /// reads whose data burst was scheduled this cycle (their `done_at` may
     /// be in the future).
     ///
-    /// A tick that issues nothing leaves the controller's state untouched.
-    /// It records the earliest cycle at which any command it scanned for can
+    /// A tick that issues nothing leaves the controller's state untouched,
+    /// apart from dropping stale auto-close entries (which a repeat of the
+    /// same tick would not find again). It records the earliest cycle at which any command it scanned for can
     /// become legal (`next_wake`), and the ticks before that cycle return
     /// right after the window and refresh checks: every cycle they skip is
     /// one in which nothing could have issued. An enqueue narrows the memo
@@ -444,8 +376,6 @@ impl MemController {
         if now >= self.next_window_reset {
             self.tracker.reset_window(now);
             self.stats.window_resets += 1;
-            let window = self.stats.window_resets;
-            self.emit(now, TelemetryEvent::WindowReset { window });
             self.next_window_reset += self.dram.timing().refresh_window;
             // Rate-limit blacklists expire with the window.
             self.blacklist.retain(|_, &mut until| until > now);
@@ -543,14 +473,7 @@ impl MemController {
             if now >= ready {
                 self.dram.activate(rank, bank, req.row.row, now);
                 self.mitigation_q.remove(i);
-                self.auto_close.push((rank, bank));
-                self.emit(
-                    now,
-                    TelemetryEvent::CtrlIssue {
-                        queue: CtrlQueue::Mitigation,
-                        wait: now.saturating_sub(req.arrival),
-                    },
-                );
+                self.auto_close.push(req.row);
                 self.notify_tracker(req.row, now, ActivationKind::MitigationRefresh);
                 return ControlFlow::Break(());
             }
@@ -559,15 +482,16 @@ impl MemController {
         ControlFlow::Continue(wake)
     }
 
-    /// Precharges one victim-refresh bank that may close. If none can,
-    /// continues with the earliest cycle one whose row is still open can.
+    /// Drops the entries whose bank no longer holds the refreshed row, then
+    /// precharges one victim-refreshed row that may close. If none can,
+    /// continues with the earliest cycle one can.
     fn service_auto_close(&mut self, now: MemCycle) -> ControlFlow<(), MemCycle> {
+        let dram = &self.dram;
+        self.auto_close
+            .retain(|r| dram.open_row(r.rank, r.bank) == Some(r.row));
         let mut wake = MemCycle::MAX;
         for i in 0..self.auto_close.len() {
-            let (rank, bank) = self.auto_close[i];
-            if self.dram.open_row(rank, bank).is_none() {
-                continue; // closed by another precharge; only a new ACT reopens it
-            }
+            let (rank, bank) = (self.auto_close[i].rank, self.auto_close[i].bank);
             let ready = self.dram.precharge_ready_at(rank, bank);
             if now >= ready {
                 self.dram.precharge(rank, bank, now);
@@ -661,14 +585,6 @@ impl MemController {
                 let Some(req) = self.queue_mut(sel).remove(i) else {
                     return ControlFlow::Continue(now + 1);
                 };
-
-                self.emit(
-                    now,
-                    TelemetryEvent::CtrlIssue {
-                        queue: sel.telemetry_queue(),
-                        wait: now.saturating_sub(req.arrival),
-                    },
-                );
                 let is_write =
                     matches!(req.kind, RequestKind::DemandWrite | RequestKind::SideWrite);
                 let done = if is_write {
@@ -752,16 +668,6 @@ enum QueueSel {
     Read,
     Write,
     Side,
-}
-
-impl QueueSel {
-    fn telemetry_queue(self) -> CtrlQueue {
-        match self {
-            QueueSel::Read => CtrlQueue::Read,
-            QueueSel::Write => CtrlQueue::Write,
-            QueueSel::Side => CtrlQueue::Side,
-        }
-    }
 }
 
 impl std::fmt::Debug for MemController {
@@ -1105,51 +1011,78 @@ mod tests {
         assert_eq!(c.stats().row_swaps, 1, "no further swap: aggressor moved");
     }
 
-    /// Forwards into a shared ring buffer so the test can inspect events
-    /// after the controller boxes the sink.
-    struct Shared(std::rc::Rc<std::cell::RefCell<hydra_telemetry::RingBufferSink>>);
-    impl EventSink for Shared {
-        fn emit(&mut self, now: u64, event: TelemetryEvent) {
-            self.0.borrow_mut().emit(now, event);
+    /// A demand precharge closes a victim-refresh bank before its
+    /// auto-close, and a demand ACT reopens the bank on another row: the
+    /// refresh's auto-close entry is stale and must not close the demand
+    /// row, which an open-page controller keeps open.
+    #[test]
+    fn stale_auto_close_entry_leaves_the_demand_row_open() {
+        let config = SystemConfig::tiny_test();
+        let geom = MemGeometry::tiny();
+        let aggressor = RowAddr::new(0, 0, 0, 100);
+        let mut c = MemController::new(&config, 0, Box::new(BlacklistRow { target: aggressor }));
+        c.enqueue_read(geom.line_of_row(aggressor, 0), 0, 0);
+        let mut done = Vec::new();
+        let mut now = 0;
+        // Tick up to the last of the four victim-refresh ACTs (rows 98, 99,
+        // 101, 102), which leaves row 102 open awaiting its auto-close.
+        while c.stats().mitigation_acts < 4 {
+            c.tick(now, &mut done);
+            now += 1;
         }
+        assert_eq!(c.dram().open_row(0, 0), Some(102));
+        // A demand read to row 300 of the same bank: its precharge outranks
+        // the auto-close, then its ACT reopens the bank on row 300.
+        let demand = RowAddr::new(0, 0, 0, 300);
+        c.enqueue_read(geom.line_of_row(demand, 0), 0, now);
+        done.clear();
+        while done.is_empty() {
+            c.tick(now, &mut done);
+            now += 1;
+        }
+        assert_eq!(c.stats().demand_acts, 2);
+        for _ in 0..1_000 {
+            c.tick(now, &mut done);
+            now += 1;
+        }
+        assert_eq!(
+            c.dram().open_row(0, 0),
+            Some(300),
+            "a victim refresh's auto-close must not precharge a demand row"
+        );
     }
 
+    /// Under a mitigation on every demand ACT, the pending auto-closes never
+    /// outnumber the channel's banks: each bank holds one row, and an entry
+    /// goes once its bank no longer holds the refreshed row.
     #[test]
-    fn probe_observes_the_full_queue_lifecycle() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
+    fn auto_close_holds_at_most_one_entry_per_bank() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
 
         let config = SystemConfig::tiny_test();
+        let geom = config.geometry;
+        let banks = usize::from(geom.ranks_per_channel()) * usize::from(geom.banks_per_rank());
         let mut c = MemController::new(&config, 0, Box::new(EveryN { n: 1, count: 0 }));
-        let buf = Rc::new(RefCell::new(hydra_telemetry::RingBufferSink::new(4096)));
-        c.set_probe(Box::new(Shared(Rc::clone(&buf))));
-        let geom = MemGeometry::tiny();
-        c.enqueue_read(geom.line_of_row(RowAddr::new(0, 0, 0, 100), 0), 0, 0);
-        assert!(c.enqueue_write(geom.line_of_row(RowAddr::new(0, 0, 1, 7), 0), 0));
-        run_until_idle(&mut c, 0);
-
-        let events = buf.borrow();
-        assert_eq!(events.dropped(), 0);
-        let count = |queue: CtrlQueue, enqueue: bool| {
-            events
-                .events()
-                .filter(|t| match t.event {
-                    TelemetryEvent::CtrlEnqueue { queue: q, .. } if enqueue => q == queue,
-                    TelemetryEvent::CtrlIssue { queue: q, .. } if !enqueue => q == queue,
-                    _ => false,
-                })
-                .count()
-        };
-        assert_eq!(count(CtrlQueue::Read, true), 1);
-        assert_eq!(count(CtrlQueue::Read, false), 1, "the read must issue");
-        assert_eq!(count(CtrlQueue::Write, true), 1);
-        assert_eq!(count(CtrlQueue::Write, false), 1, "the write must issue");
-        // EveryN{1} mitigates each demand ACT (read + write): every victim
-        // refresh is enqueued and later issued, none lost.
-        let mit_in = count(CtrlQueue::Mitigation, true);
-        assert!(mit_in >= 4, "blast radius 2 -> at least 4 victim refreshes");
-        assert_eq!(count(CtrlQueue::Mitigation, false), mit_in);
-        assert_eq!(mit_in as u64, c.stats().mitigation_acts);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut done = Vec::new();
+        let mut most = 0;
+        for now in 0..20_000 {
+            c.tick(now, &mut done);
+            most = most.max(c.auto_close.len());
+            assert!(
+                c.auto_close.len() <= banks,
+                "{} auto-close entries on {banks} banks at cycle {now}",
+                c.auto_close.len()
+            );
+            if rng.gen_bool(0.05) {
+                let bank = rng.gen_range(0..geom.banks_per_rank());
+                let row = RowAddr::new(0, 0, bank, rng.gen_range(4u32..1_000));
+                c.enqueue_read(geom.line_of_row(row, 0), 0, now);
+            }
+        }
+        assert!(c.stats().mitigation_acts > 500, "{:?}", c.stats());
+        assert!(most > 0);
     }
 
     /// Drives a reference controller, whose idle memo is cleared before

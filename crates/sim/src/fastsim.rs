@@ -19,6 +19,10 @@ use hydra_types::mitigation::{BlastRadius, MitigationRequest};
 use hydra_types::tracker::{ActivationKind, ActivationTracker, SideRequestKind};
 use std::collections::VecDeque;
 
+/// Rows refreshed on each side of a mitigated aggressor: the paper's
+/// Half-Double-safe radius of 2.
+const BLAST: BlastRadius = BlastRadius::HALF_DOUBLE_SAFE;
+
 /// Counters produced by an [`ActivationSim`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActivationSimReport {
@@ -105,7 +109,6 @@ pub struct ActivationSim<T> {
     geometry: MemGeometry,
     tracker: T,
     timing: DramTiming,
-    blast: BlastRadius,
     cycles_per_act: MemCycle,
     now: MemCycle,
     next_reset: MemCycle,
@@ -117,7 +120,7 @@ pub struct ActivationSim<T> {
 }
 
 impl<T: ActivationTracker> ActivationSim<T> {
-    /// Creates a simulator with default timing and blast radius 2.
+    /// Creates a simulator with default timing.
     pub fn new(geometry: MemGeometry, tracker: T) -> Self {
         let timing = DramTiming::ddr4_3200();
         ActivationSim {
@@ -125,7 +128,6 @@ impl<T: ActivationTracker> ActivationSim<T> {
             tracker,
             next_reset: timing.refresh_window,
             timing,
-            blast: BlastRadius::HALF_DOUBLE_SAFE,
             cycles_per_act: timing.trc,
             now: 0,
             report: ActivationSimReport::default(),
@@ -149,12 +151,6 @@ impl<T: ActivationTracker> ActivationSim<T> {
     /// `window / target_acts` (e.g. `fig6_access_breakdown`).
     pub fn with_cycles_per_activation(mut self, cycles: MemCycle) -> Self {
         self.cycles_per_act = cycles.max(1);
-        self
-    }
-
-    /// Overrides the blast radius.
-    pub fn with_blast_radius(mut self, blast: BlastRadius) -> Self {
-        self.blast = blast;
         self
     }
 
@@ -255,7 +251,7 @@ impl<T: ActivationTracker> ActivationSim<T> {
         let rows = self.geometry.rows_per_bank();
         for m in mitigations {
             self.mitigated_log.push(m.aggressor);
-            for offset in self.blast.offsets() {
+            for offset in BLAST.offsets() {
                 self.victims.extend(m.aggressor.neighbor(offset, rows));
             }
         }
@@ -407,7 +403,7 @@ mod tests {
             sim.report.mitigations += response.mitigations.len() as u64;
             for m in response.mitigations {
                 sim.mitigated_log.push(m.aggressor);
-                for offset in sim.blast.offsets() {
+                for offset in BLAST.offsets() {
                     if let Some(victim) = m.aggressor.neighbor(offset, sim.geometry.rows_per_bank())
                     {
                         work.push_back((victim, ActivationKind::MitigationRefresh));
@@ -427,7 +423,7 @@ mod tests {
                 sim.report.mitigations += side_response.mitigations.len() as u64;
                 for m in side_response.mitigations {
                     sim.mitigated_log.push(m.aggressor);
-                    for offset in sim.blast.offsets() {
+                    for offset in BLAST.offsets() {
                         if let Some(victim) =
                             m.aggressor.neighbor(offset, sim.geometry.rows_per_bank())
                         {

@@ -13,12 +13,10 @@
 //! and quick parameter sweeps use it.
 //!
 //! The [`metrics`] module turns a run into a per-window time-series of
-//! `HydraStats` deltas (with optional latency percentiles) that exports to
-//! JSONL/CSV via `hydra-telemetry`.
+//! `HydraStats` deltas that exports to JSONL/CSV via `hydra-telemetry`.
 //!
 //! The [`batch`] module wraps either simulator in a resilient batch
-//! harness: per-run panic isolation, a wall-clock watchdog, and
-//! replay-artifact emission on failure.
+//! harness: per-run panic isolation and a wall-clock watchdog.
 //!
 //! The [`oracle`] module is the **shadow-oracle sanitizer**
 //! ([`oracle::ShadowOracle`]): a ground-truth referee that wraps any
@@ -61,7 +59,7 @@ pub use config::SystemConfig;
 pub use controller::{CompletedRead, MemController, RequestKind};
 pub use core::CoreModel;
 pub use fastsim::{ActivationSim, ActivationSimReport};
-pub use metrics::{run_windowed, LatencySummary, StatsSource, WindowRecord, WindowSeries};
+pub use metrics::{run_windowed, StatsSource, WindowRecord, WindowSeries};
 pub use oracle::{OracleReport, ShadowOracle, Violation, ViolationKind};
 pub use rowswap::RowIndirection;
 pub use stats::{geometric_mean, SimResult};

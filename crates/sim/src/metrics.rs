@@ -1,5 +1,4 @@
-//! Per-window metrics: `HydraStats` deltas and latency percentiles as a
-//! time-series.
+//! Per-window metrics: `HydraStats` deltas as a time-series.
 //!
 //! The paper's per-window quantities (mitigations per 64 ms window, the
 //! Fig. 6 path breakdown *over time*, spill bursts after each reset) are
@@ -19,7 +18,6 @@
 
 use crate::fastsim::{ActivationSim, ActivationSimReport};
 use hydra_core::{Hydra, HydraStats, RctBackend};
-use hydra_telemetry::LatencyHistogram;
 use hydra_telemetry::{EventSink, MetricsRegistry, MetricsRow};
 use hydra_types::clock::MemCycle;
 use hydra_types::tracker::ActivationTracker;
@@ -40,37 +38,6 @@ impl<R: RctBackend, P: EventSink> StatsSource for Hydra<R, P> {
     }
 }
 
-/// Latency percentiles condensed from a [`LatencyHistogram`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencySummary {
-    /// Number of recorded values.
-    pub count: u64,
-    /// Mean latency in cycles.
-    pub mean: f64,
-    /// Median (bucket upper bound, clamped to max).
-    pub p50: f64,
-    /// 95th percentile.
-    pub p95: f64,
-    /// 99th percentile.
-    pub p99: f64,
-    /// Exact maximum.
-    pub max: u64,
-}
-
-impl LatencySummary {
-    /// Condenses a histogram into the summary percentiles.
-    pub fn from_histogram(h: &LatencyHistogram) -> Self {
-        LatencySummary {
-            count: h.count(),
-            mean: h.mean(),
-            p50: h.percentile(0.50),
-            p95: h.percentile(0.95),
-            p99: h.percentile(0.99),
-            max: h.max(),
-        }
-    }
-}
-
 /// One window's worth of activity.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowRecord {
@@ -80,8 +47,6 @@ pub struct WindowRecord {
     pub end_cycle: MemCycle,
     /// Counter deltas accumulated during this window.
     pub delta: HydraStats,
-    /// Optional latency percentiles for this window.
-    pub latency: Option<LatencySummary>,
 }
 
 /// An append-only series of per-window [`HydraStats`] deltas.
@@ -101,21 +66,13 @@ impl WindowSeries {
     /// counters *at the boundary*; the stored delta is everything since the
     /// previous snapshot.
     pub fn snapshot(&mut self, now: MemCycle, cumulative: HydraStats) {
-        self.snapshot_inner(now, cumulative, None);
-    }
-
-    /// Like [`Self::snapshot`], with latency percentiles for the window.
-    pub fn snapshot_with_latency(
-        &mut self,
-        now: MemCycle,
-        cumulative: HydraStats,
-        latency: &LatencyHistogram,
-    ) {
-        self.snapshot_inner(
-            now,
-            cumulative,
-            Some(LatencySummary::from_histogram(latency)),
-        );
+        let delta = cumulative.delta_since(&self.last);
+        self.last = cumulative;
+        self.records.push(WindowRecord {
+            window: self.records.len() as u64,
+            end_cycle: now,
+            delta,
+        });
     }
 
     /// Closes the series at end of run, recording the tail partial window.
@@ -124,24 +81,8 @@ impl WindowSeries {
     pub fn finish(&mut self, now: MemCycle, cumulative: HydraStats) {
         let tail = cumulative.delta_since(&self.last);
         if tail != HydraStats::default() || self.records.is_empty() {
-            self.snapshot_inner(now, cumulative, None);
+            self.snapshot(now, cumulative);
         }
-    }
-
-    fn snapshot_inner(
-        &mut self,
-        now: MemCycle,
-        cumulative: HydraStats,
-        latency: Option<LatencySummary>,
-    ) {
-        let delta = cumulative.delta_since(&self.last);
-        self.last = cumulative;
-        self.records.push(WindowRecord {
-            window: self.records.len() as u64,
-            end_cycle: now,
-            delta,
-            latency,
-        });
     }
 
     /// The recorded windows in order.
@@ -170,8 +111,7 @@ impl WindowSeries {
     }
 
     /// Converts the series into a [`MetricsRegistry`] (one row per window:
-    /// `window`, `end_cycle`, every `HydraStats` counter delta, and latency
-    /// percentiles when recorded).
+    /// `window`, `end_cycle` and every `HydraStats` counter delta).
     pub fn to_registry(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
         for r in &self.records {
@@ -180,14 +120,6 @@ impl WindowSeries {
                 .with("end_cycle", r.end_cycle);
             for (name, value) in r.delta.fields() {
                 row.push(name, value);
-            }
-            if let Some(lat) = r.latency {
-                row.push("lat_count", lat.count);
-                row.push("lat_mean", lat.mean);
-                row.push("lat_p50", lat.p50);
-                row.push("lat_p95", lat.p95);
-                row.push("lat_p99", lat.p99);
-                row.push("lat_max", lat.max);
             }
             reg.push(row);
         }
@@ -290,27 +222,5 @@ mod tests {
         assert_eq!(jsonl.lines().count(), series.len());
         let csv = series.to_csv();
         assert_eq!(csv.lines().count(), series.len() + 1);
-    }
-
-    #[test]
-    fn latency_snapshots_carry_percentiles() {
-        let mut series = WindowSeries::new();
-        let mut hist = LatencyHistogram::new();
-        for v in [10u64, 20, 30, 400] {
-            hist.record(v);
-        }
-        let stats = HydraStats {
-            activations: 4,
-            gct_only: 4,
-            ..Default::default()
-        };
-        series.snapshot_with_latency(1_000, stats, &hist);
-        let rec = &series.records()[0];
-        let lat = rec.latency.expect("latency recorded");
-        assert_eq!(lat.count, 4);
-        assert_eq!(lat.max, 400);
-        assert_eq!(lat.p99, 400.0);
-        let cols = series.to_registry().columns();
-        assert!(cols.contains(&"lat_p99"));
     }
 }

@@ -69,28 +69,9 @@ impl SystemSim {
         self
     }
 
-    /// Attaches a telemetry sink to each channel's controller:
-    /// `probe_factory(channel)` receives queue enqueue/issue events and
-    /// window resets for that channel.
-    pub fn with_probes<F>(mut self, mut probe_factory: F) -> Self
-    where
-        F: FnMut(u8) -> Box<dyn hydra_telemetry::EventSink>,
-    {
-        for (ch, controller) in self.controllers.iter_mut().enumerate() {
-            controller.set_probe(probe_factory(ch as u8));
-        }
-        self
-    }
-
     /// Access a channel's controller (for stats after a run).
     pub fn controller(&self, channel: u8) -> &MemController {
         &self.controllers[channel as usize]
-    }
-
-    /// Mutable access to a channel's controller (attach or drain telemetry
-    /// probes around a run).
-    pub fn controller_mut(&mut self, channel: u8) -> &mut MemController {
-        &mut self.controllers[channel as usize]
     }
 
     /// Access the configuration.

@@ -177,9 +177,9 @@ fn parest_hydra() {
         Tracker::Hydra,
         MitigationPolicy::default(),
         &[
-            208362, 800018, 8085, 3436, 3947362, 9873, 0, 0, 154, 414, 35064, 8, 10441, 25662,
-            20923, 10241, 16, 186340, 6964, 3029, 641359, 2960, 0, 0, 0, 0, 0, 8, 2960, 6964, 3029,
-            2861, 16, 39972,
+            207584, 800017, 8085, 3436, 3459762, 9536, 0, 0, 140, 365, 35038, 8, 10041, 25645,
+            20914, 9838, 16, 186236, 6963, 3030, 620846, 3032, 0, 0, 0, 0, 0, 8, 3032, 6963, 3030,
+            2929, 16, 39972,
         ],
     );
     assert!(r.controllers.iter().any(|c| c.mitigation_acts > 0));
@@ -245,8 +245,8 @@ fn parest_hydra_two_ranks() {
         Tracker::Hydra,
         two_rank_config(),
         &[
-            119928, 800012, 8085, 3436, 1851952, 4011, 0, 0, 28, 115, 13353, 4, 4154, 14782, 10092,
-            4053, 18, 99496, 6964, 3029, 671241, 3011, 0, 0, 0, 5, 1025, 4, 3016, 7477, 3541, 2943,
+            115963, 800014, 8085, 3436, 1687198, 3898, 0, 0, 20, 95, 12322, 4, 4013, 14263, 9580,
+            3914, 17, 95372, 6964, 3029, 679918, 3024, 0, 0, 0, 5, 1025, 4, 3029, 7477, 3541, 2955,
             17, 44072,
         ],
     );

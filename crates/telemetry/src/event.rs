@@ -3,36 +3,7 @@
 use hydra_types::RowAddr;
 use std::fmt::Write as _;
 
-/// Which memory-controller queue an event refers to.
-///
-/// Mirrors the four per-channel queues of the FR-FCFS controller in
-/// `hydra-sim` (reads, writes, tracker side traffic, mitigations); defined
-/// here so the controller can emit queue events without a dependency cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CtrlQueue {
-    /// Demand read queue.
-    Read,
-    /// Demand write queue.
-    Write,
-    /// Tracker side-request queue (RCT metadata traffic).
-    Side,
-    /// Mitigation (victim refresh) queue.
-    Mitigation,
-}
-
-impl CtrlQueue {
-    /// Short lowercase name used in exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            CtrlQueue::Read => "read",
-            CtrlQueue::Write => "write",
-            CtrlQueue::Side => "side",
-            CtrlQueue::Mitigation => "mitigation",
-        }
-    }
-}
-
-/// One instrumented happening inside the tracker or memory controller.
+/// One instrumented happening inside the tracker.
 ///
 /// Events carry the minimal payload needed to reconstruct what happened;
 /// the emission timestamp travels separately (see
@@ -118,20 +89,6 @@ pub enum TelemetryEvent {
         /// Row-group index under probabilistic fallback.
         group: u64,
     },
-    /// A request entered a memory-controller queue.
-    CtrlEnqueue {
-        /// Which queue.
-        queue: CtrlQueue,
-        /// Queue depth immediately after the enqueue.
-        depth: u32,
-    },
-    /// A request left a memory-controller queue (issued to DRAM).
-    CtrlIssue {
-        /// Which queue.
-        queue: CtrlQueue,
-        /// Memory cycles the request waited in the queue.
-        wait: u64,
-    },
     /// A per-row tracking-path count observation: the row's counter was
     /// consulted and updated (RCC hit, RCT read, or spill install), and its
     /// post-increment value is reported.
@@ -187,17 +144,13 @@ pub enum EventKind {
     DegradedRefresh,
     /// See [`TelemetryEvent::DegradedProbabilistic`].
     DegradedProbabilistic,
-    /// See [`TelemetryEvent::CtrlEnqueue`].
-    CtrlEnqueue,
-    /// See [`TelemetryEvent::CtrlIssue`].
-    CtrlIssue,
     /// See [`TelemetryEvent::RctAccess`].
     RctAccess,
 }
 
 impl EventKind {
     /// Every kind, in declaration order. `ALL[k.index()] == k`.
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 16] = [
         EventKind::GctOnly,
         EventKind::GroupSpill,
         EventKind::RccHit,
@@ -213,8 +166,6 @@ impl EventKind {
         EventKind::DegradedReinit,
         EventKind::DegradedRefresh,
         EventKind::DegradedProbabilistic,
-        EventKind::CtrlEnqueue,
-        EventKind::CtrlIssue,
         EventKind::RctAccess,
     ];
 
@@ -239,9 +190,7 @@ impl EventKind {
             EventKind::DegradedReinit => 12,
             EventKind::DegradedRefresh => 13,
             EventKind::DegradedProbabilistic => 14,
-            EventKind::CtrlEnqueue => 15,
-            EventKind::CtrlIssue => 16,
-            EventKind::RctAccess => 17,
+            EventKind::RctAccess => 15,
         }
     }
 
@@ -263,8 +212,6 @@ impl EventKind {
             EventKind::DegradedReinit => "degraded_reinit",
             EventKind::DegradedRefresh => "degraded_refresh",
             EventKind::DegradedProbabilistic => "degraded_probabilistic",
-            EventKind::CtrlEnqueue => "ctrl_enqueue",
-            EventKind::CtrlIssue => "ctrl_issue",
             EventKind::RctAccess => "rct_access",
         }
     }
@@ -297,8 +244,6 @@ impl TelemetryEvent {
             TelemetryEvent::DegradedReinit { .. } => EventKind::DegradedReinit,
             TelemetryEvent::DegradedRefresh { .. } => EventKind::DegradedRefresh,
             TelemetryEvent::DegradedProbabilistic { .. } => EventKind::DegradedProbabilistic,
-            TelemetryEvent::CtrlEnqueue { .. } => EventKind::CtrlEnqueue,
-            TelemetryEvent::CtrlIssue { .. } => EventKind::CtrlIssue,
             TelemetryEvent::RctAccess { .. } => EventKind::RctAccess,
         }
     }
@@ -307,7 +252,7 @@ impl TelemetryEvent {
     ///
     /// Schema: `{"t":<cycle>,"ev":"<kind>", ...payload}` with payload keys
     /// per variant (`group`, `slot`, `writeback`, `ch`/`rank`/`bank`/`row`,
-    /// `window`, `queue`, `depth`, `wait`). Hand-rolled: every payload is
+    /// `window`, `count`). Hand-rolled: every payload is
     /// numeric or a fixed identifier, so no string escaping is needed.
     pub fn write_json(&self, now: u64, out: &mut String) {
         // Writing to a String cannot fail; `let _ =` keeps this path
@@ -342,12 +287,6 @@ impl TelemetryEvent {
             }
             TelemetryEvent::WindowReset { window } => {
                 let _ = write!(out, ",\"window\":{window}");
-            }
-            TelemetryEvent::CtrlEnqueue { queue, depth } => {
-                let _ = write!(out, ",\"queue\":\"{}\",\"depth\":{depth}", queue.name());
-            }
-            TelemetryEvent::CtrlIssue { queue, wait } => {
-                let _ = write!(out, ",\"queue\":\"{}\",\"wait\":{wait}", queue.name());
             }
             TelemetryEvent::RctAccess { row, count } => {
                 let _ = write!(
@@ -408,24 +347,6 @@ mod tests {
         assert_eq!(
             ev.to_json(9),
             r#"{"t":9,"ev":"mitigation","ch":1,"rank":0,"bank":3,"row":99}"#
-        );
-
-        let ev = TelemetryEvent::CtrlEnqueue {
-            queue: CtrlQueue::Side,
-            depth: 4,
-        };
-        assert_eq!(
-            ev.to_json(2),
-            r#"{"t":2,"ev":"ctrl_enqueue","queue":"side","depth":4}"#
-        );
-
-        let ev = TelemetryEvent::CtrlIssue {
-            queue: CtrlQueue::Mitigation,
-            wait: 17,
-        };
-        assert_eq!(
-            ev.to_json(3),
-            r#"{"t":3,"ev":"ctrl_issue","queue":"mitigation","wait":17}"#
         );
 
         let ev = TelemetryEvent::RctAccess {

@@ -8,10 +8,9 @@
 //! missing observability layer in three pieces:
 //!
 //! 1. **Events** ([`TelemetryEvent`], [`EventKind`]) — a closed taxonomy of
-//!    tracker and memory-controller happenings: GCT outcomes, RCC
-//!    hits/evictions, RCT reads/writes, group spills, mitigations, RIT-ACT
-//!    activity, window resets, parity/degradation events, and controller
-//!    queue enqueue/issue pairs.
+//!    tracker happenings: GCT outcomes, RCC hits/evictions, RCT
+//!    reads/writes, group spills, mitigations, RIT-ACT activity, window
+//!    resets, parity/degradation events, and per-row counter accesses.
 //! 2. **Sinks** ([`EventSink`]) — where events go. The default
 //!    [`NoopSink`] compiles to nothing, so instrumented hot paths cost
 //!    zero when tracing is off (proven bit-identical by proptest in
@@ -22,9 +21,9 @@
 //!    rows with JSONL and CSV exporters, fed by `hydra-sim`'s window
 //!    snapshotting.
 //!
-//! Dependency direction: this crate depends only on `hydra-types`, so both
-//! `hydra-core` (the tracker) and `hydra-sim` (the controller) can emit
-//! into it without cycles.
+//! Dependency direction: this crate depends only on `hydra-types`, so
+//! `hydra-core` (the tracker) can emit into it and `hydra-sim` can record
+//! its window metrics without cycles.
 //!
 //! # Example
 //!
@@ -51,7 +50,7 @@ pub mod metrics;
 pub mod sink;
 
 pub use bounded::BoundedBuf;
-pub use event::{CtrlQueue, EventKind, TelemetryEvent};
+pub use event::{EventKind, TelemetryEvent};
 pub use histogram::LatencyHistogram;
 pub use metrics::{MetricValue, MetricsRegistry, MetricsRow};
 pub use sink::{

@@ -1,7 +1,7 @@
 //! Event sinks: where [`TelemetryEvent`]s go.
 //!
 //! The [`EventSink`] trait is the zero-cost seam threaded through the
-//! tracker and controller hot paths. The default [`NoopSink`] has an empty
+//! tracker's hot paths. The default [`NoopSink`] has an empty
 //! inlined `emit`, so an uninstrumented build pays nothing — the compiler
 //! eliminates the event construction too (proven semantics-identical by the
 //! probe-identity proptest in `hydra-core`).
@@ -47,17 +47,6 @@ impl EventSink for NoopSink {
     #[inline(always)]
     fn is_enabled(&self) -> bool {
         false
-    }
-}
-
-/// Boxed sinks forward; lets the controller hold `Option<Box<dyn EventSink>>`.
-impl EventSink for Box<dyn EventSink> {
-    fn emit(&mut self, now: u64, event: TelemetryEvent) {
-        self.as_mut().emit(now, event);
-    }
-
-    fn is_enabled(&self) -> bool {
-        self.as_ref().is_enabled()
     }
 }
 
@@ -371,12 +360,6 @@ impl<A, B> TeeSink<A, B> {
         &self.second
     }
 
-    /// Mutable access to the second sink (analyzers often need
-    /// finalization calls).
-    pub fn second_mut(&mut self) -> &mut B {
-        &mut self.second
-    }
-
     /// Unwraps into the two sinks.
     pub fn into_parts(self) -> (A, B) {
         (self.first, self.second)
@@ -470,13 +453,6 @@ mod tests {
         for line in s.as_str().lines() {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
-    }
-
-    #[test]
-    fn boxed_sink_forwards() {
-        let mut boxed: Box<dyn EventSink> = Box::new(RingBufferSink::new(2));
-        boxed.emit(0, ev(0));
-        assert!(boxed.is_enabled());
     }
 
     /// Drop accounting at the exact-capacity boundary: filling to capacity

@@ -331,8 +331,7 @@ fn cmd_hammer(args: &[String]) -> Result<(), String> {
 }
 
 /// One fault-campaign run as a batch job: a run is "failed" when the
-/// shadow oracle records any violation, so terminal failures carry their
-/// replay artifact out of the harness.
+/// shadow oracle records any violation.
 struct FaultCaseJob(FaultCaseSpec);
 
 impl BatchJob for FaultCaseJob {
@@ -352,10 +351,6 @@ impl BatchJob for FaultCaseJob {
                 report.oracle.violations_total, report.oracle.worst_unmitigated
             ))
         }
-    }
-
-    fn replay_artifact(&self) -> Option<String> {
-        Some(self.0.to_artifact())
     }
 }
 
@@ -394,37 +389,36 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
 
     // The campaign: survivable fault rates across the degradation
     // policies. Every job here is expected to pass.
-    let mut jobs = Vec::new();
+    let mut specs = Vec::new();
     for (j, &rate) in [0.0f64, 1e-3].iter().enumerate() {
         for policy in [DegradationPolicy::Off, DegradationPolicy::ImmediateRefresh] {
             let mut spec = FaultCaseSpec::new("tiny", t_rh, acts, policy);
             spec.label = format!("tiny/rate{rate}/{policy}");
             spec.stream_seed = seed;
             spec.plan = FaultPlan::uniform(rate, seed ^ (j as u64 + 1));
-            jobs.push(FaultCaseJob(spec));
+            specs.push(spec);
         }
     }
     if force_failure {
         // Drop every mitigation with degradation off: the oracle must
-        // catch the violation and the harness must emit the artifact.
+        // catch the violation and the failed case must write its artifact.
         let mut spec = FaultCaseSpec::new("tiny", t_rh, acts, DegradationPolicy::Off);
         spec.label = format!("tiny/forced-failure/t_rh{t_rh}");
         spec.stream_seed = seed;
         spec.plan = FaultPlan::none().with_seed(seed).with_drop_mitigation(1.0);
-        jobs.push(FaultCaseJob(spec));
+        specs.push(spec);
     }
 
     let runner = BatchRunner::new(BatchConfig {
         watchdog: Duration::from_millis(watchdog_ms),
-        artifact_dir: Some(out.clone()),
         jobs: 1,
     });
     let expected_failures = usize::from(force_failure);
-    let total = jobs.len();
+    let total = specs.len();
     println!("batch: {total} job(s), artifacts to {}", out.display());
-    let report = runner.run(jobs);
+    let report = runner.run(specs.iter().cloned().map(FaultCaseJob).collect());
 
-    for job in &report.jobs {
+    for (spec, job) in specs.iter().zip(&report.jobs) {
         let (disposition, detail) = match &job.status {
             JobStatus::Succeeded => ("ok", String::new()),
             JobStatus::Failed { error } => ("FAILED", error.clone()),
@@ -432,11 +426,12 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         };
         let line = format!("  {:<40} {:<8} {}", job.label, disposition, detail);
         println!("{}", line.trim_end());
-        if let Some(path) = &job.artifact_path {
-            println!("  {:<40} replay → {}", "", path.display());
+        if job.status.is_success() {
+            continue;
         }
-        if let Some(error) = &job.artifact_error {
-            println!("  {:<40} artifact write failed: {error}", "");
+        match spec.write_artifact(&out) {
+            Ok(path) => println!("  {:<40} replay → {}", "", path.display()),
+            Err(error) => println!("  {:<40} artifact write failed: {error}", ""),
         }
     }
     println!(
@@ -1335,7 +1330,6 @@ fn parse_jobs(raw: &str) -> Result<usize, String> {
 fn batch_config(jobs: usize) -> BatchConfig {
     BatchConfig {
         watchdog: Duration::from_secs(300),
-        artifact_dir: None,
         jobs,
     }
 }
