@@ -1,96 +1,15 @@
-//! `hydra-verify` — the static verification gate: token-rule lint, crate
-//! DAG check, lint-engine self-test, and the exhaustive pool-protocol
-//! schedule explorer, in one binary for CI.
+//! `hydra-verify` — the exhaustive pool-protocol schedule explorer, for CI.
 //!
 //! ```text
-//! cargo run -p hydra-analysis --bin hydra-verify -- <command>
-//!
-//! Commands:
-//!   lint [--json] [root]   run the repository lint gate (incl. crate DAG)
-//!   rules                  print the rule table (id, severity, summary)
-//!   self-test [root]       prove every rule fires on a known-bad snippet
-//!                          and matches the DESIGN.md catalog
-//!   explore                exhaustively model-check the worker-pool
-//!                          protocol, then prove the seeded mutations are
-//!                          caught
-//!   all [root]             lint + self-test + explore (the CI gate)
+//! cargo run -p hydra-analysis --bin hydra-verify [-- explore]
 //! ```
 //!
-//! Every command exits nonzero on failure, so `hydra-verify all` is a
-//! single pass/fail gate.
+//! Model-checks the worker-pool protocol over every interleaving, then
+//! proves each seeded mutation is caught. Exits nonzero on any failure.
 
 use hydra_analysis::explore::{default_step_bound, explore, random_walks, ModelConfig};
-use hydra_analysis::lint::{findings_to_json, lint_workspace, self_test, RULES};
 use hydra_engine::protocol::ProtocolVariant;
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-fn find_workspace_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return Some(dir);
-                }
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
-fn resolve_root(arg: Option<String>) -> Result<PathBuf, String> {
-    match arg {
-        Some(path) => Ok(PathBuf::from(path)),
-        None => find_workspace_root()
-            .ok_or_else(|| "no workspace root found; pass one explicitly".to_string()),
-    }
-}
-
-fn run_lint(root: &Path, json: bool) -> Result<(), String> {
-    let findings =
-        lint_workspace(root).map_err(|e| format!("failed to scan {}: {e}", root.display()))?;
-    if json {
-        println!("{}", findings_to_json(&findings));
-    } else if findings.is_empty() {
-        println!("lint: clean ({})", root.display());
-    } else {
-        for f in &findings {
-            println!("{f}");
-        }
-    }
-    if findings.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("lint: {} finding(s)", findings.len()))
-    }
-}
-
-fn run_rules() {
-    for info in &RULES {
-        println!(
-            "{:22} {:8} {}",
-            info.id,
-            info.severity.as_str(),
-            info.summary
-        );
-    }
-}
-
-fn run_self_test(root: &Path) -> Result<(), String> {
-    let design = std::fs::read_to_string(root.join("DESIGN.md")).ok();
-    let lines = self_test(design.as_deref())?;
-    for line in &lines {
-        println!("self-test: {line}");
-    }
-    if design.is_none() {
-        println!("self-test: note: DESIGN.md not found, catalog check skipped");
-    }
-    Ok(())
-}
 
 /// The acceptance envelope: every (workers, items) shape the explorer must
 /// enumerate exhaustively, including worker-panic schedules.
@@ -167,38 +86,19 @@ fn run_explore() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().unwrap_or_else(|| "all".to_string());
-    let mut json = false;
-    let mut root_arg = None;
-    for arg in args {
-        if arg == "--json" {
-            json = true;
-        } else {
-            root_arg = Some(arg);
-        }
-    }
-    let result = match command.as_str() {
-        "lint" => resolve_root(root_arg).and_then(|root| run_lint(&root, json)),
-        "rules" => {
-            run_rules();
-            Ok(())
-        }
-        "self-test" => resolve_root(root_arg).and_then(|root| run_self_test(&root)),
-        "explore" => run_explore(),
-        "all" => resolve_root(root_arg).and_then(|root| {
-            run_lint(&root, false)?;
-            run_self_test(&root)?;
-            run_explore()?;
-            println!("hydra-verify: all gates passed");
-            Ok(())
-        }),
-        other => Err(format!(
-            "unknown command {other:?} (expected lint, rules, self-test, explore, or all)"
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let result = match args.as_slice() {
+        [] => run_explore(),
+        [command] if command == "explore" => run_explore(),
+        _ => Err(format!(
+            "unexpected arguments {args:?} (usage: hydra-verify [explore])"
         )),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(()) => {
+            println!("hydra-verify: explorer passed");
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("hydra-verify: {e}");
             ExitCode::FAILURE

@@ -32,9 +32,10 @@
 //! both directions, and [`random_walks`] shows why exhaustiveness matters:
 //! single random schedules routinely miss the order-sensitive mutations.
 
-use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::fmt;
+
+use hydra_types::hash::RowSet;
 
 use hydra_engine::protocol::{CellOutcome, ProtocolVariant, Supervisor, WorkerMsg};
 
@@ -400,7 +401,7 @@ fn check_terminal(config: &ModelConfig, state: &State) -> Option<String> {
 /// states with no enabled transition — are violations.
 pub fn explore(config: &ModelConfig) -> ExploreReport {
     let initial = State::initial(config);
-    let mut seen: HashSet<State> = HashSet::new();
+    let mut seen: RowSet<State> = RowSet::default();
     seen.insert(initial.clone());
     let mut report = ExploreReport {
         states: 1,
@@ -417,7 +418,7 @@ pub fn explore(config: &ModelConfig) -> ExploreReport {
 fn dfs(
     config: &ModelConfig,
     state: &State,
-    seen: &mut HashSet<State>,
+    seen: &mut RowSet<State>,
     path: &mut Vec<String>,
     report: &mut ExploreReport,
 ) {

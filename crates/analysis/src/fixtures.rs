@@ -5,8 +5,8 @@
 //! assert the [`hydra_sim::oracle::ShadowOracle`] has no false negatives
 //! (it flags these) alongside no false positives (it stays clean on Hydra).
 
+use hydra_types::hash::RowMap;
 use hydra_types::{ActivationKind, ActivationTracker, MemCycle, RowAddr, TrackerResponse};
-use std::collections::HashMap;
 
 /// How a [`LeakyTracker`] loses activations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +31,7 @@ pub enum LeakMode {
 pub struct LeakyTracker {
     t_h: u32,
     mode: LeakMode,
-    counts: HashMap<RowAddr, u32>,
+    counts: RowMap<RowAddr, u32>,
     seen: u64,
 }
 
@@ -41,7 +41,7 @@ impl LeakyTracker {
         LeakyTracker {
             t_h,
             mode,
-            counts: HashMap::new(),
+            counts: RowMap::default(),
             seen: 0,
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The functional simulator answers "what does this configuration *do*";
 //! this crate answers "what can an adversary *get away with*" — without
-//! running a single activation. It has three layers:
+//! running a single activation. It has five layers:
 //!
 //! 1. [`audit`] — a **static config auditor** that derives worst-case
 //!    analytical bounds for any [`hydra_core::HydraConfig`]: the per-row
@@ -24,15 +24,13 @@
 //!    crate supplies the leaky [`fixtures`] that prove it has no false
 //!    negatives.
 //!
-//! 3. [`lint`] — a **syntax-aware repository lint gate**: a hand-rolled
-//!    Rust lexer ([`lex`]) feeds a token-based rule engine enforcing
-//!    workspace-wide invariants (`#![forbid(unsafe_code)]` everywhere, no
-//!    `unwrap()`/`expect()` in non-test library code, builder docs
-//!    consistent with builder behavior, `catch_unwind` confined to the
-//!    batch-harness layer, saturating-only counter arithmetic in the
-//!    tracking hot paths, schema-literal single-source, and the
-//!    crate-layering DAG declared in [`dag`]). Exposed as `hydra-verify lint`
-//!    for CI.
+//! 3. **Repository policy**, enforced by the compiler: every library crate
+//!    root (this one included) forbids `unsafe` and denies the clippy
+//!    lints behind the workspace rules (`unwrap`/`expect`, printing, the
+//!    `clippy.toml` `disallowed-*` lists); the crate-layering
+//!    DAG and the schema/metric literal checks that clippy cannot express
+//!    live in this crate's `tests/repo_policy.rs`. The rule → replacement
+//!    table is DESIGN.md §13.
 //!
 //! 4. [`explore`] — an **exhaustive schedule explorer** (a miniature
 //!    model checker): a faithful state-machine model of
@@ -65,15 +63,15 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod audit;
-pub mod dag;
 pub mod explore;
 pub mod faults;
 pub mod fixtures;
-pub mod lex;
-pub mod lint;
 
 pub use audit::{audit_hydra, AuditCheck, AuditReport, SecurityVerdict};
 pub use faults::{degradation_table, run_case, FaultCaseReport, FaultCaseSpec};

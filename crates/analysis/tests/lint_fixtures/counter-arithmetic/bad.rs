@@ -1,13 +1,10 @@
 #![forbid(unsafe_code)]
-pub fn bump(count: &mut u32) {
-    *count += 1;
-}
-pub fn bump_indexed(counts: &mut [u32]) {
-    counts[0] += 1;
-}
-pub fn wrapping(counter: u32) -> u32 {
-    counter.wrapping_add(1)
-}
+// The narrowing half of the rule. The wrapping half (`+=`, `*`,
+// `wrapping_add`, index assignment) cannot be written on a counter at all:
+// see the `compile_fail` examples in `hydra_types::counter`.
 pub fn narrow(count: u32) -> u8 {
     count as u8
+}
+pub fn index(slot: u64) -> usize {
+    slot as usize
 }

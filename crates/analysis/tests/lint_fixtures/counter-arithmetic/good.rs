@@ -1,6 +1,8 @@
 #![forbid(unsafe_code)]
-pub fn bump(count: &mut u32) {
-    *count = count.saturating_add(1);
+use hydra_types::counter::{index, SatCounters};
+
+pub fn bump(counts: &mut SatCounters<u8>, slot: u64) {
+    counts.increment(index(slot));
 }
 pub fn advance(pos: &mut usize) {
     // Parser cursors are not row counters.

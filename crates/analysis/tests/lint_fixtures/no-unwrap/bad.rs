@@ -2,6 +2,3 @@
 pub fn first(xs: &[u32]) -> u32 {
     *xs.first().unwrap()
 }
-pub fn second(xs: &[u32]) -> u32 {
-    *xs.get(1).expect("two elements")
-}

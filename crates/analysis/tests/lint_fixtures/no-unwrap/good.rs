@@ -5,7 +5,8 @@ pub fn first(xs: &[u32]) -> u32 {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_is_fine_in_tests() {
+    fn unwrap_and_expect_are_fine_in_tests() {
         assert_eq!(super::first(&[3]), [3u32].first().copied().unwrap());
+        assert_eq!(super::first(&[4]), [4u32].first().copied().expect("one"));
     }
 }

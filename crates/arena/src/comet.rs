@@ -27,6 +27,7 @@
 //! unmitigated accumulation by `2·(T_H − 1) < T_RH`.
 
 use hydra_baselines::sketch::CountMinSketch;
+use hydra_types::counter::Sat;
 use hydra_types::hash::RowMap;
 use hydra_types::{
     ActivationKind, ActivationTracker, ConfigError, MemCycle, MemGeometry, RowAddr, TrackerResponse,
@@ -78,7 +79,7 @@ struct BankState {
     sketch: CountMinSketch,
     /// Exact recounting table: row → count upper bound since the last
     /// mitigation (seeded with the sketch estimate at promotion).
-    rat: RowMap<u32, u64>,
+    rat: RowMap<u32, Sat<u64>>,
 }
 
 /// The CoMeT tracker for one channel. See the module docs.
@@ -188,9 +189,9 @@ impl ActivationTracker for Comet {
 
         if let Some(count) = bank.rat.get_mut(&row.row) {
             // Tier 2: exact recounting.
-            *count = count.saturating_add(1);
-            if *count >= t_h {
-                *count = 0;
+            count.increment();
+            if count.get::<u64>() >= t_h {
+                count.set(0);
                 self.mitigations += 1;
                 return TrackerResponse::mitigate(row);
             }
@@ -213,11 +214,11 @@ impl ActivationTracker for Comet {
             return TrackerResponse::mitigate(row);
         }
         if estimate >= t_h {
-            bank.rat.insert(row.row, 0);
+            bank.rat.insert(row.row, Sat::new(0));
             self.mitigations += 1;
             return TrackerResponse::mitigate(row);
         }
-        bank.rat.insert(row.row, estimate);
+        bank.rat.insert(row.row, Sat::new(estimate));
         TrackerResponse::none()
     }
 

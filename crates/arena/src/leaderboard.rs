@@ -47,7 +47,7 @@ use std::fmt::Write as _;
 
 /// Version tag stamped on every `hydra sweep --arena` JSONL line. This
 /// constant is the only place the literal may appear in library code
-/// (enforced by `hydra-verify lint`'s schema-single-source rule).
+/// (enforced by `hydra-analysis`'s `repo_policy` test).
 pub const ARENA_SCHEMA_VERSION: &str = "hydra-arena-v1";
 
 /// Figure-5 slowdown tolerance, in percentage points: Hydra's slowdown may

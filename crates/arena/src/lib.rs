@@ -47,6 +47,9 @@
 //!   guarding the guards.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod abacus;

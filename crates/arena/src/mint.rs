@@ -1,5 +1,5 @@
 //! MINT: a minimalist in-DRAM interval sampler
-//! (Qureshi & Saxena, MICRO 2024; arxiv 2408.16343).
+//! (Qureshi, Qazi & Jaleel, MICRO 2024; arXiv 2407.16038).
 //!
 //! MINT keeps no per-row counters at all. Each bank divides its
 //! activation stream into fixed-length **intervals**; within every

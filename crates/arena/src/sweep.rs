@@ -33,7 +33,7 @@ use std::fmt::Write as _;
 
 /// Version tag stamped on every `hydra sweep` JSONL line. This constant is
 /// the only place the literal may appear in library code (enforced by
-/// `hydra-verify lint`'s schema-single-source rule).
+/// `hydra-analysis`'s `repo_policy` test).
 pub const SWEEP_SCHEMA_VERSION: &str = "hydra-sweep-v1";
 
 /// A declarative sweep grid. Cells are the cross product of every list, in

@@ -10,6 +10,7 @@
 use crate::region::CounterRegion;
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
+use hydra_types::counter::{index, SatCounters};
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
 use hydra_types::mitigation::MitigationRequest;
@@ -93,7 +94,7 @@ impl MetadataCache {
     /// hits.
     fn access(&mut self, line: u64) -> (bool, Option<u64>) {
         self.stamp += 1;
-        let set = &mut self.sets[(line & self.set_mask) as usize];
+        let set = &mut self.sets[index(line & self.set_mask)];
         if let Some(e) = set.iter_mut().find(|(l, _)| *l == line) {
             e.1 = self.stamp;
             self.hits += 1;
@@ -144,7 +145,7 @@ impl MetadataCache {
 pub struct Cra {
     config: CraConfig,
     region: CounterRegion,
-    counts: Vec<u8>,
+    counts: SatCounters<u8>,
     cache: MetadataCache,
     mitigations: u64,
     activations: u64,
@@ -172,7 +173,7 @@ impl Cra {
         let ways = config.cache_ways.clamp(1, lines);
         Ok(Cra {
             cache: MetadataCache::new(lines, ways),
-            counts: vec![0; rows as usize],
+            counts: SatCounters::new(index(rows)),
             region,
             config,
             mitigations: 0,
@@ -237,15 +238,15 @@ impl ActivationTracker for Cra {
             return response;
         }
 
-        let index = self.config.geometry.channel_row_index(row);
-        let line = self.region.line_of_entry(index);
+        let entry = self.config.geometry.channel_row_index(row);
+        let line = self.region.line_of_entry(entry);
         let (hit, evicted) = self.cache.access(line);
         if !hit {
             // Fetch the counter line from DRAM.
             self.side_reads += 1;
             response
                 .side_requests
-                .push(SideRequest::read(self.region.dram_row_of_entry(index)));
+                .push(SideRequest::read(self.region.dram_row_of_entry(entry)));
         }
         if let Some(victim_line) = evicted {
             // Metadata lines are written on every counted activation, so
@@ -257,10 +258,10 @@ impl ActivationTracker for Cra {
             ));
         }
 
-        let count = &mut self.counts[index as usize];
-        *count = count.saturating_add(1);
-        if u32::from(*count) >= self.config.threshold {
-            *count = 0;
+        let slot = index(entry);
+        self.counts.increment(slot);
+        if self.counts.get::<u32>(slot) >= self.config.threshold {
+            self.counts.set(slot, 0);
             self.mitigations += 1;
             response.mitigations.push(MitigationRequest::new(row));
         }
@@ -270,7 +271,7 @@ impl ActivationTracker for Cra {
     fn reset_window(&mut self, _now: MemCycle) {
         // CRA resets counters each refresh window; the metadata cache is
         // flushed with them (counts drop to zero so nothing needs writing).
-        self.counts.fill(0);
+        self.counts.reset();
         self.cache.clear();
     }
 
@@ -354,8 +355,8 @@ mod tests {
         for _round in 0..4 {
             for line in 0..64u64 {
                 let index = line * 64;
-                let bank = (index / 1024) as u8;
-                let row = (index % 1024) as u32;
+                let bank = u8::try_from(index / 1024).unwrap();
+                let row = u32::try_from(index % 1024).unwrap();
                 act(&mut c, RowAddr::new(0, 0, bank, row));
             }
         }

@@ -14,6 +14,7 @@
 use crate::misra_gries::MisraGries;
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
+use hydra_types::counter::index;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, TrackerResponse};
@@ -52,7 +53,7 @@ impl GrapheneConfig {
             return Err(ConfigError::new("channel out of range"));
         }
         let threshold = t_rh / 2;
-        let entries = (act_max_per_bank.div_ceil(u64::from(threshold)) + 1) as usize;
+        let entries = index(act_max_per_bank.div_ceil(u64::from(threshold)) + 1);
         Ok(GrapheneConfig {
             geometry,
             channel,
@@ -275,12 +276,9 @@ mod tests {
         let run = |entries: usize| -> u64 {
             let mut g = graphene(50, entries);
             let target = RowAddr::new(0, 0, 0, 7);
-            for i in 0..300u64 {
+            for i in 0..300u32 {
                 for d in 0..8u32 {
-                    act(
-                        &mut g,
-                        RowAddr::new(0, 0, 0, 1000 + ((i as u32 * 8 + d) % 512)),
-                    );
+                    act(&mut g, RowAddr::new(0, 0, 0, 1000 + ((i * 8 + d) % 512)));
                 }
                 act(&mut g, target);
             }

@@ -18,6 +18,10 @@
 //!   storage.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
+#![deny(clippy::cast_possible_truncation)]
 #![warn(missing_docs)]
 
 pub mod cra;

@@ -7,6 +7,7 @@
 //! the estimate therefore never misses a true aggressor. (Graphene paper,
 //! MICRO 2020.)
 
+use hydra_types::counter::Sat;
 use hydra_types::hash::RowMap;
 use std::hash::Hash;
 
@@ -25,9 +26,9 @@ use std::hash::Hash;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MisraGries<K> {
-    entries: RowMap<K, u64>,
+    entries: RowMap<K, Sat<u64>>,
     capacity: usize,
-    spillover: u64,
+    spillover: Sat<u64>,
 }
 
 impl<K: Eq + Hash + Clone> MisraGries<K> {
@@ -41,7 +42,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
         MisraGries {
             entries: RowMap::with_capacity_and_hasher(capacity, Default::default()),
             capacity,
-            spillover: 0,
+            spillover: Sat::default(),
         }
     }
 
@@ -52,7 +53,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
 
     /// Current spillover count (lower bound for untracked items' estimates).
     pub fn spillover(&self) -> u64 {
-        self.spillover
+        self.spillover.get()
     }
 
     /// Number of tracked items.
@@ -72,13 +73,14 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
     /// `spillover + 1`). Otherwise bump the spillover counter.
     pub fn increment(&mut self, item: &K) -> u64 {
         if let Some(c) = self.entries.get_mut(item) {
-            *c = c.saturating_add(1);
-            return *c;
+            c.increment();
+            return c.get();
         }
+        let mut seeded = self.spillover;
+        seeded.increment();
         if self.entries.len() < self.capacity {
-            let c = self.spillover.saturating_add(1);
-            self.entries.insert(item.clone(), c);
-            return c;
+            self.entries.insert(item.clone(), seeded);
+            return seeded.get();
         }
         // Replace a floor entry if one exists.
         let spill = self.spillover;
@@ -89,18 +91,20 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
             .map(|(k, _)| k.clone());
         if let Some(key) = floor_key {
             self.entries.remove(&key);
-            let c = self.spillover.saturating_add(1);
-            self.entries.insert(item.clone(), c);
-            c
+            self.entries.insert(item.clone(), seeded);
         } else {
-            self.spillover = self.spillover.saturating_add(1);
-            self.spillover
+            self.spillover = seeded;
         }
+        seeded.get()
     }
 
     /// The over-approximate count for `item`.
     pub fn estimate(&self, item: &K) -> u64 {
-        self.entries.get(item).copied().unwrap_or(self.spillover)
+        self.entries
+            .get(item)
+            .copied()
+            .unwrap_or(self.spillover)
+            .get()
     }
 
     /// True if `item` currently has a tracked entry.
@@ -116,7 +120,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
     /// [`Self::spillover`] phantom occurrences); heavy-hitter consumers
     /// like the forensics attribution engine sort and threshold these.
     pub fn entries(&self) -> impl Iterator<Item = (&K, u64)> {
-        self.entries.iter().map(|(k, &c)| (k, c))
+        self.entries.iter().map(|(k, c)| (k, c.get()))
     }
 
     /// Sets a tracked item's count (used by Graphene after mitigation: the
@@ -132,14 +136,14 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
     /// Clears everything (window reset).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.spillover = 0;
+        self.spillover = Sat::default();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap as Map;
+    use hydra_types::hash::RowMap as Map;
 
     #[test]
     fn tracks_up_to_capacity_exactly() {
@@ -170,7 +174,7 @@ mod tests {
         // The Misra-Gries guarantee, checked against exact counts on an
         // adversarial interleaving.
         let mut mg = MisraGries::new(4);
-        let mut exact: Map<u32, u64> = Map::new();
+        let mut exact: Map<u32, u64> = Map::default();
         let stream: Vec<u32> = (0..2000u32).map(|i| (i * 7) % 23).collect();
         for item in stream {
             *exact.entry(item).or_insert(0) += 1;

@@ -8,6 +8,7 @@
 use crate::storage::ocpr_bytes_per_rank;
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
+use hydra_types::counter::{index, SatCounters};
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, TrackerResponse};
@@ -35,7 +36,7 @@ pub struct Ocpr {
     geometry: MemGeometry,
     channel: u8,
     threshold: u32,
-    counts: Vec<u32>,
+    counts: SatCounters<u32>,
     mitigations: u64,
 }
 
@@ -56,7 +57,7 @@ impl Ocpr {
             geometry,
             channel,
             threshold,
-            counts: vec![0; geometry.rows_per_channel() as usize],
+            counts: SatCounters::new(index(geometry.rows_per_channel())),
             mitigations: 0,
         })
     }
@@ -64,7 +65,7 @@ impl Ocpr {
     /// The exact count of a row since the window start or its last
     /// mitigation.
     pub fn count(&self, row: RowAddr) -> u32 {
-        self.counts[self.geometry.channel_row_index(row) as usize]
+        self.counts.get(index(self.geometry.channel_row_index(row)))
     }
 
     /// Mitigations issued.
@@ -86,10 +87,10 @@ impl ActivationTracker for Ocpr {
         _kind: ActivationKind,
     ) -> TrackerResponse {
         debug_assert_eq!(row.channel, self.channel);
-        let idx = self.geometry.channel_row_index(row) as usize;
-        self.counts[idx] = self.counts[idx].saturating_add(1);
-        if self.counts[idx] >= self.threshold {
-            self.counts[idx] = 0;
+        let idx = index(self.geometry.channel_row_index(row));
+        self.counts.increment(idx);
+        if self.counts.get::<u32>(idx) >= self.threshold {
+            self.counts.set(idx, 0);
             self.mitigations += 1;
             TrackerResponse::mitigate(row)
         } else {
@@ -98,7 +99,7 @@ impl ActivationTracker for Ocpr {
     }
 
     fn reset_window(&mut self, _now: MemCycle) {
-        self.counts.fill(0);
+        self.counts.reset();
     }
 
     fn name(&self) -> &str {

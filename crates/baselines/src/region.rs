@@ -53,7 +53,7 @@ impl CounterRegion {
             return Err(ConfigError::new("entries and entry size must be nonzero"));
         }
         let bytes = entries * bytes_per_entry;
-        let reserved_rows = bytes.div_ceil(geometry.row_bytes()) as u32;
+        let reserved_rows = u32::try_from(bytes.div_ceil(geometry.row_bytes())).unwrap_or(u32::MAX);
         let channel_banks =
             u32::from(geometry.ranks_per_channel()) * u32::from(geometry.banks_per_rank());
         if reserved_rows.div_ceil(channel_banks) > geometry.rows_per_bank() {
@@ -105,7 +105,7 @@ impl CounterRegion {
     pub fn dram_row_of_entry(&self, index: u64) -> RowAddr {
         assert!(index < self.entries, "counter index out of range");
         let byte = index * self.bytes_per_entry;
-        let region_row = (byte / self.geometry.row_bytes()) as u32;
+        let region_row = u32::try_from(byte / self.geometry.row_bytes()).unwrap_or(u32::MAX);
         let flat_bank = region_row % self.channel_banks;
         let depth = region_row / self.channel_banks;
         RowAddr {

@@ -20,6 +20,8 @@
 //! per-row-path events within a few counts of truth. Width and depth are
 //! constructor parameters; nothing in this module pins them.
 
+use hydra_types::counter::{index, SatCounters};
+
 /// Default bucket width used by the forensics attribution engine.
 pub const DEFAULT_WIDTH: usize = 1024;
 
@@ -31,7 +33,7 @@ pub const DEFAULT_DEPTH: usize = 4;
 pub struct CountMinSketch {
     width: usize,
     depth: usize,
-    counters: Vec<u64>,
+    counters: SatCounters<u64>,
     total: u64,
 }
 
@@ -64,7 +66,7 @@ impl CountMinSketch {
         CountMinSketch {
             width,
             depth,
-            counters: vec![0; width * depth],
+            counters: SatCounters::new(width * depth),
             total: 0,
         }
     }
@@ -85,7 +87,7 @@ impl CountMinSketch {
     }
 
     fn bucket(&self, row: usize, key: u64) -> usize {
-        (mix(key ^ ROW_SEEDS[row]) % self.width as u64) as usize
+        index(mix(key ^ ROW_SEEDS[row]) % self.width as u64)
     }
 
     /// Records one occurrence of `key`, returning its new estimate.
@@ -94,8 +96,8 @@ impl CountMinSketch {
         let mut est = u64::MAX;
         for d in 0..self.depth {
             let idx = d * self.width + self.bucket(d, key);
-            self.counters[idx] = self.counters[idx].saturating_add(1);
-            est = est.min(self.counters[idx]);
+            self.counters.increment(idx);
+            est = est.min(self.counters.get(idx));
         }
         est
     }
@@ -104,14 +106,14 @@ impl CountMinSketch {
     pub fn estimate(&self, key: u64) -> u64 {
         let mut est = u64::MAX;
         for d in 0..self.depth {
-            est = est.min(self.counters[d * self.width + self.bucket(d, key)]);
+            est = est.min(self.counters.get(d * self.width + self.bucket(d, key)));
         }
         est
     }
 
     /// Zeroes every counter (window reset).
     pub fn clear(&mut self) {
-        self.counters.fill(0);
+        self.counters.reset();
         self.total = 0;
     }
 }
@@ -119,12 +121,12 @@ impl CountMinSketch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use hydra_types::hash::RowMap;
 
     #[test]
     fn estimates_never_underestimate() {
         let mut cms = CountMinSketch::new(64, 4);
-        let mut exact: HashMap<u64, u64> = HashMap::new();
+        let mut exact: RowMap<u64, u64> = RowMap::default();
         for i in 0..5_000u64 {
             // Skewed stream: a few hot keys plus a long tail.
             let key = if i % 3 == 0 { i % 5 } else { i % 999 };

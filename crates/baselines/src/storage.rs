@@ -213,18 +213,18 @@ mod tests {
     fn ocpr_matches_table1() {
         // Paper: 2.3 MB at 500, 2.0 MB at 250, 2.5 MB at 1000, 3.8 MB at 32K.
         let o = |t| ocpr_bytes_per_rank(t, ROWS_PER_16GB_RANK);
-        assert!(close(o(500), (2.25 * MB as f64) as u64, 0.05));
+        assert!(close(o(500), 9 * MB / 4, 0.05));
         assert!(close(o(250), 2 * MB, 0.05));
-        assert!(close(o(1000), (2.5 * MB as f64) as u64, 0.05));
-        assert!(close(o(32_000), (3.75 * MB as f64) as u64, 0.05));
+        assert!(close(o(1000), 5 * MB / 2, 0.05));
+        assert!(close(o(32_000), 15 * MB / 4, 0.05));
     }
 
     #[test]
     fn twice_matches_table1_shape() {
         // Paper: 2.3 MB at 500, 1.2 MB at 1000, >2 MB at 250, 37 KB at 32K.
         let t = |x| twice_bytes_per_rank(x, ACT_MAX_PER_BANK, 16);
-        assert!(close(t(500), (2.26 * MB as f64) as u64, 0.10), "{}", t(500));
-        assert!(close(t(1000), (1.13 * MB as f64) as u64, 0.10));
+        assert!(close(t(500), 113 * MB / 50, 0.10), "{}", t(500));
+        assert!(close(t(1000), 113 * MB / 100, 0.10));
         assert!(t(250) > 2 * MB);
         assert!(close(t(32_000), 36 * KB, 0.15), "{}", t(32_000));
     }
@@ -233,7 +233,7 @@ mod tests {
     fn cat_matches_table1_shape() {
         // Paper: 1.5 MB at 500, 784 KB at 1000, >2 MB at 250, 25 KB at 32K.
         let c = |x| cat_bytes_per_rank(x, ACT_MAX_PER_BANK, 16);
-        assert!(close(c(500), (1.5 * MB as f64) as u64, 0.10), "{}", c(500));
+        assert!(close(c(500), 3 * MB / 2, 0.10), "{}", c(500));
         assert!(close(c(1000), 784 * KB, 0.05), "{}", c(1000));
         assert!(c(250) > 2 * MB);
         assert!(close(c(32_000), 25 * KB, 0.05), "{}", c(32_000));
@@ -244,7 +244,7 @@ mod tests {
         // Paper: 768 KB at 500, 1.5 MB at 250, 384 KB at 1000.
         let d = |x| dcbf_bytes_per_rank(x, ACT_MAX_PER_BANK, 16);
         assert!(close(d(500), 768 * KB, 0.05), "{}", d(500));
-        assert!(close(d(250), (1.5 * MB as f64) as u64, 0.05));
+        assert!(close(d(250), 3 * MB / 2, 0.05));
         assert!(close(d(1000), 384 * KB, 0.05));
     }
 

@@ -16,6 +16,7 @@
 
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
+use hydra_types::counter::Sat;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
 use hydra_types::hash::RowMap;
@@ -44,7 +45,7 @@ pub struct VendorTrr {
     threshold: u32,
     capacity: usize,
     /// Per-bank sampler tables: row → count.
-    tables: Vec<RowMap<u32, u32>>,
+    tables: Vec<RowMap<u32, Sat<u32>>>,
     mitigations: u64,
     escaped_activations: u64,
 }
@@ -104,14 +105,14 @@ impl ActivationTracker for VendorTrr {
         let idx = usize::from(row.rank) * usize::from(self.banks_per_rank) + usize::from(row.bank);
         let table = &mut self.tables[idx];
         if let Some(count) = table.get_mut(&row.row) {
-            *count = count.saturating_add(1);
-            if *count >= self.threshold {
-                *count = 0;
+            count.increment();
+            if count.get::<u32>() >= self.threshold {
+                count.set(0);
                 self.mitigations += 1;
                 return TrackerResponse::mitigate(row);
             }
         } else if table.len() < self.capacity {
-            table.insert(row.row, 1);
+            table.insert(row.row, Sat::new(1));
         } else {
             // Table full: this activation is invisible to the sampler.
             self.escaped_activations += 1;

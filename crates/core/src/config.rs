@@ -8,6 +8,7 @@
 
 use crate::degrade::DegradationPolicy;
 use crate::indexing::GroupIndexer;
+use hydra_types::counter::index;
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
 
@@ -85,7 +86,7 @@ impl HydraConfig {
     /// Returns [`ConfigError`] if `geometry`/`channel` are inconsistent.
     pub fn isca22_default(geometry: MemGeometry, channel: u8) -> Result<Self, ConfigError> {
         let channels = usize::from(geometry.channels());
-        let rows = geometry.rows_per_channel() as usize;
+        let rows = index(geometry.rows_per_channel());
         HydraConfig::builder(geometry, channel)
             .thresholds(defaults::T_H, defaults::T_G)
             // Clamped for small test geometries; a no-op at the paper scale.
@@ -114,9 +115,10 @@ impl HydraConfig {
             )));
         }
         let channels = usize::from(geometry.channels());
-        let rows = geometry.rows_per_channel() as usize;
-        let scale = (500.0 / t_rh as f64).max(1.0);
-        let scale_pow2 = (scale.round() as usize).next_power_of_two();
+        let rows = index(geometry.rows_per_channel());
+        // round(500 / t_rh), at least 1, in integers.
+        let scale = ((1000 + u64::from(t_rh)) / (2 * u64::from(t_rh))).max(1);
+        let scale_pow2 = index(scale.next_power_of_two());
         let t_h = t_rh / 2;
         let t_g = (t_h * 4) / 5;
         HydraConfig::builder(geometry, channel)
@@ -160,7 +162,7 @@ pub struct HydraConfigBuilder {
 impl HydraConfigBuilder {
     fn new(geometry: MemGeometry, channel: u8) -> Self {
         let channels = usize::from(geometry.channels());
-        let rows = geometry.rows_per_channel() as usize;
+        let rows = index(geometry.rows_per_channel());
         HydraConfigBuilder {
             geometry,
             channel,
@@ -388,71 +390,49 @@ mod tests {
     }
 
     #[test]
-    fn rejects_tg_not_below_th() {
-        let g = MemGeometry::tiny();
-        let err = HydraConfig::builder(g, 0).thresholds(100, 100).build();
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn rejects_th_over_one_byte() {
-        let g = MemGeometry::tiny();
-        assert!(HydraConfig::builder(g, 0)
-            .thresholds(256, 200)
-            .build()
-            .is_err());
+    fn build_rejects_every_documented_invalid_config() {
+        type Edit = fn(&mut HydraConfigBuilder) -> &mut HydraConfigBuilder;
+        let keep: Edit = |b| b;
+        let rows: [(&str, u8, Edit, &str); 11] = [
+            ("bad channel", 5, keep, "out of range"),
+            ("T_H < 2", 0, |b| b.thresholds(1, 0), "at least 2"),
+            ("T_H > 255", 0, |b| b.thresholds(256, 200), "one-byte"),
+            ("T_G >= T_H", 0, |b| b.thresholds(100, 100), "strictly less"),
+            ("T_G = 0", 0, |b| b.thresholds(10, 0), "T_G must be nonzero"),
+            ("GCT not 2^k", 0, |b| b.gct_entries(100), "power of two"),
+            ("GCT > rows", 0, |b| b.gct_entries(8192), "exceeds channel"),
+            (
+                "RCC not 2^k",
+                0,
+                |b| b.rcc_entries(96),
+                "RCC entry count 96",
+            ),
+            ("ways = 0", 0, |b| b.rcc_ways(0), "ways must be nonzero"),
+            (
+                "ways > entries",
+                0,
+                |b| b.rcc_entries(8).rcc_ways(16),
+                "exceeds",
+            ),
+            (
+                "ways !| entries",
+                0,
+                |b| b.rcc_entries(16).rcc_ways(3),
+                "divisible",
+            ),
+        ];
+        for (case, channel, edit, message) in rows {
+            let mut builder = HydraConfig::builder(MemGeometry::tiny(), channel);
+            let err = edit(&mut builder).build().expect_err(case);
+            assert!(err.to_string().contains(message), "{case}: {err}");
+        }
+        // The boundaries themselves are accepted.
+        let g = MemGeometry::tiny(); // 4096 rows in channel 0
         assert!(HydraConfig::builder(g, 0)
             .thresholds(255, 200)
             .build()
             .is_ok());
-    }
-
-    #[test]
-    fn rejects_bad_channel() {
-        let g = MemGeometry::tiny();
-        assert!(HydraConfig::builder(g, 5).build().is_err());
-    }
-
-    #[test]
-    fn rejects_non_pow2_gct() {
-        let g = MemGeometry::tiny();
-        assert!(HydraConfig::builder(g, 0).gct_entries(100).build().is_err());
-    }
-
-    #[test]
-    fn rejects_gct_larger_than_rows() {
-        let g = MemGeometry::tiny(); // 4096 rows in channel 0
-        assert!(HydraConfig::builder(g, 0)
-            .gct_entries(8192)
-            .build()
-            .is_err());
         assert!(HydraConfig::builder(g, 0).gct_entries(4096).build().is_ok());
-    }
-
-    #[test]
-    fn rejects_ways_exceeding_entries() {
-        let g = MemGeometry::tiny();
-        let err = HydraConfig::builder(g, 0)
-            .rcc_entries(8)
-            .rcc_ways(16)
-            .build();
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn rejects_zero_ways() {
-        let g = MemGeometry::tiny();
-        assert!(HydraConfig::builder(g, 0).rcc_ways(0).build().is_err());
-    }
-
-    #[test]
-    fn rejects_non_dividing_ways() {
-        let g = MemGeometry::tiny();
-        let err = HydraConfig::builder(g, 0)
-            .rcc_entries(16)
-            .rcc_ways(3)
-            .build();
-        assert!(err.is_err());
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! Detection and recovery are summarized by [`HealthReport`], surfaced via
 //! `Hydra::health()` and the new [`crate::stats::HydraStats`] fields.
 
+use hydra_types::counter::index;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -95,7 +96,7 @@ struct ParityGuard {
 impl ParityGuard {
     fn new(entries: u64) -> Self {
         ParityGuard {
-            bits: vec![0; (entries as usize).div_ceil(64)],
+            bits: vec![0; index(entries.div_ceil(64))],
         }
     }
 

@@ -5,6 +5,8 @@
 //! An entry equal to `T_G` means "this group has too many activations for
 //! aggregate tracking — use the per-row path" (Sec. 4.4).
 
+use hydra_types::counter::SatCounters;
+
 /// Result of incrementing a GCT entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GctOutcome {
@@ -33,7 +35,7 @@ pub enum GctOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GroupCountTable {
-    counts: Vec<u32>,
+    counts: SatCounters<u32>,
     t_g: u32,
 }
 
@@ -47,7 +49,7 @@ impl GroupCountTable {
         assert!(entries > 0, "GCT needs at least one entry");
         assert!(t_g > 0, "T_G must be nonzero");
         GroupCountTable {
-            counts: vec![0; entries],
+            counts: SatCounters::new(entries),
             t_g,
         }
     }
@@ -68,12 +70,12 @@ impl GroupCountTable {
     ///
     /// Panics if `group` is out of range.
     pub fn count(&self, group: usize) -> u32 {
-        self.counts[group]
+        self.counts.get(group)
     }
 
     /// True if the group's entry has saturated at `T_G`.
     pub fn is_saturated(&self, group: usize) -> bool {
-        self.counts[group] >= self.t_g
+        self.counts.get::<u32>(group) >= self.t_g
     }
 
     /// Increments the group's counter (saturating at `T_G`) and reports
@@ -84,12 +86,12 @@ impl GroupCountTable {
     /// Panics if `group` is out of range.
     #[inline]
     pub fn increment(&mut self, group: usize) -> GctOutcome {
-        let c = &mut self.counts[group];
-        if *c >= self.t_g {
+        let c: u32 = self.counts.get(group);
+        if c >= self.t_g {
             GctOutcome::Saturated
         } else {
-            *c = c.saturating_add(1);
-            if *c == self.t_g {
+            self.counts.increment(group);
+            if c + 1 == self.t_g {
                 GctOutcome::JustSaturated
             } else {
                 GctOutcome::Below
@@ -99,7 +101,7 @@ impl GroupCountTable {
 
     /// Clears all counters (tracking-window reset, Sec. 4.6).
     pub fn reset(&mut self) {
-        self.counts.fill(0);
+        self.counts.reset();
     }
 
     /// Fault-injection seam: forces a group's counter to `value`, capped at
@@ -110,12 +112,14 @@ impl GroupCountTable {
     ///
     /// Panics if `group` is out of range.
     pub fn force_count(&mut self, group: usize, value: u32) {
-        self.counts[group] = value.min(self.t_g);
+        self.counts.set(group, u64::from(value.min(self.t_g)));
     }
 
     /// Number of groups currently saturated (diagnostics).
     pub fn saturated_groups(&self) -> usize {
-        self.counts.iter().filter(|&&c| c >= self.t_g).count()
+        (0..self.counts.len())
+            .filter(|&g| self.is_saturated(g))
+            .count()
     }
 
     /// SRAM bits for this table: entries × ceil(log2(T_G + 1)). The paper's

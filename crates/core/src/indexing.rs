@@ -124,9 +124,8 @@ fn feistel(value: u64, domain: u64, key: u64) -> u64 {
     let left_mask = (1u64 << left_bits) - 1;
     let mut left = (value >> right_bits) & left_mask;
     let mut right = value & right_mask;
-    for round in 0..4u64 {
-        // lint:allow(counter-arithmetic): round * 17 <= 51 always fits the rotate amount
-        let round_key = key.rotate_left((round * 17) as u32) ^ round;
+    for round in 0..4u32 {
+        let round_key = key.rotate_left(round * 17) ^ u64::from(round);
         if round.is_multiple_of(2) {
             left ^= mix(right ^ round_key) & left_mask;
         } else {
@@ -147,7 +146,7 @@ fn mix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use hydra_types::hash::RowSet;
 
     #[test]
     fn static_is_identity() {
@@ -162,7 +161,7 @@ mod tests {
         for &rows in &[16u64, 64, 1024, 4096] {
             for key in [0u64, 1, 0xdead_beef, u64::MAX] {
                 let ix = GroupIndexer::randomized_for(rows, 4, key).unwrap();
-                let seen: HashSet<u64> = (0..rows).map(|r| ix.slot_of_row(r)).collect();
+                let seen: RowSet<u64> = (0..rows).map(|r| ix.slot_of_row(r)).collect();
                 assert_eq!(seen.len() as u64, rows, "rows={rows} key={key}");
                 assert!(seen.iter().all(|&s| s < rows));
             }
@@ -173,7 +172,7 @@ mod tests {
     fn randomized_odd_bit_width_is_a_bijection() {
         // 2048 = 2^11 rows: unequal Feistel halves (6 + 5 bits).
         let ix = GroupIndexer::randomized_for(2048, 16, 42).unwrap();
-        let seen: HashSet<u64> = (0..2048).map(|r| ix.slot_of_row(r)).collect();
+        let seen: RowSet<u64> = (0..2048).map(|r| ix.slot_of_row(r)).collect();
         assert_eq!(seen.len(), 2048);
     }
 
@@ -193,7 +192,7 @@ mod tests {
         let after: Vec<u64> = (0..64).map(|r| ix.slot_of_row(r)).collect();
         assert_ne!(before, after);
         // Still a bijection after rotation.
-        let seen: HashSet<u64> = (0..4096).map(|r| ix.slot_of_row(r)).collect();
+        let seen: RowSet<u64> = (0..4096).map(|r| ix.slot_of_row(r)).collect();
         assert_eq!(seen.len(), 4096);
     }
 

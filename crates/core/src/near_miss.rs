@@ -25,6 +25,8 @@
 //! it is always on; the probe-identity proptests prove the tracker's
 //! observable behavior is unchanged.
 
+use hydra_types::counter::index;
+
 /// Number of equal-width histogram buckets across the near-miss band.
 pub const NEAR_MISS_BUCKETS: usize = 8;
 
@@ -83,7 +85,7 @@ impl NearMissMonitor {
         if count >= self.band_start && count < self.t_h {
             let band = self.t_h - self.band_start;
             let offset = count - self.band_start;
-            let bucket = (offset as u64 * NEAR_MISS_BUCKETS as u64 / band as u64) as usize;
+            let bucket = index(u64::from(offset) * NEAR_MISS_BUCKETS as u64 / u64::from(band));
             self.histogram[bucket.min(NEAR_MISS_BUCKETS - 1)] += 1;
             obs.near_miss = true;
         }

@@ -9,6 +9,8 @@
 //! Every valid entry is dirty by construction (an entry is only installed to
 //! be incremented), so every eviction writes back to the RCT in DRAM.
 
+use hydra_types::counter::index;
+
 /// One RCC entry: the cached activation count for a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RccEntry {
@@ -116,7 +118,7 @@ impl RowCountCache {
 
     #[inline]
     fn set_and_tag(&self, slot: u64) -> (usize, u64) {
-        ((slot & self.set_mask) as usize, slot >> self.set_bits)
+        (index(slot & self.set_mask), slot >> self.set_bits)
     }
 
     /// Looks up a slot; on a hit, promotes the entry (SRRIP: RRPV ← 0) and
@@ -300,8 +302,8 @@ mod tests {
     #[test]
     fn reset_invalidates_all() {
         let mut rcc = RowCountCache::new(8, 2);
-        for s in 0..8 {
-            rcc.insert(s, s as u32);
+        for s in 0..8u32 {
+            rcc.insert(u64::from(s), s);
         }
         assert_eq!(rcc.occupancy(), 8);
         rcc.reset();

@@ -17,6 +17,7 @@
 //! protects them.
 
 use hydra_types::addr::RowAddr;
+use hydra_types::counter::{index, SatCounters};
 use hydra_types::geometry::MemGeometry;
 
 /// RCT entries (1 byte each) per 64-byte line.
@@ -105,7 +106,7 @@ impl RctBackend for RowCountTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RowCountTable {
-    counts: Vec<u8>,
+    counts: SatCounters<u8>,
     geometry: MemGeometry,
     channel: u8,
     reserved_rows: u32,
@@ -124,7 +125,8 @@ impl RowCountTable {
     /// case for realistic geometries: the region is `rows/row_bytes` rows).
     pub fn new(geometry: MemGeometry, channel: u8) -> Self {
         let entries = geometry.rows_per_channel();
-        let reserved_rows = entries.div_ceil(geometry.row_bytes()) as u32;
+        let reserved_rows =
+            u32::try_from(entries.div_ceil(geometry.row_bytes())).unwrap_or(u32::MAX);
         let channel_banks =
             u32::from(geometry.ranks_per_channel()) * u32::from(geometry.banks_per_rank());
         assert!(
@@ -132,7 +134,7 @@ impl RowCountTable {
             "RCT region ({reserved_rows} rows) exceeds the channel"
         );
         RowCountTable {
-            counts: vec![0; entries as usize],
+            counts: SatCounters::new(index(entries)),
             geometry,
             channel,
             reserved_rows,
@@ -224,7 +226,7 @@ impl RowCountTable {
     /// Panics if `slot` is out of range.
     pub fn read(&mut self, slot: u64) -> u32 {
         self.reads += 1;
-        u32::from(self.counts[slot as usize])
+        self.counts.get(index(slot))
     }
 
     /// Writes the counter for `slot`.
@@ -235,12 +237,12 @@ impl RowCountTable {
     pub fn write(&mut self, slot: u64, count: u32) {
         assert!(count <= 255, "RCT entries are one byte, got {count}");
         self.writes += 1;
-        self.counts[slot as usize] = u8::try_from(count).unwrap_or(u8::MAX);
+        self.counts.set(index(slot), u64::from(count));
     }
 
     /// Peeks at a counter without bumping the access stats (tests only).
     pub fn peek(&self, slot: u64) -> u32 {
-        u32::from(self.counts[slot as usize])
+        self.counts.get(index(slot))
     }
 
     /// Initializes every entry of the group starting at `group_start` to
@@ -255,8 +257,8 @@ impl RowCountTable {
         assert!(t_g <= 255);
         let end = group_start + group_rows;
         assert!(end <= self.entry_count(), "group out of range");
-        for slot in group_start..end {
-            self.counts[slot as usize] = u8::try_from(t_g).unwrap_or(u8::MAX);
+        for slot in index(group_start)..index(end) {
+            self.counts.set(slot, u64::from(t_g));
         }
         self.writes += group_rows.div_ceil(ENTRIES_PER_LINE);
         // Distinct lines touched → distinct DRAM rows (usually one row: a
@@ -283,7 +285,7 @@ impl RowCountTable {
     /// ablation, where no spill would otherwise reinitialize entries at
     /// window boundaries.
     pub fn reset(&mut self) {
-        self.counts.fill(0);
+        self.counts.reset();
     }
 }
 

@@ -6,6 +6,8 @@
 //! baseline), mitigating and resetting when a counter reaches `T_H`, and
 //! clearing them all at every tracking-window reset.
 
+use hydra_types::counter::SatCounters;
+
 /// Per-reserved-row activation counters.
 ///
 /// # Example
@@ -20,7 +22,7 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct RitActTable {
-    counts: Vec<u32>,
+    counts: SatCounters<u32>,
     t_h: u32,
     mitigations: u64,
 }
@@ -34,7 +36,7 @@ impl RitActTable {
     pub fn new(rows: usize, t_h: u32) -> Self {
         assert!(t_h > 0, "T_H must be nonzero");
         RitActTable {
-            counts: vec![0; rows],
+            counts: SatCounters::new(rows),
             t_h,
             mitigations: 0,
         }
@@ -58,10 +60,9 @@ impl RitActTable {
     ///
     /// Panics if `index` is out of range.
     pub fn on_activation(&mut self, index: usize) -> bool {
-        let c = &mut self.counts[index];
-        *c = c.saturating_add(1);
-        if *c >= self.t_h {
-            *c = 0;
+        self.counts.increment(index);
+        if self.counts.get::<u32>(index) >= self.t_h {
+            self.counts.set(index, 0);
             self.mitigations += 1;
             true
         } else {
@@ -71,12 +72,12 @@ impl RitActTable {
 
     /// Current count for a row (diagnostics).
     pub fn count(&self, index: usize) -> u32 {
-        self.counts[index]
+        self.counts.get(index)
     }
 
     /// Clears all counters (tracking-window reset).
     pub fn reset(&mut self) {
-        self.counts.fill(0);
+        self.counts.reset();
     }
 
     /// SRAM bits: one byte per protected row (Table 4: "RIT-ACT, 8-bit, 512

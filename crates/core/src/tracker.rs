@@ -12,6 +12,7 @@ use crate::storage::HydraStorage;
 use hydra_telemetry::{EventSink, NoopSink, TelemetryEvent};
 use hydra_types::addr::RowAddr;
 use hydra_types::clock::MemCycle;
+use hydra_types::counter::index;
 use hydra_types::error::ConfigError;
 use hydra_types::mitigation::MitigationRequest;
 use hydra_types::tracker::{ActivationKind, ActivationTracker, SideRequest, TrackerResponse};
@@ -294,7 +295,7 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
                     .side_requests
                     .push(SideRequest::read(self.rct.dram_row_of_slot(slot)));
                 let stored = self.rct.read(slot);
-                let group = (slot / self.rows_per_group) as usize;
+                let group = index(slot / self.rows_per_group);
                 match self.degrade.verify_read(slot, stored, group) {
                     ReadVerdict::Clean(v) => v + 1,
                     ReadVerdict::Recovered { value, mitigate } => {
@@ -407,8 +408,8 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
         // The paper reads then rewrites each line holding the group's
         // entries; emit one read + one write per line, spread over the
         // touched DRAM rows.
-        for i in 0..lines {
-            let target = touched[(i as usize).min(touched.len() - 1)];
+        for i in 0..index(lines) {
+            let target = touched[i.min(touched.len() - 1)];
             response.side_requests.push(SideRequest::read(target));
             response.side_requests.push(SideRequest::write(target));
         }
@@ -455,7 +456,7 @@ impl<R: RctBackend, P: EventSink> ActivationTracker for Hydra<R, P> {
 
         let row_index = self.config.geometry.channel_row_index(row);
         let slot = self.config.indexer.slot_of_row(row_index);
-        let group = (slot / self.rows_per_group) as usize;
+        let group = index(slot / self.rows_per_group);
 
         if self.config.use_gct {
             let outcome = self.gct.increment(group);

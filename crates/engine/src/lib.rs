@@ -23,11 +23,15 @@
 //!   order-insensitive reductions so the parallel run is bit-identical to
 //!   the sequential one-pass reference.
 //!
-//! Threading discipline: `hydra-verify lint`'s `thread-spawn-layer` rule confines
-//! thread spawning to this crate and the batch harness, the same way
-//! `catch_unwind` is confined to the harness alone.
+//! Threading discipline: clippy's `disallowed-methods` (the workspace
+//! `clippy.toml`) confines thread spawning to the worker pool, the batch
+//! harness and the daemon, the same way `catch_unwind` is confined to the
+//! harness alone.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use std::fmt;
 

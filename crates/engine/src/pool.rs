@@ -49,6 +49,10 @@ impl WorkerPool {
     /// item, **in submission order** — completion order never shows
     /// through. Zero items return an empty vector without spawning
     /// anything; more workers than items spawn only `items.len()` workers.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the worker pool owns its scoped threads"
+    )]
     pub fn run_ordered<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<CellOutcome<R>>
     where
         T: Send,

@@ -29,15 +29,15 @@ pub fn pack_row(row: RowAddr) -> u64 {
 }
 
 /// Inverse of [`pack_row`].
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "each cast keeps exactly the field pack_row shifted into those bits"
+)]
 pub fn unpack_row(key: u64) -> RowAddr {
     RowAddr {
-        // lint:allow(counter-arithmetic): lossless unpack of pack_row's shifted byte
         channel: (key >> 48) as u8,
-        // lint:allow(counter-arithmetic): lossless unpack of pack_row's shifted byte
         rank: (key >> 40) as u8,
-        // lint:allow(counter-arithmetic): lossless unpack of pack_row's shifted byte
         bank: (key >> 32) as u8,
-        // lint:allow(counter-arithmetic): the low 32 bits of the pack are exactly the row
         row: key as u32,
     }
 }

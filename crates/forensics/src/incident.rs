@@ -15,8 +15,8 @@ use std::fmt::Write as _;
 
 /// Schema identifier stamped into every incident record.
 ///
-/// This is the single definition of the literal; `hydra-verify lint` enforces that
-/// no other library source repeats it.
+/// This is the single definition of the literal; the `repo_policy` test
+/// of `hydra-analysis` enforces that no other library source repeats it.
 pub const INCIDENT_SCHEMA_VERSION: &str = "hydra-forensics-v1";
 
 /// Blast radius used to project victims from aggressors (rows within ±2,

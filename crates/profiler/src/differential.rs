@@ -5,7 +5,7 @@ use hydra_types::json::quote;
 use std::fmt::Write as _;
 
 /// Schema tag of the profile JSON export. Single-sourced here (enforced by
-/// the `schema-single-source` lint rule): every other call site imports
+/// `hydra-analysis`'s `repo_policy` test): every other call site imports
 /// this constant.
 pub const PROFILE_SCHEMA_VERSION: &str = "hydra-profile-v2";
 

@@ -31,6 +31,9 @@
 //! run-to-run noise could produce it, so it is not evidence of a cost.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 mod differential;
 

@@ -13,6 +13,11 @@
 //! daemon computed exactly the same thing despite the adversaries —
 //! zero cross-tenant interference, zero lost events.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the client end of the daemon's Unix socket"
+)]
+
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -584,6 +589,10 @@ fn crash_tenant(config: &LoadConfig) -> Result<bool, String> {
 /// Returns the first failure that violates the chaos gate: an honest
 /// tenant losing a batch, the corruptor seeing zero rejects at a nonzero
 /// fault rate, or a crashed shard continuing to accept work.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the adversary mix runs one thread per client"
+)]
 pub fn run_load(config: &LoadConfig) -> Result<LoadReport, String> {
     let done = Arc::new(AtomicBool::new(false));
     let mut report = LoadReport::default();
@@ -691,6 +700,7 @@ mod tests {
     use std::os::unix::net::UnixListener;
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "a stand-in daemon thread")]
     fn subscribe_skips_an_incident_that_arrives_before_its_ack() {
         let path = std::env::temp_dir().join(format!(
             "hydra-client-subscribe-{}.sock",

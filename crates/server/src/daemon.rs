@@ -34,6 +34,11 @@
 //!   [`DaemonHandle::shutdown`]) stops the listener, joins connections,
 //!   drains every shard, and renders the final [`ServeReport`].
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the daemon owns the Unix socket and keys its tenants by name"
+)]
+
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -358,6 +363,10 @@ fn request_shutdown(shared: &Shared) {
 /// Returns an I/O error if the socket cannot be bound, or a
 /// configuration error (as `InvalidInput`) if the geometry/threshold
 /// combination cannot build a tenant pipeline.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the daemon starts its listener and shard threads"
+)]
 pub fn spawn(config: ServeConfig) -> std::io::Result<DaemonHandle> {
     // Validate the tenant-pipeline recipe once, up front, so per-tenant
     // creation cannot fail later for configuration reasons.
@@ -402,6 +411,7 @@ pub fn spawn(config: ServeConfig) -> std::io::Result<DaemonHandle> {
     })
 }
 
+#[expect(clippy::disallowed_methods, reason = "one thread per connection")]
 fn listener_main(listener: UnixListener, shared: Arc<Shared>) -> ServeReport {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -545,6 +555,7 @@ enum Registration {
     Full,
 }
 
+#[expect(clippy::disallowed_methods, reason = "one shard thread per tenant")]
 fn register_tenant(shared: &Arc<Shared>, name: &str) -> Registration {
     let Ok(mut table) = shared.tenants.lock() else {
         return Registration::Full;
@@ -747,6 +758,10 @@ fn conn_main(mut stream: UnixStream, shared: Arc<Shared>) {
 
 /// Handles one decoded event. Returns `false` when the connection should
 /// close.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a subscriber gets its own writer thread"
+)]
 fn handle_event(
     stream: &mut UnixStream,
     shared: &Arc<Shared>,

@@ -28,8 +28,8 @@
 /// Schema identifier of the serve wire protocol and its recorded session
 /// files.
 ///
-/// This is the single definition of the literal; `hydra-verify lint` enforces
-/// that no other library source repeats it.
+/// This is the single definition of the literal; the `repo_policy` test
+/// of `hydra-analysis` enforces that no other library source repeats it.
 pub const SERVE_SCHEMA_VERSION: &str = "hydra-serve-v1";
 
 /// Frame magic: ASCII `HY`.

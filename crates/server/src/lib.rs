@@ -32,10 +32,13 @@
 //!   `hydra top`.
 //!
 //! This is the only crate in the workspace allowed to touch Unix-socket
-//! I/O (`hydra-verify lint`'s `io-layer` rule) and, alongside `hydra-engine` and
-//! the batch harness, to spawn threads (`thread-spawn-layer`).
+//! I/O and, alongside `hydra-engine` and the batch harness, to spawn
+//! threads (clippy's `disallowed-types` and `disallowed-methods`).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -38,16 +38,16 @@ use crate::frame::RejectReason;
 
 /// Schema version tag for the live stats snapshot payload.
 ///
-/// This is the single definition of the literal; `hydra-verify lint` enforces
-/// that no other library source repeats it (`schema-single-source`).
+/// This is the single definition of the literal; the `repo_policy` test
+/// of `hydra-analysis` enforces that no other library source repeats it.
 pub const SERVE_STATS_SCHEMA_VERSION: &str = "hydra-serve-stats-v1";
 
 /// Metric-name catalog: the JSON keys under which latency-plane series
 /// are published in a [`SERVE_STATS_SCHEMA_VERSION`] snapshot.
 ///
 /// This module is the single definition site for these strings;
-/// `hydra-verify lint` (`metric-names-single-source`) enforces that no other
-/// library source repeats them, so a dashboard scraping one spelling
+/// `hydra-analysis`'s `repo_policy` test enforces that no other library
+/// source repeats them, so a dashboard scraping one spelling
 /// can never drift from a daemon publishing another.
 pub mod names {
     /// Batch-ingest→Ack latency histogram (microseconds): stamped when a

@@ -9,7 +9,7 @@
 //! never retried: a second run would fail the same way.
 //!
 //! This module is the **only** place in the workspace allowed to call
-//! `catch_unwind`; `hydra-verify lint` enforces that. Everything below the harness
+//! `catch_unwind`; clippy's `disallowed-methods` enforces that. Everything below the harness
 //! keeps the ordinary panic-is-a-bug discipline, and the harness converts
 //! panics into structured [`JobStatus`] values at the boundary.
 
@@ -144,6 +144,10 @@ impl BatchRunner {
     /// another). Because every job is independent and reports are
     /// re-slotted by submission index, the returned [`BatchReport`] is
     /// identical (minus wall-clock) regardless of the worker count.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the batch harness owns its worker threads"
+    )]
     pub fn run<J: BatchJob>(&self, jobs: Vec<J>) -> BatchReport<J::Output> {
         let n = jobs.len();
         let workers = self.config.jobs.clamp(1, n.max(1));
@@ -195,6 +199,10 @@ impl BatchRunner {
     /// watchdog. On timeout the thread is abandoned, not joined — the
     /// receiver end is dropped, so a late completion dies quietly in its
     /// failed `send`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the batch harness owns its job threads and is the one panic boundary"
+    )]
     fn run_job<J: BatchJob>(&self, job: J) -> JobReport<J::Output> {
         let label = job.label();
         // Arm the watchdog before spawning so thread-creation time counts

@@ -366,7 +366,7 @@ mod tests {
         let mut sim = ActivationSim::new(geom, tiny_hydra());
         let a = RowAddr::new(0, 0, 0, 100);
         let b = RowAddr::new(0, 0, 0, 102);
-        let mut mitigated_rows = std::collections::HashSet::new();
+        let mut mitigated_rows = hydra_types::hash::RowSet::default();
         for i in 0..2000u64 {
             sim.activate(if i.is_multiple_of(2) { a } else { b });
             for m in sim.drain_mitigated() {

@@ -118,7 +118,7 @@ impl RowIndirection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use hydra_types::hash::RowSet;
 
     fn indirection() -> RowIndirection {
         RowIndirection::new(MemGeometry::tiny(), 7)
@@ -179,7 +179,7 @@ mod tests {
         }
         // Bijection over the whole bank: physical images of all logical rows
         // must be distinct.
-        let images: HashSet<RowAddr> = (0..1024u32)
+        let images: RowSet<RowAddr> = (0..1024u32)
             .map(|r| ind.physical(RowAddr::new(0, 0, 1, r)))
             .collect();
         assert_eq!(images.len(), 1024);

@@ -13,8 +13,8 @@ use std::fmt::Write as _;
 /// Schema identifier written in the self-describing header line of
 /// `hydra trace` JSONL output (see [`JsonlSink::with_meta`]).
 ///
-/// This is the single definition of the literal; `hydra-verify lint` enforces that
-/// no other library source repeats it.
+/// This is the single definition of the literal; the `repo_policy` test
+/// of `hydra-analysis` enforces that no other library source repeats it.
 pub const TRACE_SCHEMA_VERSION: &str = "hydra-trace-v1";
 
 /// A destination for telemetry events.

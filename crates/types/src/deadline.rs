@@ -20,6 +20,11 @@
 //! Every query has an `_at(now)` variant taking an explicit [`Instant`]
 //! so boundary behaviour is testable without sleeping.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the timing layer: every other library reads the clock through this module"
+)]
+
 use std::time::{Duration, Instant};
 
 /// A monotonic wall-clock budget anchored at a start instant.

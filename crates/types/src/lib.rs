@@ -16,6 +16,8 @@
 //!   traffic such as counter-table reads/writes) whose bandwidth cost the
 //!   controller must model.
 //! * [`mitigation`] — victim-refresh mitigation policy types.
+//! * [`counter`] — the saturating counter storage every tracker uses
+//!   ([`counter::SatCounters`], [`counter::Sat`]).
 //! * [`hash`] — the fixed hasher behind every row-keyed map
 //!   ([`hash::RowMap`], [`hash::RowSet`]).
 //! * [`json`] — the JSON string escaper every hand-rolled writer shares,
@@ -33,10 +35,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 #![warn(missing_docs)]
 
 pub mod addr;
 pub mod clock;
+pub mod counter;
 pub mod deadline;
 pub mod error;
 pub mod geometry;

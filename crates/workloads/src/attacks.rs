@@ -204,7 +204,7 @@ impl TraceSource for AttackTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use hydra_types::hash::RowSet;
 
     fn geom() -> MemGeometry {
         MemGeometry::tiny()
@@ -259,8 +259,8 @@ mod tests {
     #[test]
     fn thrash_spreads_over_many_rows_and_banks() {
         let mut rows = AttackPattern::Thrash { rows: 512, seed: 9 }.rows(geom());
-        let mut seen_rows = HashSet::new();
-        let mut seen_banks = HashSet::new();
+        let mut seen_rows = RowSet::default();
+        let mut seen_banks = RowSet::default();
         for _ in 0..4000 {
             let r = rows.next_row();
             seen_rows.insert(r);

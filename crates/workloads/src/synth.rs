@@ -167,7 +167,7 @@ impl TraceSource for SyntheticTrace {
 mod tests {
     use super::*;
     use crate::registry;
-    use std::collections::HashSet;
+    use hydra_types::hash::RowSet;
 
     fn build(name: &str, seed: u64) -> SyntheticTrace {
         registry::by_name(name)
@@ -191,7 +191,7 @@ mod tests {
     fn footprint_is_bounded() {
         let geom = MemGeometry::isca22_baseline();
         let mut t = build("leela", 1); // 720 rows / 64 -> floor 11 rows
-        let mut rows = HashSet::new();
+        let mut rows = RowSet::default();
         for _ in 0..20_000 {
             rows.insert(geom.row_of_line(t.next_op().addr));
         }
@@ -214,7 +214,7 @@ mod tests {
         let mut t = build("parest", 4);
         assert!(t.hot_rows() > 0);
         // Count accesses landing on the hot set (indices < hot_rows).
-        let hot_set: HashSet<RowAddr> = (0..t.hot_rows()).map(|i| t.row_of_index(i)).collect();
+        let hot_set: RowSet<RowAddr> = (0..t.hot_rows()).map(|i| t.row_of_index(i)).collect();
         let n = 50_000;
         let hot_hits = (0..n)
             .filter(|_| {

@@ -23,6 +23,9 @@
 //! * [`workloads`] — synthetic workload and attack-pattern generators
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![deny(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub use hydra_analysis as analysis;
 pub use hydra_arena as arena;
