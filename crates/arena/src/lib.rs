@@ -35,8 +35,7 @@
 //!   RCC, `T_G`, `T_RH` × workloads, Figures 9–12) as `hydra-sweep-v1`
 //!   JSONL ([`sweep::SWEEP_SCHEMA_VERSION`]) with a Pareto frontier over
 //!   (SRAM bytes, slowdown, mitigations) and the GCT-size trend gate.
-//!   `hydra bench` runs it at the paper's design point, and its
-//!   `--compare` is the sweep's golden compare ([`compare_sweeps`]).
+//!   `hydra bench` runs it at the paper's design point.
 //!   Both `sweep` and `leaderboard` are thin front ends over one
 //!   crate-private experiment core: validation, the channel-0 activation
 //!   stream ([`workload_rows`], also `hydra profile`'s), the parallel
@@ -73,7 +72,6 @@ pub use mint::{Mint, MintConfig};
 pub use roster::{build_tracker, hydra_config_for_threshold, roster_names};
 pub use start::{Start, StartConfig};
 pub use sweep::{
-    compare_sweeps, run_sweep, SweepCell, SweepComparison, SweepGrid, SweepOutcome, SweepReport,
-    SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,
+    run_sweep, SweepCell, SweepGrid, SweepOutcome, SweepRow, TrendCheck, SWEEP_SCHEMA_VERSION,
 };
 pub use tracker::{ArenaAdapter, BoxedTracker, HydraTracker};

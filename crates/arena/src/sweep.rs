@@ -17,10 +17,9 @@
 //! threshold, growing the GCT must not increase mitigations or slowdown.
 //!
 //! `hydra bench` is the same pipeline at the paper's design point
-//! ([`SweepGrid::design_point`]), and its `--compare` is the golden compare
-//! here: [`SweepReport::parse`] reads two reports back and
-//! [`compare_sweeps`] gates the deterministic columns (bandwidth inflation
-//! and mitigations) plus failed cells.
+//! ([`SweepGrid::design_point`]). The simulation is deterministic, so its
+//! report, like the smoke sweep's, is checked byte for byte against the
+//! committed copy.
 
 use crate::experiment::{self, Experiment, Outcome, Row};
 use hydra_core::{Hydra, HydraConfig, HydraStats, HydraStorage};
@@ -28,7 +27,6 @@ use hydra_sim::batch::{BatchConfig, BatchJob};
 use hydra_sim::{run_windowed, ActivationSimReport, WindowSeries};
 use hydra_types::error::ConfigError;
 use hydra_types::geometry::MemGeometry;
-use hydra_types::json::{self, JsonValue};
 use std::fmt::Write as _;
 
 /// Version tag stamped on every `hydra sweep` JSONL line. This constant is
@@ -244,7 +242,9 @@ impl SweepCell {
     /// valid `[1, T_H)` range.
     pub fn t_g(&self) -> u32 {
         let t_h = self.t_h();
-        (t_h * self.tg_pct / 100).clamp(1, t_h.saturating_sub(1).max(1))
+        let max = t_h.saturating_sub(1).max(1);
+        let t_g = u64::from(t_h) * u64::from(self.tg_pct) / 100;
+        u32::try_from(t_g).map_or(max, |t_g| t_g.clamp(1, max))
     }
 
     /// Builds the tracker configuration for this cell (channel 0: the
@@ -512,233 +512,6 @@ pub fn run_sweep(grid: &SweepGrid, batch: BatchConfig) -> Result<SweepOutcome, C
     Ok(experiment::run(grid, grid.cells()?, batch))
 }
 
-/// One `hydra-sweep-v1` report as the golden compare reads it back: every
-/// `kind:"cell"` line and the failed-cell count of every `kind:"summary"`
-/// line. A file may hold several grids (`hydra bench` writes one per
-/// geometry), so failures are summed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepReport {
-    /// Cells in file order: the join key
-    /// (`workload/geometry/gct/rcc/trh/tg`) and the simulator counters.
-    pub cells: Vec<(String, ActivationSimReport)>,
-    /// Failed cells over every summary line.
-    pub failed: u64,
-}
-
-impl SweepReport {
-    /// Parses a `hydra-sweep-v1` JSONL report (full or `--deterministic`).
-    /// Every field the compare reads is required: a missing or mistyped one
-    /// is an error naming it, never a default that could switch a gate off.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description naming the line of the first problem: invalid
-    /// JSON, a schema other than [`SWEEP_SCHEMA_VERSION`], a missing field,
-    /// or no summary line at all (a truncated report).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut report = SweepReport {
-            cells: Vec::new(),
-            failed: 0,
-        };
-        let mut summaries = 0;
-        for (n, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            let at = |e: String| format!("line {}: {e}", n + 1);
-            let v = json::parse(line).map_err(at)?;
-            let schema = required(&v, "schema", JsonValue::as_str).map_err(at)?;
-            if schema != SWEEP_SCHEMA_VERSION {
-                return Err(at(format!(
-                    "not a {SWEEP_SCHEMA_VERSION} report (schema {schema:?})"
-                )));
-            }
-            match required(&v, "kind", JsonValue::as_str).map_err(at)? {
-                "cell" => report.cells.push(parse_cell(&v).map_err(at)?),
-                "summary" => {
-                    report.failed += required(&v, "failed", JsonValue::as_u64).map_err(at)?;
-                    summaries += 1;
-                }
-                _ => {}
-            }
-        }
-        if summaries == 0 {
-            return Err("no summary line: truncated report?".to_string());
-        }
-        Ok(report)
-    }
-}
-
-/// The field `key` of `v`, converted by `as_type`; an error naming the
-/// field when it is missing or of the wrong type.
-fn required<'a, T>(
-    v: &'a JsonValue,
-    key: &str,
-    as_type: impl FnOnce(&'a JsonValue) -> Option<T>,
-) -> Result<T, String> {
-    v.get(key)
-        .and_then(as_type)
-        .ok_or_else(|| format!("missing or mistyped field {key:?}"))
-}
-
-fn parse_cell(v: &JsonValue) -> Result<(String, ActivationSimReport), String> {
-    let text = |key| required(v, key, JsonValue::as_str);
-    let num = |key| required(v, key, JsonValue::as_u64);
-    let key = format!(
-        "{}/{}/gct{}/rcc{}/trh{}/tg{}",
-        text("workload")?,
-        text("geometry")?,
-        num("gct_entries")?,
-        num("rcc_entries")?,
-        num("t_rh")?,
-        num("t_g")?,
-    );
-    let report = ActivationSimReport {
-        demand_acts: num("demand_acts")?,
-        mitigation_acts: num("mitigation_acts")?,
-        side_reads: num("side_reads")?,
-        side_writes: num("side_writes")?,
-        mitigations: num("mitigations")?,
-        window_resets: num("window_resets")?,
-    };
-    Ok((key, report))
-}
-
-/// One cell present in both reports, with its verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellDiff {
-    /// The join key.
-    pub key: String,
-    /// Baseline counters.
-    pub old: ActivationSimReport,
-    /// Candidate counters.
-    pub new: ActivationSimReport,
-    /// Relative bandwidth-inflation growth, percent (positive = slower).
-    pub inflation_drift_pct: f64,
-    /// Why this cell gates (empty = pass).
-    pub regressions: Vec<String>,
-}
-
-/// A golden compare of a candidate report against a baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepComparison {
-    /// Cells in both reports, in baseline order.
-    pub rows: Vec<CellDiff>,
-    /// Baseline cells absent from the candidate: each gates.
-    pub missing: Vec<String>,
-    /// Candidate cells absent from the baseline: informational.
-    pub added: Vec<String>,
-    /// The candidate's failed cells: each gates.
-    pub failed: u64,
-    /// Relative drift (percent) at which a column counts as a regression.
-    pub tolerance_pct: f64,
-}
-
-impl SweepComparison {
-    /// Gating problems: regressed cells, missing cells and failed cells.
-    pub fn regression_count(&self) -> usize {
-        let regressed = self.rows.iter().filter(|r| !r.regressions.is_empty());
-        regressed.count() + self.missing.len() + self.failed as usize
-    }
-
-    /// A fixed-width table, one line per cell, then the verdict line.
-    pub fn render_table(&self) -> String {
-        let mut out = format!(
-            "{:<50} {:>10} {:>10} {:>8} {:>8} {:>8}  verdict\n",
-            "cell", "slow_old%", "slow_new%", "drift%", "mit_old", "mit_new"
-        );
-        for row in &self.rows {
-            let verdict = if row.regressions.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("REGRESSED ({})", row.regressions.join("; "))
-            };
-            let _ = writeln!(
-                out,
-                "{:<50} {:>10.4} {:>10.4} {:>8.2} {:>8} {:>8}  {verdict}",
-                row.key,
-                row.old.slowdown_pct(),
-                row.new.slowdown_pct(),
-                row.inflation_drift_pct,
-                row.old.mitigations,
-                row.new.mitigations,
-            );
-        }
-        for key in &self.missing {
-            let _ = writeln!(out, "{key:<50} MISSING from candidate report");
-        }
-        for key in &self.added {
-            let _ = writeln!(out, "{key:<50} new cell (not in baseline, informational)");
-        }
-        let _ = writeln!(
-            out,
-            "compare: {} cell(s), {} failed, {} regression(s), tolerance {}%",
-            self.rows.len(),
-            self.failed,
-            self.regression_count(),
-            self.tolerance_pct,
-        );
-        out
-    }
-}
-
-/// Joins two reports by cell key and gates the candidate `new` against the
-/// trusted baseline `old`. A cell regresses when its bandwidth inflation
-/// (computed exactly from the integer counters) grew by at least
-/// `tolerance_pct` percent, or its mitigation count drifted by at least
-/// that much in either direction — losing mitigations is a protection
-/// regression, not a win.
-pub fn compare_sweeps(old: &SweepReport, new: &SweepReport, tolerance_pct: f64) -> SweepComparison {
-    // Relative drift in percent, the baseline floored at 1 against
-    // division blow-ups near zero.
-    let drift_pct = |old: f64, new: f64| (new - old) / old.max(1.0) * 100.0;
-    // `>= tol - ε` so an exactly-at-tolerance drift gates.
-    let tol = tolerance_pct - 1e-9;
-    let find = |report: &SweepReport, key: &str| {
-        let cell = report.cells.iter().find(|(k, _)| k == key);
-        cell.map(|(_, counters)| *counters)
-    };
-    let mut comparison = SweepComparison {
-        rows: Vec::new(),
-        missing: Vec::new(),
-        added: Vec::new(),
-        failed: new.failed,
-        tolerance_pct,
-    };
-    for (key, old_cell) in &old.cells {
-        let Some(new_cell) = find(new, key) else {
-            comparison.missing.push(key.clone());
-            continue;
-        };
-        let inflation_drift_pct = drift_pct(
-            old_cell.bandwidth_inflation(),
-            new_cell.bandwidth_inflation(),
-        );
-        let mitigation_drift_pct =
-            drift_pct(old_cell.mitigations as f64, new_cell.mitigations as f64).abs();
-        let mut regressions = Vec::new();
-        if inflation_drift_pct >= tol {
-            regressions.push(format!("slowdown +{inflation_drift_pct:.2}%"));
-        }
-        if mitigation_drift_pct >= tol {
-            regressions.push(format!("mitigations drift {mitigation_drift_pct:.2}%"));
-        }
-        comparison.rows.push(CellDiff {
-            key: key.clone(),
-            old: *old_cell,
-            new: new_cell,
-            inflation_drift_pct,
-            regressions,
-        });
-    }
-    for (key, _) in &new.cells {
-        if find(old, key).is_none() {
-            comparison.added.push(key.clone());
-        }
-    }
-    comparison
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,10 +585,11 @@ mod tests {
             Ok(mut c) => c.remove(0),
             Err(e) => panic!("cells: {e}"),
         };
-        cell.tg_pct = 100;
-        assert!(cell.t_g() < cell.t_h());
-        cell.tg_pct = 0;
-        assert_eq!(cell.t_g(), 1);
+        for (t_rh, tg_pct, t_g) in [(32, 100, 15), (32, 0, 1), (500, 17_179_870, 249)] {
+            cell.t_rh = t_rh;
+            cell.tg_pct = tg_pct;
+            assert_eq!(cell.t_g(), t_g, "t_rh {t_rh}, tg_pct {tg_pct}");
+        }
     }
 
     #[test]
@@ -906,117 +680,5 @@ mod tests {
         };
         let err = cell.reduce(0, row.report, dropped, stats, 0.0).unwrap_err();
         assert_eq!(err, "window delta sum != cumulative stats");
-    }
-
-    fn report_text(rows: Vec<SweepRow>) -> String {
-        outcome(rows).deterministic_lines().join("\n")
-    }
-
-    fn parsed(rows: Vec<SweepRow>) -> SweepReport {
-        SweepReport::parse(&report_text(rows)).expect("the writer's output parses")
-    }
-
-    /// Regressions of a one-cell `double_sided` candidate against a
-    /// baseline of 56 mitigations and 100 side reads per 1000 demand acts
-    /// (inflation 1.10).
-    fn regressions(mitigations: u64, side_reads: u64) -> usize {
-        let old = parsed(vec![row("double_sided", 64, 1000, 56, 100)]);
-        let new = parsed(vec![row("double_sided", 64, 1000, mitigations, side_reads)]);
-        compare_sweeps(&old, &new, 10.0).regression_count()
-    }
-
-    #[test]
-    fn golden_compare_reads_the_writer_and_self_compares_clean() {
-        let rows = vec![
-            row("gups", 64, 1000, 0, 0),
-            row("double_sided", 64, 1000, 56, 14),
-        ];
-        let report = parsed(rows.clone());
-        assert_eq!(report.failed, 0);
-        assert_eq!(
-            report.cells[1].0,
-            "double_sided/tiny/gct64/rcc64/trh32/tg12"
-        );
-        assert_eq!(report.cells[1].1, rows[1].report);
-        // The full report (with wall_secs) reads the same.
-        let full = outcome(rows).jsonl_lines().join("\n");
-        assert_eq!(SweepReport::parse(&full).as_ref(), Ok(&report));
-        let table = compare_sweeps(&report, &report, 10.0).render_table();
-        assert!(
-            table.contains("2 cell(s), 0 failed, 0 regression(s)"),
-            "{table}"
-        );
-    }
-
-    #[test]
-    fn inflation_growth_at_tolerance_gates() {
-        // 210 side reads is inflation 1.21: exactly +10 % relative growth.
-        assert_eq!(regressions(56, 210), 1);
-        assert_eq!(regressions(56, 200), 0, "just under tolerance");
-        let old = parsed(vec![row("double_sided", 64, 1000, 56, 100)]);
-        let new = parsed(vec![row("double_sided", 64, 1000, 56, 210)]);
-        assert!(compare_sweeps(&old, &new, 10.0)
-            .render_table()
-            .contains("REGRESSED (slowdown"));
-    }
-
-    #[test]
-    fn mitigation_drift_gates_both_directions() {
-        assert_eq!(regressions(62, 100), 1);
-        // Losing mitigations is a protection regression, not a win.
-        assert_eq!(regressions(50, 100), 1);
-        assert_eq!(regressions(55, 100), 0);
-    }
-
-    #[test]
-    fn missing_cells_gate_and_new_cells_do_not() {
-        let old = parsed(vec![
-            row("gups", 64, 1000, 0, 0),
-            row("mcf", 64, 1000, 0, 0),
-        ]);
-        let new = parsed(vec![
-            row("gups", 64, 1000, 0, 0),
-            row("lbm", 64, 1000, 0, 0),
-        ]);
-        let cmp = compare_sweeps(&old, &new, 10.0);
-        assert_eq!(cmp.missing, vec!["mcf/tiny/gct64/rcc64/trh32/tg12"]);
-        assert_eq!(cmp.added, vec!["lbm/tiny/gct64/rcc64/trh32/tg12"]);
-        assert_eq!(cmp.regression_count(), 1);
-    }
-
-    /// A missing field must not read as a default: 0 mitigations would
-    /// mask drift, and 0 failed cells would pass a broken run.
-    #[test]
-    fn a_missing_gated_field_is_an_error_not_a_default() {
-        let text = report_text(vec![row("double_sided", 64, 1000, 56, 0)]);
-        for field in ["mitigations", "side_reads", "failed"] {
-            let value = if field == "mitigations" { 56 } else { 0 };
-            let broken = text.replacen(&format!("\"{field}\":{value},"), "", 1);
-            let err = SweepReport::parse(&broken).unwrap_err();
-            assert!(err.contains(&format!("\"{field}\"")), "{field}: {err}");
-        }
-    }
-
-    #[test]
-    fn foreign_schemas_are_rejected_by_name() {
-        for schema in ["hydra-bench-v2", crate::ARENA_SCHEMA_VERSION] {
-            let err = SweepReport::parse(&format!("{{\"schema\":\"{schema}\"}}")).unwrap_err();
-            assert!(err.contains(schema), "{err}");
-        }
-        assert!(SweepReport::parse("not json").is_err());
-        assert!(SweepReport::parse("").is_err(), "no summary line");
-    }
-
-    #[test]
-    fn failed_candidate_cells_gate() {
-        let clean = parsed(vec![row("gups", 64, 1000, 0, 0)]);
-        let mut broken = outcome(vec![row("gups", 64, 1000, 0, 0)]);
-        broken
-            .failures
-            .push("mcf/trh32/tg80/gct64/rcc64: panic".to_string());
-        let broken = SweepReport::parse(&broken.deterministic_lines().join("\n")).expect("parses");
-        assert_eq!(compare_sweeps(&clean, &broken, 10.0).regression_count(), 1);
-        // Only the candidate's failures gate.
-        assert_eq!(compare_sweeps(&broken, &clean, 10.0).regression_count(), 0);
     }
 }

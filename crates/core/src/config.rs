@@ -25,6 +25,10 @@ pub mod defaults {
     /// RCC associativity (the 13-bit tag in Table 4 implies 16-way-ish
     /// set-associativity for the 21-bit per-channel row index).
     pub const RCC_WAYS: usize = 16;
+    /// The highest `T_RH` a one-byte per-row DRAM counter can track
+    /// (`T_H = T_RH / 2 ≤ 255`). A tracker asked for a higher threshold
+    /// tracks at this one, which mitigates earlier than required.
+    pub const MAX_T_RH: u32 = 510;
 }
 
 /// Configuration of one per-channel Hydra instance.
@@ -275,7 +279,7 @@ impl HydraConfigBuilder {
         if self.t_h < 2 {
             return Err(ConfigError::new("T_H must be at least 2"));
         }
-        if self.t_h > 255 {
+        if self.t_h > defaults::MAX_T_RH / 2 {
             return Err(ConfigError::new(format!(
                 "T_H = {} does not fit the RCT's one-byte counters (max 255)",
                 self.t_h

@@ -13,7 +13,7 @@
 //! and quick parameter sweeps use it.
 //!
 //! The [`metrics`] module turns a run into a per-window time-series of
-//! `HydraStats` deltas that exports to JSONL/CSV via `hydra-telemetry`.
+//! `HydraStats` deltas that exports to JSONL.
 //!
 //! The [`batch`] module wraps either simulator in a resilient batch
 //! harness: per-run panic isolation and a wall-clock watchdog.

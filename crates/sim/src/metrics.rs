@@ -12,16 +12,16 @@
 //! cumulative stats: nothing is dropped at a boundary, nothing counted
 //! twice.
 //!
-//! Export through [`WindowSeries::to_registry`] (then JSONL/CSV via
-//! [`MetricsRegistry`]), or the [`WindowSeries::to_jsonl`] /
-//! [`WindowSeries::to_csv`] shorthands.
+//! [`WindowSeries::to_jsonl`] exports the series, one JSON object per
+//! window.
 
 use crate::fastsim::{ActivationSim, ActivationSimReport};
 use hydra_core::{Hydra, HydraStats, RctBackend};
-use hydra_telemetry::{EventSink, MetricsRegistry, MetricsRow};
+use hydra_telemetry::EventSink;
 use hydra_types::clock::MemCycle;
 use hydra_types::tracker::ActivationTracker;
 use hydra_types::RowAddr;
+use std::fmt::Write as _;
 
 /// A tracker that can report cumulative [`HydraStats`].
 ///
@@ -110,30 +110,22 @@ impl WindowSeries {
         total
     }
 
-    /// Converts the series into a [`MetricsRegistry`] (one row per window:
-    /// `window`, `end_cycle` and every `HydraStats` counter delta).
-    pub fn to_registry(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        for r in &self.records {
-            let mut row = MetricsRow::new()
-                .with("window", r.window)
-                .with("end_cycle", r.end_cycle);
-            for (name, value) in r.delta.fields() {
-                row.push(name, value);
-            }
-            reg.push(row);
-        }
-        reg
-    }
-
-    /// JSONL export: one JSON object per window.
+    /// JSONL export: one JSON object per window, `window`, `end_cycle`
+    /// and then every [`HydraStats`] counter delta.
     pub fn to_jsonl(&self) -> String {
-        self.to_registry().to_jsonl()
-    }
-
-    /// CSV export with a header row.
-    pub fn to_csv(&self) -> String {
-        self.to_registry().to_csv()
+        let mut out = String::new();
+        for r in &self.records {
+            let _ = write!(
+                out,
+                "{{\"window\":{},\"end_cycle\":{}",
+                r.window, r.end_cycle
+            );
+            for (name, value) in r.delta.fields() {
+                let _ = write!(out, ",\"{name}\":{value}");
+            }
+            out.push_str("}\n");
+        }
+        out
     }
 }
 
@@ -205,22 +197,22 @@ mod tests {
     }
 
     #[test]
-    fn registry_export_has_one_row_per_window_with_stat_columns() {
+    fn jsonl_export_has_one_object_per_window_with_stat_fields() {
         let timing = DramTiming::ddr4_3200().with_scaled_window(100_000);
         let mut sim = ActivationSim::new(MemGeometry::tiny(), tiny_hydra()).with_timing(timing);
         let mut series = WindowSeries::new();
         run_windowed(&mut sim, hammer_rows(3_000), &mut series);
-        let reg = series.to_registry();
-        assert_eq!(reg.len(), series.len());
-        let cols = reg.columns();
-        assert_eq!(cols[0], "window");
-        assert_eq!(cols[1], "end_cycle");
-        for name in HydraStats::FIELD_NAMES {
-            assert!(cols.contains(&name), "missing column {name}");
-        }
         let jsonl = series.to_jsonl();
         assert_eq!(jsonl.lines().count(), series.len());
-        let csv = series.to_csv();
-        assert_eq!(csv.lines().count(), series.len() + 1);
+        for (line, r) in jsonl.lines().zip(series.records()) {
+            let start = format!("{{\"window\":{},\"end_cycle\":{},", r.window, r.end_cycle);
+            assert!(line.starts_with(&start), "{line}");
+            for name in HydraStats::FIELD_NAMES {
+                assert!(
+                    line.contains(&format!(",\"{name}\":")),
+                    "missing field {name}"
+                );
+            }
+        }
     }
 }

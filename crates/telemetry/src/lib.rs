@@ -5,7 +5,7 @@
 //! tracking window, and the tail-latency inflation caused by tracker side
 //! traffic. Cumulative end-of-run counters cannot show a spill burst, a
 //! degradation episode, or the shape of an attack — this crate adds the
-//! missing observability layer in three pieces:
+//! missing observability layer in two pieces:
 //!
 //! 1. **Events** ([`TelemetryEvent`], [`EventKind`]) — a closed taxonomy of
 //!    tracker happenings: GCT outcomes, RCC hits/evictions, RCT
@@ -17,9 +17,9 @@
 //!    `hydra-core`). Real sinks: [`RingBufferSink`] (bounded, with drop
 //!    accounting), [`CountingSink`] (per-kind totals), [`JsonlSink`]
 //!    (machine-readable event stream).
-//! 3. **Metrics** ([`MetricsRegistry`]) — a typed time-series of per-window
-//!    rows with JSONL and CSV exporters, fed by `hydra-sim`'s window
-//!    snapshotting.
+//!
+//! The per-window time-series lives beside the simulator that snapshots
+//! it, as `hydra-sim`'s `WindowSeries`.
 //!
 //! Dependency direction: this crate depends only on `hydra-types`, so
 //! `hydra-core` (the tracker) can emit into it and `hydra-sim` can record
@@ -49,13 +49,11 @@
 pub mod bounded;
 pub mod event;
 pub mod histogram;
-pub mod metrics;
 pub mod sink;
 
 pub use bounded::BoundedBuf;
 pub use event::{EventKind, TelemetryEvent};
 pub use histogram::LatencyHistogram;
-pub use metrics::{MetricValue, MetricsRegistry, MetricsRow};
 pub use sink::{
     CountingSink, EventSink, JsonlSink, KindFilterSink, NoopSink, RingBufferSink, TeeSink,
     TimedEvent, TRACE_SCHEMA_VERSION,

@@ -10,9 +10,8 @@
 //! control characters. Non-ASCII text is passed through verbatim as UTF-8
 //! (valid JSON), not `\u`-escaped.
 //!
-//! The readers — trace replay (`hydra forensics FILE`), the daemon stats
-//! scrape (`hydra top`) and the experiment golden compare
-//! (`hydra bench --compare`) — parse with [`parse`], a small
+//! The readers — trace replay (`hydra forensics FILE`) and the daemon
+//! stats scrape (`hydra top`) — parse with [`parse`], a small
 //! recursive-descent parser instead of serde. It accepts standard JSON
 //! (objects, arrays, strings with escapes, numbers, booleans, null); it
 //! does not accept comments or trailing commas. Errors carry a byte offset.

@@ -9,8 +9,7 @@
 //! hydra list                            # list the 36 workloads
 //! hydra batch [flags]                   # resilient fault-campaign batch run
 //! hydra replay FILE                     # reproduce a failed run from its artifact
-//! hydra bench [--smoke] [flags]         # paper design point × workloads → hydra-sweep-v1 JSONL
-//! hydra bench --compare OLD.jsonl [...] # golden compare against a baseline report
+//! hydra bench [--out F] [--jobs N]      # paper design point × workloads → BENCH_hydra.jsonl
 //! hydra profile [flags]                 # differential cost of the tracker, GCT and RCC
 //! hydra trace PATTERN [ACTS] [flags]    # JSONL telemetry event stream to stdout
 //! hydra forensics FILE [--t-h N]        # classify a recorded trace, emit incidents
@@ -23,9 +22,7 @@
 //! ```
 
 use hydra_repro::analysis::faults::{run_case, FaultCaseReport, FaultCaseSpec};
-use hydra_repro::arena::{
-    compare_sweeps, run_arena, run_sweep, workload_rows, ArenaGrid, SweepGrid, SweepReport,
-};
+use hydra_repro::arena::{run_arena, run_sweep, workload_rows, ArenaGrid, SweepGrid};
 use hydra_repro::baselines::storage::{Scheme, DDR4_BANKS_PER_RANK};
 use hydra_repro::core::degrade::DegradationPolicy;
 use hydra_repro::core::{Hydra, HydraConfig, HydraStorage};
@@ -83,13 +80,10 @@ fn main() -> ExitCode {
             eprintln!("        [--watchdog-ms MS] [--force-failure]");
             eprintln!("                               fault campaign under the batch harness");
             eprintln!("  replay <file>                reproduce a run from its replay artifact");
-            eprintln!("  bench [--smoke] [--out FILE] [--acts N] [--jobs N]");
+            eprintln!("  bench [--out FILE] [--jobs N]");
             eprintln!(
                 "                               paper design-point matrix → BENCH_hydra.jsonl"
             );
-            eprintln!("  bench --compare OLD.jsonl [--against NEW.jsonl] [--tolerance PCT]");
-            eprintln!("                               golden compare; nonzero exit on regression");
-            eprintln!("                               (runs fresh cells unless --against)");
             eprintln!("  profile [--workload W] [--geometry G] [--acts N] [--smoke]");
             eprintln!("          [--out FILE] [--repeats N]");
             eprintln!(
@@ -632,17 +626,11 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
 /// ([`SweepGrid::design_point`]: `T_RH` = 500, `T_G` = 0.8·`T_H`, the
 /// isca22 default GCT/RCC sizes) over a fixed workload matrix, one sweep
 /// grid per geometry, written as the sweep's deterministic hydra-sweep-v1
-/// lines. `--compare` is the golden compare: it diffs a baseline report
-/// against `--against` (or a fresh run) and exits nonzero on a regression
-/// beyond `--tolerance`.
+/// lines. The run is deterministic, so the committed `BENCH_hydra.jsonl`
+/// is checked byte for byte (`tests/cli_bench.rs`).
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let mut smoke = false;
     let mut out = PathBuf::from("BENCH_hydra.jsonl");
-    let mut acts_override: Option<u64> = None;
     let mut jobs: usize = 1;
-    let mut compare: Option<PathBuf> = None;
-    let mut against: Option<PathBuf> = None;
-    let mut tolerance_pct = 10.0;
 
     let mut i = 0;
     while i < args.len() {
@@ -654,44 +642,16 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 .ok_or_else(|| format!("{name} needs a value"))
         };
         match flag {
-            "--smoke" => smoke = true,
             "--out" => out = PathBuf::from(value("--out")?),
-            "--acts" => acts_override = Some(value("--acts")?.parse().map_err(|_| "bad --acts")?),
             "--jobs" => jobs = parse_jobs(&value("--jobs")?)?,
-            "--compare" => compare = Some(PathBuf::from(value("--compare")?)),
-            "--against" => against = Some(PathBuf::from(value("--against")?)),
-            "--tolerance" => {
-                tolerance_pct = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| "bad --tolerance")?;
-            }
             other => return Err(format!("unknown bench flag {other}")),
         }
         i += 1;
     }
 
-    // Pure diff mode: compare two existing reports, run nothing.
-    if let (Some(baseline), Some(candidate)) = (&compare, &against) {
-        let old = read_sweep_report(baseline)?;
-        let new = read_sweep_report(candidate)?;
-        return finish_compare(&old, &new, tolerance_pct);
-    }
-    if against.is_some() {
-        return Err("--against requires --compare".into());
-    }
-    // Read the baseline before the run: `--out` may point at the same file
-    // (the default), and the fresh report must not clobber it unread.
-    let baseline = compare.as_deref().map(read_sweep_report).transpose()?;
-
-    let (workloads, geometries): (&[&str], &[&str]) = if smoke {
-        (&["gups", "mcf", "double_sided"], &["tiny"])
-    } else {
-        (
-            &["gups", "mcf", "stream", "lbm", "double_sided", "many_sided"],
-            &["tiny", "isca22"],
-        )
-    };
-    let acts = acts_override.unwrap_or(if smoke { 20_000 } else { 200_000 });
+    let workloads = ["gups", "mcf", "stream", "lbm", "double_sided", "many_sided"];
+    let geometries = ["tiny", "isca22"];
+    let acts = 200_000;
     println!(
         "bench: {} cell(s), {acts} acts each, {jobs} job(s) → {}",
         workloads.len() * geometries.len(),
@@ -700,7 +660,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let mut lines = Vec::new();
     let mut failed = 0;
     for geometry in geometries {
-        let grid = SweepGrid::design_point(geometry, workloads, acts).map_err(|e| e.to_string())?;
+        let grid =
+            SweepGrid::design_point(geometry, &workloads, acts).map_err(|e| e.to_string())?;
         let outcome = run_sweep(&grid, batch_config(jobs)).map_err(|e| e.to_string())?;
         for row in &outcome.rows {
             println!(
@@ -717,32 +678,12 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         failed += outcome.failures.len();
         lines.extend(outcome.deterministic_lines());
     }
-    let text = write_lines(&out, &lines)?;
+    write_lines(&out, &lines)?;
     println!("bench: wrote {}", out.display());
     if failed > 0 {
         return Err(format!("{failed} bench cell(s) failed"));
     }
-    match baseline {
-        Some(old) => {
-            let new = SweepReport::parse(&text).map_err(|e| format!("fresh report: {e}"))?;
-            finish_compare(&old, &new, tolerance_pct)
-        }
-        None => Ok(()),
-    }
-}
-
-fn read_sweep_report(path: &std::path::Path) -> Result<SweepReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    SweepReport::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-fn finish_compare(old: &SweepReport, new: &SweepReport, tolerance_pct: f64) -> Result<(), String> {
-    let cmp = compare_sweeps(old, new, tolerance_pct);
-    print!("{}", cmp.render_table());
-    match cmp.regression_count() {
-        0 => Ok(()),
-        n => Err(format!("{n} bench regression(s) beyond tolerance")),
-    }
+    Ok(())
 }
 
 fn parse_kinds(list: &str) -> Result<Vec<EventKind>, String> {
@@ -1334,13 +1275,11 @@ fn batch_config(jobs: usize) -> BatchConfig {
     }
 }
 
-/// Writes JSONL `lines` to `path`, newline-terminated, and returns the
-/// text written.
-fn write_lines(path: &std::path::Path, lines: &[String]) -> Result<String, String> {
+/// Writes JSONL `lines` to `path`, newline-terminated.
+fn write_lines(path: &std::path::Path, lines: &[String]) -> Result<(), String> {
     let mut text = lines.join("\n");
     text.push('\n');
-    std::fs::write(path, &text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(text)
+    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// `hydra sweep`: Hydra's design space (hydra-sweep-v1), or with `--arena`

@@ -1,12 +1,12 @@
 //! End-to-end tests of the experiment CLI surface that drives one
-//! activation stream per cell: `hydra bench --compare` exit-code gating
-//! over `hydra-sweep-v1` reports, `hydra profile` on a multi-channel
-//! geometry, and `hydra audit` across many tracking windows.
+//! activation stream per cell: the byte pins on the deterministic reports
+//! of `hydra bench`, `hydra sweep` and `hydra sweep --arena`, `hydra
+//! profile` on a multi-channel geometry, and `hydra audit` across many
+//! tracking windows.
 //!
 //! These run the real binary (`CARGO_BIN_EXE_hydra`), so they cover flag
 //! parsing and process exit codes — the contract CI scripts depend on.
 
-use hydra_repro::arena::SWEEP_SCHEMA_VERSION;
 use hydra_repro::profiler::PROFILE_SCHEMA_VERSION;
 use hydra_repro::types::json;
 use std::path::PathBuf;
@@ -29,63 +29,47 @@ fn temp_file(name: &str) -> PathBuf {
     p
 }
 
-/// A one-cell `hydra bench` report: 20 000 demand activations at the
-/// paper's design point with `extra_ops` mitigation/side operations, so
-/// bandwidth inflation is `1 + extra_ops / 20000`.
-fn sweep_report(extra_ops: u64, mitigations: u64) -> String {
-    format!(
-        concat!(
-            "{{\"schema\":\"{s}\",\"kind\":\"meta\",\"geometry\":\"tiny\"}}\n",
-            "{{\"schema\":\"{s}\",\"kind\":\"cell\",\"workload\":\"double_sided\",",
-            "\"geometry\":\"tiny\",\"gct_entries\":4096,\"rcc_entries\":4096,\"t_rh\":500,",
-            "\"t_h\":250,\"t_g\":200,\"acts\":20000,\"seed\":42,\"sram_bytes\":11780,",
-            "\"demand_acts\":20000,\"mitigation_acts\":{extra},\"side_reads\":0,",
-            "\"side_writes\":0,\"mitigations\":{mitigations},\"window_resets\":14}}\n",
-            "{{\"schema\":\"{s}\",\"kind\":\"summary\",\"cells\":1,\"failed\":0}}\n"
-        ),
-        s = SWEEP_SCHEMA_VERSION,
-        extra = extra_ops,
-        mitigations = mitigations,
-    )
-}
+/// The deterministic reports and the commands that write them, relative
+/// to the repository root. The simulator is deterministic, so each report
+/// equals its committed bytes at every worker count; any other output means
+/// the program changed, and the committed file must be regenerated with it.
+const PINNED: [(&str, &[&str]); 3] = [
+    ("BENCH_hydra.jsonl", &["bench"]),
+    (
+        "crates/arena/tests/fixtures/sweep_smoke.deterministic.jsonl",
+        &["sweep", "--smoke", "--deterministic"],
+    ),
+    (
+        "crates/arena/tests/fixtures/arena_smoke.deterministic.jsonl",
+        &["sweep", "--arena", "--smoke", "--deterministic"],
+    ),
+];
 
 #[test]
-fn bench_compare_gates_on_regression_and_passes_self_compare() {
-    let base = temp_file("base.jsonl");
-    let same = temp_file("same.jsonl");
-    let slow = temp_file("slow.jsonl");
-    // Inflation 1.014, the smoke double_sided cell.
-    std::fs::write(&base, sweep_report(280, 56)).expect("write baseline");
-    std::fs::write(&same, sweep_report(280, 56)).expect("write identical");
-    // Inflation 1.1661: +15% relative growth, past the default 10% tolerance.
-    std::fs::write(&slow, sweep_report(3322, 56)).expect("write regressed");
-
-    let base_s = base.to_str().expect("utf-8 path");
-    let same_s = same.to_str().expect("utf-8 path");
-    let slow_s = slow.to_str().expect("utf-8 path");
-    let clean = hydra(&["bench", "--compare", base_s, "--against", same_s]);
-    assert!(clean.status.success(), "self-compare exits 0");
-    assert!(stdout_of(&clean).contains("0 regression(s)"));
-
-    let gated = hydra(&["bench", "--compare", base_s, "--against", slow_s]);
-    assert!(!gated.status.success(), "regression exits nonzero");
-    assert!(stdout_of(&gated).contains("REGRESSED"));
-
-    // A loosened tolerance lets the same diff pass.
-    let loose = hydra(&[
-        "bench",
-        "--compare",
-        base_s,
-        "--against",
-        slow_s,
-        "--tolerance",
-        "20",
-    ]);
-    assert!(loose.status.success(), "tolerance 20% exits 0");
-
-    for p in [&base, &same, &slow] {
-        let _ = std::fs::remove_file(p);
+fn deterministic_reports_match_their_committed_bytes() {
+    for (committed, command) in PINNED {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(committed);
+        let want = std::fs::read_to_string(&path).expect("committed report");
+        for jobs in ["1", "4"] {
+            let out = temp_file(&format!("{}-jobs{jobs}.jsonl", command.join("")));
+            let out_s = out.to_str().expect("utf-8 path");
+            let run = hydra(&[command, &["--jobs", jobs, "--out", out_s]].concat());
+            let got = std::fs::read_to_string(&out);
+            let _ = std::fs::remove_file(&out);
+            let what = format!("hydra {} --jobs {jobs}", command.join(" "));
+            assert!(
+                run.status.success(),
+                "{what} exits 0: {}",
+                String::from_utf8_lossy(&run.stderr)
+            );
+            assert_eq!(got.expect("report written"), want, "{what} != {committed}");
+        }
     }
+    let removed = hydra(&["bench", "--smoke"]);
+    assert!(
+        !removed.status.success(),
+        "bench takes only --out and --jobs"
+    );
 }
 
 /// isca22 has two channels; a registry workload's trace spans both, and
