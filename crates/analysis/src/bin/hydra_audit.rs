@@ -12,18 +12,6 @@
 //! Exit code 0 iff every stock configuration audits secure *and* every
 //! crafted bad configuration is correctly flagged insecure.
 //!
-//! With `--faults` it instead runs the dynamic fault-resilience sweep:
-//!
-//! ```text
-//! cargo run -p hydra-analysis --bin hydra-audit -- --faults
-//!     [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N]
-//! ```
-//!
-//! printing, per geometry (default: tiny and isca22), the degradation
-//! table — uniform fault rate × degradation policy → worst-case excess
-//! activations under the shadow oracle. Exit code 0 iff every zero-rate
-//! row is violation-free (the fault machinery must be inert when disabled).
-//!
 //! With `--windows` it runs a hammer-plus-noise stream and prints the
 //! per-window `HydraStats` summary (add `--json` for the raw JSONL
 //! time-series):
@@ -37,7 +25,6 @@
 //! counters on every geometry.
 
 use hydra_analysis::audit::{audit_hydra, AuditReport};
-use hydra_analysis::faults::{degradation_table, render_table};
 use hydra_core::{Hydra, HydraConfig};
 use hydra_dram::DramTiming;
 use hydra_sim::{run_windowed, ActivationSim, WindowSeries};
@@ -52,7 +39,6 @@ struct Case {
 
 fn main() -> ExitCode {
     let mut json = false;
-    let mut faults = false;
     let mut windows = false;
     let mut t_rh: u32 = 500;
     let mut acts: u64 = 40_000;
@@ -64,7 +50,6 @@ fn main() -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--json" => json = true,
-            "--faults" => faults = true,
             "--windows" => windows = true,
             "--t-rh" => {
                 i += 1;
@@ -101,24 +86,10 @@ fn main() -> ExitCode {
     }
 
     if windows {
-        if faults {
-            return usage("--faults and --windows are mutually exclusive");
-        }
         if !geometry_overridden {
             geometries = vec!["tiny", "isca22"];
         }
         return windows_mode(&geometries, t_rh, acts, json);
-    }
-    if faults {
-        if json {
-            return usage("--json is not supported with --faults");
-        }
-        if !geometry_overridden {
-            // The dynamic sweep defaults to the two geometries the paper's
-            // evaluation centers on; ddr5 is opt-in via --geometry.
-            geometries = vec!["tiny", "isca22"];
-        }
-        return faults_mode(&geometries, t_rh, acts);
     }
 
     let mut cases: Vec<Case> = Vec::new();
@@ -232,39 +203,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the fault-resilience sweep on each geometry and prints the
-/// degradation tables. Fails iff a zero-rate row records a violation —
-/// faults aside, the tracker itself must hold the security contract.
-fn faults_mode(geometries: &[&str], t_rh: u32, acts: u64) -> ExitCode {
-    let mut dirty_zero_rows = 0usize;
-    for name in geometries {
-        let rows = match degradation_table(name, t_rh, acts) {
-            Ok(rows) => rows,
-            Err(e) => {
-                eprintln!("hydra-audit: fault sweep on {name} failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for row in rows.iter().filter(|r| r.rate == 0.0) {
-            if !row.report.is_clean() {
-                dirty_zero_rows += 1;
-                eprintln!(
-                    "hydra-audit: zero-fault row {} recorded {} violation(s)",
-                    row.report.label, row.report.oracle.violations_total
-                );
-            }
-        }
-        println!("{}", render_table(name, t_rh, &rows));
-    }
-    if dirty_zero_rows == 0 {
-        println!("hydra-audit: all zero-fault rows violation-free");
-        ExitCode::SUCCESS
-    } else {
-        println!("hydra-audit: {dirty_zero_rows} zero-fault row(s) recorded violations");
-        ExitCode::FAILURE
-    }
-}
-
 /// Runs a hammer-plus-noise stream per geometry and prints the per-window
 /// `HydraStats` summary (or the raw JSONL time-series with `--json`).
 /// Fails iff the per-window deltas do not sum exactly to the cumulative
@@ -351,7 +289,6 @@ fn usage(error: &str) -> ExitCode {
     }
     eprintln!(
         "usage: hydra-audit [--geometry tiny|isca22|ddr5] [--t-rh N] [--json]\n       \
-         hydra-audit --faults [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N]\n       \
          hydra-audit --windows [--geometry tiny|isca22|ddr5] [--t-rh N] [--acts N] [--json]"
     );
     if error.is_empty() {

@@ -2,7 +2,7 @@
 //!
 //! The functional simulator answers "what does this configuration *do*";
 //! this crate answers "what can an adversary *get away with*" — without
-//! running a single activation. It has five layers:
+//! running a single activation. It has four layers:
 //!
 //! 1. [`audit`] — a **static config auditor** that derives worst-case
 //!    analytical bounds for any [`hydra_core::HydraConfig`]: the per-row
@@ -41,12 +41,6 @@
 //!    cfg-gated protocol mutations `hydra-engine` seeds behind its
 //!    `verify-mutations` feature.
 //!
-//! 5. [`faults`] — a **fault-resilience evaluator**: deterministic
-//!    [`faults::FaultCaseSpec`] runs driving a fault-injected Hydra
-//!    (`hydra-faults`) under the shadow-oracle referee, the
-//!    degradation table behind `hydra-audit --faults`, and the replay
-//!    artifact format used by the batch harness.
-//!
 //! # Example
 //!
 //! ```
@@ -70,8 +64,6 @@
 
 pub mod audit;
 pub mod explore;
-pub mod faults;
 pub mod fixtures;
 
 pub use audit::{audit_hydra, AuditCheck, AuditReport, SecurityVerdict};
-pub use faults::{degradation_table, run_case, FaultCaseReport, FaultCaseSpec};

@@ -47,7 +47,7 @@ forensics: types telemetry baselines
 arena: types dram baselines core sim workloads
 server: types telemetry dram core sim engine faults forensics profiler
 bench: types dram engine sim core baselines workloads
-analysis: types core dram engine faults sim workloads";
+analysis: types core dram engine sim workloads";
 
 /// (literal, defining file): schema versions and stats metric names.
 const SINGLE_SOURCE: [(&str, &str); 12] = [

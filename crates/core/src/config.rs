@@ -6,7 +6,6 @@
 //! paper's headline totals (32K-entry GCT and 8K-entry RCC across two
 //! channels → 16K and 4K per instance).
 
-use crate::degrade::DegradationPolicy;
 use crate::indexing::GroupIndexer;
 use hydra_types::counter::index;
 use hydra_types::error::ConfigError;
@@ -69,10 +68,6 @@ pub struct HydraConfig {
     /// Row-to-group mapping: static (consecutive rows) or randomized via a
     /// per-window block cipher (footnote 4).
     pub indexer: GroupIndexer,
-    /// What to do when an RCT read fails its per-entry parity check (see
-    /// [`crate::degrade`]). Default: [`DegradationPolicy::Off`], the seed
-    /// behavior (no parity tracking at all).
-    pub degradation: DegradationPolicy,
 }
 
 impl HydraConfig {
@@ -160,7 +155,6 @@ pub struct HydraConfigBuilder {
     use_rcc: bool,
     count_mitigation_acts: bool,
     indexer: Option<GroupIndexer>,
-    degradation: DegradationPolicy,
 }
 
 impl HydraConfigBuilder {
@@ -182,7 +176,6 @@ impl HydraConfigBuilder {
             use_rcc: true,
             count_mitigation_acts: true,
             indexer: None,
-            degradation: DegradationPolicy::Off,
         }
     }
 
@@ -248,13 +241,6 @@ impl HydraConfigBuilder {
     /// Uses a specific row-to-group indexer (default: static).
     pub fn indexer(&mut self, indexer: GroupIndexer) -> &mut Self {
         self.indexer = Some(indexer);
-        self
-    }
-
-    /// Sets the graceful-degradation policy for parity failures on RCT
-    /// reads (default: [`DegradationPolicy::Off`]).
-    pub fn degradation(&mut self, policy: DegradationPolicy) -> &mut Self {
-        self.degradation = policy;
         self
     }
 
@@ -360,7 +346,6 @@ impl HydraConfigBuilder {
             use_rcc: self.use_rcc,
             count_mitigation_acts: self.count_mitigation_acts,
             indexer,
-            degradation: self.degradation,
         })
     }
 }

@@ -104,17 +104,6 @@ impl GroupCountTable {
         self.counts.reset();
     }
 
-    /// Fault-injection seam: forces a group's counter to `value`, capped at
-    /// `T_G` (the register physically saturates there), modeling a stuck-at
-    /// SRAM fault.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` is out of range.
-    pub fn force_count(&mut self, group: usize, value: u32) {
-        self.counts.set(group, u64::from(value.min(self.t_g)));
-    }
-
     /// Number of groups currently saturated (diagnostics).
     pub fn saturated_groups(&self) -> usize {
         (0..self.counts.len())

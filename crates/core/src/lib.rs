@@ -55,10 +55,8 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod degrade;
 pub mod gct;
 pub mod indexing;
-pub mod near_miss;
 pub mod rcc;
 pub mod rct;
 pub mod rit;
@@ -67,12 +65,10 @@ pub mod storage;
 pub mod tracker;
 
 pub use config::{HydraConfig, HydraConfigBuilder};
-pub use degrade::{DegradationPolicy, HealthReport};
 pub use gct::{GctOutcome, GroupCountTable};
 pub use indexing::GroupIndexer;
-pub use near_miss::{NearMissMonitor, NearMissObservation, NEAR_MISS_BUCKETS};
 pub use rcc::{RccEntry, RowCountCache};
-pub use rct::{RctBackend, RowCountTable};
+pub use rct::RowCountTable;
 pub use rit::RitActTable;
 pub use stats::HydraStats;
 pub use storage::HydraStorage;

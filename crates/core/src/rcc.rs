@@ -206,20 +206,6 @@ impl RowCountCache {
         self.sets.len()
     }
 
-    /// Fault-injection seam: XORs `xor` into the count of `(set, way)` if
-    /// that way is valid, modeling an SRAM data upset on fill. The mask is
-    /// restricted to the low 8 bits so the corrupted count still fits the
-    /// one-byte RCT entry it will eventually be written back to. Returns
-    /// whether a valid way was hit.
-    pub fn corrupt_way(&mut self, set: usize, way: usize, xor: u32) -> bool {
-        let w = &mut self.sets[set][way];
-        if !w.valid {
-            return false;
-        }
-        w.count ^= xor & 0xFF;
-        true
-    }
-
     /// Number of valid entries (diagnostics).
     pub fn occupancy(&self) -> usize {
         self.sets

@@ -23,71 +23,6 @@ use hydra_types::geometry::MemGeometry;
 /// RCT entries (1 byte each) per 64-byte line.
 pub const ENTRIES_PER_LINE: u64 = 64;
 
-/// The functional + layout contract Hydra requires of its in-DRAM counter
-/// table. [`RowCountTable`] is the canonical implementation; wrappers (e.g.
-/// a fault-injecting shim) implement this to slot into
-/// [`crate::tracker::Hydra`] without forking the tracking logic.
-///
-/// Layout queries (`is_reserved`, `reserved_index`, `dram_row_of_slot`) must
-/// be pure functions of the geometry: a wrapper may corrupt *values* but not
-/// *addresses*, since the address map is wired into the controller.
-pub trait RctBackend {
-    /// Number of per-row counters (rows covered).
-    fn entry_count(&self) -> u64;
-    /// Number of reserved DRAM rows holding the table.
-    fn reserved_row_count(&self) -> u32;
-    /// True if `row` lies inside the reserved region holding this table.
-    fn is_reserved(&self, row: RowAddr) -> bool;
-    /// The index of a reserved row within the region (for RIT-ACT counters).
-    fn reserved_index(&self, row: RowAddr) -> usize;
-    /// The DRAM row that stores the counter for `slot`.
-    fn dram_row_of_slot(&self, slot: u64) -> RowAddr;
-    /// Reads the counter for `slot`.
-    fn read(&mut self, slot: u64) -> u32;
-    /// Writes the counter for `slot` (`count` must fit in one byte).
-    fn write(&mut self, slot: u64, count: u32);
-    /// Peeks at a counter without bumping access stats (diagnostics).
-    fn peek(&self, slot: u64) -> u32;
-    /// Initializes a whole group's entries to `t_g`, returning the distinct
-    /// DRAM rows holding the touched lines.
-    fn init_group(&mut self, group_start: u64, group_rows: u64, t_g: u32) -> Vec<RowAddr>;
-    /// Clears all counters (Hydra-NoGCT window reset only).
-    fn reset(&mut self);
-}
-
-impl RctBackend for RowCountTable {
-    fn entry_count(&self) -> u64 {
-        RowCountTable::entry_count(self)
-    }
-    fn reserved_row_count(&self) -> u32 {
-        RowCountTable::reserved_row_count(self)
-    }
-    fn is_reserved(&self, row: RowAddr) -> bool {
-        RowCountTable::is_reserved(self, row)
-    }
-    fn reserved_index(&self, row: RowAddr) -> usize {
-        RowCountTable::reserved_index(self, row)
-    }
-    fn dram_row_of_slot(&self, slot: u64) -> RowAddr {
-        RowCountTable::dram_row_of_slot(self, slot)
-    }
-    fn read(&mut self, slot: u64) -> u32 {
-        RowCountTable::read(self, slot)
-    }
-    fn write(&mut self, slot: u64, count: u32) {
-        RowCountTable::write(self, slot, count)
-    }
-    fn peek(&self, slot: u64) -> u32 {
-        RowCountTable::peek(self, slot)
-    }
-    fn init_group(&mut self, group_start: u64, group_rows: u64, t_g: u32) -> Vec<RowAddr> {
-        RowCountTable::init_group(self, group_start, group_rows, t_g)
-    }
-    fn reset(&mut self) {
-        RowCountTable::reset(self)
-    }
-}
-
 /// The in-DRAM Row-Count Table for one channel.
 ///
 /// Indexed by *slot* (the possibly-permuted channel-local row index; see

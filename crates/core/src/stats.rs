@@ -26,10 +26,6 @@ macro_rules! for_each_stat {
             side_reads,
             side_writes,
             window_resets,
-            parity_errors,
-            degraded_reinits,
-            degraded_refreshes,
-            degraded_probabilistic,
             near_misses,
             watermark_advances
         );
@@ -62,26 +58,12 @@ pub struct HydraStats {
     pub side_writes: u64,
     /// Tracking-window resets performed.
     pub window_resets: u64,
-    /// RCT reads that failed their per-entry parity check (degradation
-    /// layer; zero when [`crate::degrade::DegradationPolicy::Off`]).
-    pub parity_errors: u64,
-    /// Parity failures recovered by re-initializing the entry to `T_G`.
-    pub degraded_reinits: u64,
-    /// Parity failures escalated to an immediate victim refresh.
-    pub degraded_refreshes: u64,
-    /// Extra PARA-style mitigations issued for degraded row-groups.
-    pub degraded_probabilistic: u64,
     /// Per-row count observations that landed in the near-miss band
     /// `[T_H - max(1, T_H/8), T_H)` without triggering a mitigation —
     /// how often rows came within 12.5 % of the threshold and stopped.
-    ///
-    /// Monotonic counter (per-window delta-sum safe); the current
-    /// watermark value and histogram live in
-    /// [`crate::near_miss::NearMissMonitor`].
     pub near_misses: u64,
-    /// Times an unmitigated per-row count observation raised the
-    /// max-count watermark for the current window (monotonic counter; the
-    /// watermark *value* is in [`crate::near_miss::NearMissMonitor`]).
+    /// Times an unmitigated per-row count observation raised the highest
+    /// count seen in the current window.
     pub watermark_advances: u64,
 }
 
@@ -120,7 +102,7 @@ macro_rules! stat_field_methods {
 
 impl HydraStats {
     /// Number of counter fields (length of [`HydraStats::FIELD_NAMES`]).
-    pub const FIELD_COUNT: usize = 17;
+    pub const FIELD_COUNT: usize = 13;
 
     for_each_stat!(stat_field_methods);
 
@@ -258,17 +240,17 @@ mod tests {
     fn fields_cover_every_counter_in_order() {
         let s = HydraStats {
             activations: 1,
-            degraded_probabilistic: 15,
-            near_misses: 16,
-            watermark_advances: 17,
+            window_resets: 11,
+            near_misses: 12,
+            watermark_advances: 13,
             ..Default::default()
         };
         let fields = s.fields();
         assert_eq!(fields.len(), HydraStats::FIELD_COUNT);
         assert_eq!(fields[0], ("activations", 1));
-        assert_eq!(fields[14], ("degraded_probabilistic", 15));
-        assert_eq!(fields[15], ("near_misses", 16));
-        assert_eq!(fields[16], ("watermark_advances", 17));
+        assert_eq!(fields[10], ("window_resets", 11));
+        assert_eq!(fields[11], ("near_misses", 12));
+        assert_eq!(fields[12], ("watermark_advances", 13));
         for (i, (name, _)) in fields.iter().enumerate() {
             assert_eq!(*name, HydraStats::FIELD_NAMES[i]);
         }

@@ -1,11 +1,9 @@
 //! The Hydra tracker: GCT → RCC → RCT orchestration (Sec. 4.5).
 
 use crate::config::HydraConfig;
-use crate::degrade::{DegradeState, HealthReport, ReadVerdict};
 use crate::gct::{GctOutcome, GroupCountTable};
-use crate::near_miss::NearMissMonitor;
 use crate::rcc::RowCountCache;
-use crate::rct::{RctBackend, RowCountTable};
+use crate::rct::RowCountTable;
 use crate::rit::RitActTable;
 use crate::stats::HydraStats;
 use crate::storage::HydraStorage;
@@ -24,27 +22,28 @@ use hydra_types::tracker::{ActivationKind, ActivationTracker, SideRequest, Track
 /// [`reset_window`](ActivationTracker::reset_window) every tracking window
 /// (64 ms). See the crate-level docs for the protocol and an example.
 ///
-/// The in-DRAM counter table is pluggable via the [`RctBackend`] type
-/// parameter (default: the real [`RowCountTable`]); fault-injection shims
-/// wrap the table through [`Hydra::with_rct`] without forking the tracking
-/// logic.
+/// Telemetry is pluggable: the [`EventSink`] type parameter `P` (default:
+/// [`NoopSink`]) receives a [`TelemetryEvent`] at every hot-path decision
+/// point. With the default sink the instrumentation compiles to nothing —
+/// the probe-identity proptest in `tests/probe_identity.rs` proves a probed
+/// tracker is bit-identical to a bare one. Attach a real sink with
+/// [`Hydra::with_probe`].
 ///
-/// Telemetry is pluggable the same way: the [`EventSink`] type parameter
-/// (default: [`NoopSink`]) receives a [`TelemetryEvent`] at every hot-path
-/// decision point. With the default sink the instrumentation compiles to
-/// nothing — the probe-identity proptest in `tests/probe_identity.rs`
-/// proves a probed tracker is bit-identical to a bare one. Attach a real
-/// sink with [`Hydra::with_probe`] or [`Hydra::with_rct_and_probe`].
+/// `R` is always [`RowCountTable`]: every impl is written on
+/// `Hydra<RowCountTable, P>`. It stays a parameter only so that code
+/// spelling the type as `Hydra<RowCountTable, P>` keeps compiling.
 #[derive(Debug, Clone)]
-pub struct Hydra<R: RctBackend = RowCountTable, P: EventSink = NoopSink> {
+pub struct Hydra<R = RowCountTable, P: EventSink = NoopSink> {
     config: HydraConfig,
     gct: GroupCountTable,
     rcc: RowCountCache,
     rct: R,
     rit: RitActTable,
-    degrade: DegradeState,
     stats: HydraStats,
-    near: NearMissMonitor,
+    /// First count of the near-miss band `[T_H - max(1, T_H/8), T_H)`.
+    band_start: u32,
+    /// Highest unmitigated per-row count seen in the current window.
+    window_watermark: u32,
     rows_per_group: u64,
     windows: u64,
     probe: P,
@@ -58,8 +57,7 @@ impl Hydra {
     /// Returns [`ConfigError`] if the indexer's domain does not match the
     /// channel's row count.
     pub fn new(config: HydraConfig) -> Result<Self, ConfigError> {
-        let rct = RowCountTable::new(config.geometry, config.channel);
-        Hydra::with_rct(config, rct)
+        Hydra::with_probe(config, NoopSink)
     }
 
     /// Convenience constructor for the paper's default design point.
@@ -76,41 +74,13 @@ impl Hydra {
 }
 
 impl<P: EventSink> Hydra<RowCountTable, P> {
-    /// Creates a Hydra instance over the real RCT with a telemetry probe
-    /// attached: every hot-path event is emitted into `probe`.
+    /// Creates a Hydra instance with a telemetry probe attached: every
+    /// hot-path event is emitted into `probe`.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] under the same conditions as [`Hydra::new`].
     pub fn with_probe(config: HydraConfig, probe: P) -> Result<Self, ConfigError> {
-        let rct = RowCountTable::new(config.geometry, config.channel);
-        Hydra::with_rct_and_probe(config, rct, probe)
-    }
-}
-
-impl<R: RctBackend> Hydra<R> {
-    /// Creates a Hydra instance over a caller-provided RCT backend (e.g. a
-    /// fault-injecting wrapper around [`RowCountTable`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the indexer's domain or the backend's
-    /// entry count does not match the channel's row count.
-    pub fn with_rct(config: HydraConfig, rct: R) -> Result<Self, ConfigError> {
-        Hydra::with_rct_and_probe(config, rct, NoopSink)
-    }
-}
-
-impl<R: RctBackend, P: EventSink> Hydra<R, P> {
-    /// Creates a Hydra instance over a caller-provided RCT backend *and*
-    /// telemetry probe — the general constructor behind [`Hydra::new`],
-    /// [`Hydra::with_rct`] and [`Hydra::with_probe`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if the indexer's domain or the backend's
-    /// entry count does not match the channel's row count.
-    pub fn with_rct_and_probe(config: HydraConfig, rct: R, probe: P) -> Result<Self, ConfigError> {
         let rows = config.rows_covered();
         if config.indexer.rows() != rows {
             return Err(ConfigError::new(format!(
@@ -118,28 +88,16 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
                 config.indexer.rows()
             )));
         }
-        if rct.entry_count() != rows {
-            return Err(ConfigError::new(format!(
-                "RCT backend covers {} rows but channel has {rows}",
-                rct.entry_count()
-            )));
-        }
+        let rct = RowCountTable::new(config.geometry, config.channel);
         let rit = RitActTable::new(rct.reserved_row_count() as usize, config.t_h);
-        let degrade = DegradeState::new(
-            config.degradation,
-            rct.entry_count(),
-            config.gct_entries,
-            config.t_g,
-            config.t_h,
-        );
         Ok(Hydra {
             gct: GroupCountTable::new(config.gct_entries, config.t_g),
             rcc: RowCountCache::new(config.rcc_entries, config.rcc_ways),
             rct,
             rit,
-            degrade,
             stats: HydraStats::default(),
-            near: NearMissMonitor::new(config.t_h),
+            band_start: config.t_h - (config.t_h / 8).max(1),
+            window_watermark: 0,
             rows_per_group: config.rows_per_group(),
             windows: 0,
             probe,
@@ -174,27 +132,6 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
         self.stats
     }
 
-    /// The near-miss monitor: watermark and histogram of how close rows
-    /// came to `T_H` without mitigating (the counters are mirrored into
-    /// [`HydraStats::near_misses`] / [`HydraStats::watermark_advances`]).
-    pub fn near_miss(&self) -> &NearMissMonitor {
-        &self.near
-    }
-
-    /// A point-in-time summary of the degradation layer (parity detections
-    /// and recoveries).
-    pub fn health(&self) -> HealthReport {
-        HealthReport {
-            policy: self.degrade.policy(),
-            parity_errors: self.stats.parity_errors,
-            reinits: self.stats.degraded_reinits,
-            escalated_refreshes: self.stats.degraded_refreshes,
-            probabilistic_mitigations: self.stats.degraded_probabilistic,
-            degraded_groups: self.degrade.degraded_groups(),
-            windows: self.windows,
-        }
-    }
-
     /// The storage model for this instance.
     pub fn storage(&self) -> HydraStorage {
         HydraStorage::for_instance(&self.config)
@@ -210,29 +147,14 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
         &self.rcc
     }
 
-    /// Direct access to the RCT backend (diagnostics/tests).
-    pub fn rct(&self) -> &R {
+    /// Direct access to the RCT (diagnostics/tests).
+    pub fn rct(&self) -> &RowCountTable {
         &self.rct
     }
 
     /// Direct access to the RIT-ACT table (diagnostics/tests).
     pub fn rit(&self) -> &RitActTable {
         &self.rit
-    }
-
-    /// Mutable GCT access — a fault-injection seam (stuck-at counters).
-    pub fn gct_mut(&mut self) -> &mut GroupCountTable {
-        &mut self.gct
-    }
-
-    /// Mutable RCC access — a fault-injection seam (fill corruption).
-    pub fn rcc_mut(&mut self) -> &mut RowCountCache {
-        &mut self.rcc
-    }
-
-    /// Mutable RCT-backend access — a fault-injection seam.
-    pub fn rct_mut(&mut self) -> &mut R {
-        &mut self.rct
     }
 
     /// True if `row` belongs to the reserved RCT region of this channel.
@@ -294,30 +216,7 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
                 response
                     .side_requests
                     .push(SideRequest::read(self.rct.dram_row_of_slot(slot)));
-                let stored = self.rct.read(slot);
-                let group = index(slot / self.rows_per_group);
-                match self.degrade.verify_read(slot, stored, group) {
-                    ReadVerdict::Clean(v) => v + 1,
-                    ReadVerdict::Recovered { value, mitigate } => {
-                        self.stats.parity_errors += 1;
-                        self.probe.emit(now, TelemetryEvent::ParityError { slot });
-                        if mitigate {
-                            // Escalation: refresh the victim now; tracking
-                            // restarts from the substituted value.
-                            self.stats.degraded_refreshes += 1;
-                            self.stats.mitigations += 1;
-                            response.mitigations.push(MitigationRequest::new(row));
-                            self.probe
-                                .emit(now, TelemetryEvent::DegradedRefresh { slot });
-                            self.probe.emit(now, TelemetryEvent::Mitigation { row });
-                        } else {
-                            self.stats.degraded_reinits += 1;
-                            self.probe
-                                .emit(now, TelemetryEvent::DegradedReinit { slot });
-                        }
-                        value + 1
-                    }
-                }
+                self.rct.read(slot) + 1
             }
         };
         self.probe
@@ -344,7 +243,6 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
                 if writeback {
                     // Valid entries are always dirty: write the victim back.
                     self.rct.write(evicted.slot, evicted.count);
-                    self.degrade.record_write(evicted.slot, evicted.count);
                     self.stats.side_writes += 1;
                     self.probe
                         .emit(now, TelemetryEvent::RctWrite { slot: evicted.slot });
@@ -358,7 +256,6 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
         } else {
             // No RCC: read-modify-write straight to DRAM.
             self.rct.write(slot, count);
-            self.degrade.record_write(slot, count);
             self.stats.side_writes += 1;
             self.probe.emit(now, TelemetryEvent::RctWrite { slot });
             response
@@ -367,14 +264,16 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
         }
     }
 
-    /// Feeds an unmitigated per-row count into the near-miss monitor and
-    /// mirrors its outcome into the [`HydraStats`] counters.
+    /// Counts an unmitigated per-row count (always below `T_H`) into
+    /// [`HydraStats::near_misses`] if it lies in the near-miss band, and
+    /// into [`HydraStats::watermark_advances`] if it raises the window's
+    /// highest count.
     fn observe_near_miss(&mut self, count: u32) {
-        let obs = self.near.observe(count);
-        if obs.near_miss {
+        if count >= self.band_start {
             self.stats.near_misses += 1;
         }
-        if obs.advanced {
+        if count > self.window_watermark {
+            self.window_watermark = count;
             self.stats.watermark_advances += 1;
         }
     }
@@ -398,8 +297,6 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
             },
         );
         let touched = self.rct.init_group(group_start, self.rows_per_group, t_g);
-        self.degrade
-            .record_group(group_start, self.rows_per_group, t_g);
         let lines = RowCountTable::lines_per_group(self.rows_per_group);
         self.stats.group_spills += 1;
         self.stats.rct_accesses += 1;
@@ -419,7 +316,7 @@ impl<R: RctBackend, P: EventSink> Hydra<R, P> {
     }
 }
 
-impl<R: RctBackend, P: EventSink> ActivationTracker for Hydra<R, P> {
+impl<P: EventSink> ActivationTracker for Hydra<RowCountTable, P> {
     fn on_activation(
         &mut self,
         row: RowAddr,
@@ -482,20 +379,6 @@ impl<R: RctBackend, P: EventSink> ActivationTracker for Hydra<R, P> {
             // Hydra-NoGCT ablation: every activation takes the per-row path.
             self.per_row_path(row, now, slot, None, &mut response);
         }
-
-        // Probabilistic-fallback degradation: activations routed to a group
-        // with detected (hence possibly undetected) corruption additionally
-        // draw a PARA-style mitigation until the window resets.
-        if self.degrade.fallback_mitigate(group) {
-            self.stats.degraded_probabilistic += 1;
-            self.probe.emit(
-                now,
-                TelemetryEvent::DegradedProbabilistic {
-                    group: group as u64,
-                },
-            );
-            response.mitigations.push(MitigationRequest::new(row));
-        }
         response
     }
 
@@ -503,7 +386,7 @@ impl<R: RctBackend, P: EventSink> ActivationTracker for Hydra<R, P> {
         self.gct.reset();
         self.rcc.reset();
         self.rit.reset();
-        self.near.reset_window();
+        self.window_watermark = 0;
         self.windows += 1;
         self.stats.window_resets += 1;
         self.probe.emit(
@@ -519,12 +402,10 @@ impl<R: RctBackend, P: EventSink> ActivationTracker for Hydra<R, P> {
         self.config
             .indexer
             .rotate_key(windows.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        self.degrade.on_window_reset();
         if !self.config.use_gct {
             // Without a GCT there is no spill to overwrite stale counts, so
             // model the window reset on the backing table directly.
             self.rct.reset();
-            self.degrade.reset_parity();
         }
     }
 
@@ -903,37 +784,70 @@ mod tests {
 
     #[test]
     fn near_miss_watermark_tracks_hot_row_headroom() {
-        // T_H = 16, band = [14, 16). Hammer one row to 15 and stop: the
-        // run ends one act short of a mitigation — the definition of a
-        // near miss.
+        // T_H = 16: the band is the top eighth, [14, 16).
         let mut h = small();
         let row = RowAddr::new(0, 0, 0, 5);
-        for _ in 0..15 {
+        let counters = |h: &Hydra| (h.stats().near_misses, h.stats().watermark_advances);
+        for _ in 0..13 {
+            act(&mut h, row);
+        }
+        // Per-row counts 12 (spill install) and 13 lie below the band;
+        // each raised the window watermark.
+        assert_eq!(counters(&h), (0, 2));
+        // A group mate read back from the RCT at 12 + 1 neither enters the
+        // band nor raises the watermark.
+        act(&mut h, RowAddr::new(0, 0, 0, 6));
+        assert_eq!(counters(&h), (0, 2));
+        // Counts 14 and 15 fall in the band: the row stops one act short
+        // of a mitigation.
+        act(&mut h, row);
+        act(&mut h, row);
+        assert_eq!(h.stats().mitigations, 0);
+        assert_eq!(counters(&h), (2, 4));
+        // A mitigation is not a near miss.
+        assert_eq!(act(&mut h, row).mitigations.len(), 1);
+        assert_eq!(counters(&h), (2, 4));
+        // The window reset restarts the watermark from zero: the next
+        // spill install (12) advances it again.
+        h.reset_window(0);
+        for _ in 0..12 {
+            act(&mut h, row);
+        }
+        assert_eq!(counters(&h), (2, 5));
+    }
+
+    #[test]
+    fn tiny_thresholds_get_a_one_count_band() {
+        // T_H = 4: T_H / 8 rounds to zero, so the band is the single count
+        // T_H - 1 = 3.
+        let geom = MemGeometry::tiny();
+        let config = HydraConfig::builder(geom, 0)
+            .thresholds(4, 2)
+            .gct_entries(64)
+            .rcc_entries(32)
+            .build()
+            .unwrap();
+        let mut h = Hydra::new(config).unwrap();
+        let row = RowAddr::new(0, 0, 0, 5);
+        // Counts 2 (spill install) and 3, then a mitigation at 4.
+        for _ in 0..4 {
             act(&mut h, row);
         }
         let s = h.stats();
-        assert_eq!(s.mitigations, 0);
-        let m = h.near_miss();
-        assert_eq!(m.max_watermark(), 15, "count stopped at T_H - 1");
-        assert_eq!(m.window_watermark(), 15);
-        // Counts 14 and 15 fall in the band.
-        assert_eq!(s.near_misses, 2);
-        assert_eq!(m.near_miss_total(), 2);
-        assert!(m.headroom() < 0.07);
-        // Per-row counts seen: 12 (spill install), 13, 14, 15 — each a
-        // fresh watermark.
-        assert_eq!(s.watermark_advances, 4);
-        // A mitigation is not a near miss: one more act crosses T_H and
-        // the histogram stays put.
-        let resp = act(&mut h, row);
-        assert_eq!(resp.mitigations.len(), 1);
-        assert_eq!(h.stats().near_misses, 2);
-        assert_eq!(h.near_miss().max_watermark(), 15);
-        // Window reset clears the window watermark but keeps the all-time
-        // one (and the monotonic counters).
-        h.reset_window(0);
-        assert_eq!(h.near_miss().window_watermark(), 0);
-        assert_eq!(h.near_miss().max_watermark(), 15);
+        assert_eq!(
+            (s.mitigations, s.near_misses, s.watermark_advances),
+            (1, 1, 2)
+        );
+        // After the mitigation the row counts 1, 2, 3 again: only 3 is in
+        // the band, and none beats the window's watermark of 3.
+        for _ in 0..3 {
+            act(&mut h, row);
+        }
+        let s = h.stats();
+        assert_eq!(
+            (s.mitigations, s.near_misses, s.watermark_advances),
+            (1, 2, 2)
+        );
     }
 
     #[test]
@@ -941,80 +855,6 @@ mod tests {
         let h = small();
         assert_eq!(h.name(), "hydra");
         assert!(h.sram_bytes() > 0);
-    }
-
-    fn small_with_policy(policy: crate::degrade::DegradationPolicy) -> Hydra {
-        let geom = MemGeometry::tiny();
-        let config = HydraConfig::builder(geom, 0)
-            .thresholds(16, 12)
-            .gct_entries(64)
-            .rcc_entries(32)
-            .rcc_ways(4)
-            .degradation(policy)
-            .build()
-            .unwrap();
-        Hydra::new(config).unwrap()
-    }
-
-    #[test]
-    fn parity_detects_corruption_and_reinit_restores_tg() {
-        use crate::degrade::DegradationPolicy;
-        let mut h = small_with_policy(DegradationPolicy::ConservativeReinit);
-        let a = RowAddr::new(0, 0, 0, 0);
-        let b = RowAddr::new(0, 0, 0, 1);
-        // Saturate group 0 via row b: the spill writes T_G = 12 everywhere
-        // (parity recorded).
-        for _ in 0..12 {
-            act(&mut h, b);
-        }
-        // Corrupt row a's RCT entry behind the parity guard's back:
-        // 12 (even parity) -> 2 (odd parity) is detected.
-        h.rct_mut().write(0, 2);
-        // With the corrupted value an attacker would gain 10 activations of
-        // headroom; re-init restores T_G so a mitigates after 4 acts.
-        let mut first = None;
-        for i in 1..=8 {
-            if !act(&mut h, a).mitigations.is_empty() {
-                first = Some(i);
-                break;
-            }
-        }
-        assert_eq!(first, Some(4));
-        let s = h.stats();
-        assert_eq!(s.parity_errors, 1);
-        assert_eq!(s.degraded_reinits, 1);
-        assert!(!h.health().is_healthy());
-    }
-
-    #[test]
-    fn immediate_refresh_policy_mitigates_on_detection() {
-        use crate::degrade::DegradationPolicy;
-        let mut h = small_with_policy(DegradationPolicy::ImmediateRefresh);
-        let a = RowAddr::new(0, 0, 0, 0);
-        let b = RowAddr::new(0, 0, 0, 1);
-        for _ in 0..12 {
-            act(&mut h, b);
-        }
-        h.rct_mut().write(0, 2);
-        let resp = act(&mut h, a);
-        assert_eq!(resp.mitigations.len(), 1, "escalates straight away");
-        assert_eq!(h.stats().degraded_refreshes, 1);
-    }
-
-    #[test]
-    fn active_policy_without_faults_matches_stock_behavior() {
-        use crate::degrade::DegradationPolicy;
-        let mut stock = small();
-        let mut guarded = small_with_policy(DegradationPolicy::ProbabilisticFallback { seed: 3 });
-        // A stream mixing spills, RCC hits, evictions and mitigations.
-        for i in 0..400u32 {
-            let row = RowAddr::new(0, 0, 0, (i * 7) % 40);
-            let r1 = stock.on_activation(row, u64::from(i), ActivationKind::Demand);
-            let r2 = guarded.on_activation(row, u64::from(i), ActivationKind::Demand);
-            assert_eq!(r1, r2, "act {i}");
-        }
-        assert_eq!(guarded.stats().parity_errors, 0);
-        assert!(guarded.health().is_healthy());
     }
 
     #[test]

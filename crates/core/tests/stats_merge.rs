@@ -34,12 +34,8 @@ fn stats_strategy() -> impl Strategy<Value = HydraStats> {
         side_reads: v[8],
         side_writes: v[9],
         window_resets: v[10],
-        parity_errors: v[11],
-        degraded_reinits: v[12],
-        degraded_refreshes: v[13],
-        degraded_probabilistic: v[14],
-        near_misses: v[15],
-        watermark_advances: v[16],
+        near_misses: v[11],
+        watermark_advances: v[12],
     })
 }
 

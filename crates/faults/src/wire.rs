@@ -1,28 +1,28 @@
 //! Wire-level fault injection: deterministic corruption of encoded
 //! frames *between* a client and the service daemon.
 //!
-//! The tracker-side wrappers in this crate corrupt counter state; the
-//! [`WireInjector`] corrupts the transport instead. It is deliberately
-//! ignorant of the frame format — frames are opaque byte strings — so
-//! the faults crate stays below `hydra-server` in the crate DAG, and the
-//! injector can mangle *any* length-prefixed protocol. The daemon's
-//! codec must survive whatever comes out: flipped payload bits (checksum
-//! rejection), truncated frames (resync), duplicated frames (sequence
-//! rejection) and delayed frames (watchdog exercise).
+//! The [`WireInjector`] is deliberately ignorant of the frame format —
+//! frames are opaque byte strings — so this crate stays below
+//! `hydra-server` in the crate DAG, and the injector can mangle *any*
+//! length-prefixed protocol. The daemon's codec must survive whatever
+//! comes out: flipped payload bits (checksum rejection), truncated frames
+//! (resync), duplicated frames (sequence rejection) and delayed frames
+//! (watchdog exercise).
 //!
-//! Determinism contract: same [`FaultPlan`] + same sequence of
+//! Determinism contract: same rate and seed + same sequence of
 //! [`deliver`](WireInjector::deliver) calls ⇒ bit-identical fault
-//! decisions, like every other stream in this crate. With all wire rates
-//! zero the injector is a proven pass-through that never draws from its
-//! RNG.
+//! decisions. At rate zero the injector is a pass-through that never
+//! draws from its RNG.
 
-use crate::plan::FaultPlan;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Domain-separation constant so the wire fault stream differs from the
-/// tracker- and RCT-level streams under the same plan seed.
+/// Domain-separation constant mixed into the seed, so the wire fault
+/// stream differs from any other stream drawn from the same seed.
 const WIRE_STREAM: u64 = 0x5749_5245_4c4e_4b00; // "WIRELNK\0"
+
+/// How long a delayed frame waits before delivery.
+const DELAY_MS: u64 = 5;
 
 /// One fault applied to one delivered frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,29 +87,30 @@ impl WireDelivery {
     }
 }
 
-/// Deterministic per-connection wire mangler driven by a [`FaultPlan`]'s
-/// `wire_*` rates.
+/// Deterministic per-connection wire mangler: each of the four faults
+/// hits an offered frame with the same probability.
 #[derive(Debug, Clone)]
 pub struct WireInjector {
     rng: SmallRng,
-    bit_flip: f64,
-    truncate: f64,
-    duplicate: f64,
-    delay: f64,
-    delay_ms: u64,
+    rate: f64,
     log: WireFaultLog,
 }
 
 impl WireInjector {
-    /// An injector drawing fault decisions from the plan's seed.
-    pub fn new(plan: &FaultPlan) -> Self {
+    /// An injector that flips, truncates, duplicates and delays each frame
+    /// with probability `rate` apiece, drawing its decisions from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` lies outside `[0, 1]`.
+    pub fn new(rate: f64, seed: u64) -> Self {
+        assert!(
+            (0.0..=1.0).contains(&rate),
+            "wire fault rate {rate} outside [0, 1]"
+        );
         WireInjector {
-            rng: SmallRng::seed_from_u64(plan.seed ^ WIRE_STREAM),
-            bit_flip: plan.wire_bit_flip,
-            truncate: plan.wire_truncate,
-            duplicate: plan.wire_duplicate,
-            delay: plan.wire_delay,
-            delay_ms: plan.wire_delay_ms,
+            rng: SmallRng::seed_from_u64(seed ^ WIRE_STREAM),
+            rate,
             log: WireFaultLog::default(),
         }
     }
@@ -121,32 +122,33 @@ impl WireInjector {
 
     /// Decides the fate of one outgoing frame. Decision order is fixed
     /// (flip, truncate, duplicate, delay) so the stream is reproducible;
-    /// zero-rate gates never draw from the RNG.
+    /// at rate zero no gate draws from the RNG.
     pub fn deliver(&mut self, frame: &[u8]) -> WireDelivery {
         let mut faults = Vec::new();
         let mut data = frame.to_vec();
-        if self.bit_flip > 0.0 && !data.is_empty() && self.rng.gen_bool(self.bit_flip) {
+        let rate = self.rate;
+        if rate > 0.0 && !data.is_empty() && self.rng.gen_bool(rate) {
             let byte = self.rng.gen_range(0..data.len());
             let bit = self.rng.gen_range(0..8u8);
             data[byte] ^= 1 << bit;
             self.log.bit_flips += 1;
             faults.push(WireFault::BitFlip { byte, bit });
         }
-        if self.truncate > 0.0 && !data.is_empty() && self.rng.gen_bool(self.truncate) {
+        if rate > 0.0 && !data.is_empty() && self.rng.gen_bool(rate) {
             let keep = self.rng.gen_range(0..data.len());
             data.truncate(keep);
             self.log.truncations += 1;
             faults.push(WireFault::Truncate { keep });
         }
         let mut frames = vec![data];
-        if self.duplicate > 0.0 && self.rng.gen_bool(self.duplicate) {
+        if rate > 0.0 && self.rng.gen_bool(rate) {
             frames.push(frames[0].clone());
             self.log.duplicates += 1;
             faults.push(WireFault::Duplicate);
         }
         let mut delay_ms = 0;
-        if self.delay > 0.0 && self.rng.gen_bool(self.delay) {
-            delay_ms = self.delay_ms;
+        if rate > 0.0 && self.rng.gen_bool(rate) {
+            delay_ms = DELAY_MS;
             self.log.delays += 1;
             faults.push(WireFault::Delay { ms: delay_ms });
         }
@@ -164,7 +166,7 @@ mod tests {
 
     #[test]
     fn zero_plan_is_a_pass_through() {
-        let mut injector = WireInjector::new(&FaultPlan::none().with_seed(3));
+        let mut injector = WireInjector::new(0.0, 3);
         for len in [0usize, 1, 7, 256] {
             let frame: Vec<u8> = (0..len as u8).collect();
             let delivery = injector.deliver(&frame);
@@ -177,10 +179,9 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_stream() {
-        let plan = FaultPlan::uniform_wire(0.5, 42);
         let frames: Vec<Vec<u8>> = (0..32u8).map(|i| vec![i; 16]).collect();
-        let mut a = WireInjector::new(&plan);
-        let mut b = WireInjector::new(&plan);
+        let mut a = WireInjector::new(0.5, 42);
+        let mut b = WireInjector::new(0.5, 42);
         for frame in &frames {
             assert_eq!(a.deliver(frame), b.deliver(frame));
         }
@@ -191,15 +192,15 @@ mod tests {
     #[test]
     fn different_seeds_diverge() {
         let frames: Vec<Vec<u8>> = (0..64u8).map(|i| vec![i; 16]).collect();
-        let mut a = WireInjector::new(&FaultPlan::uniform_wire(0.5, 1));
-        let mut b = WireInjector::new(&FaultPlan::uniform_wire(0.5, 2));
+        let mut a = WireInjector::new(0.5, 1);
+        let mut b = WireInjector::new(0.5, 2);
         let diverged = frames.iter().any(|f| a.deliver(f) != b.deliver(f));
         assert!(diverged);
     }
 
     #[test]
     fn log_counts_match_reported_faults() {
-        let mut injector = WireInjector::new(&FaultPlan::uniform_wire(0.25, 9));
+        let mut injector = WireInjector::new(0.25, 9);
         let mut expected = WireFaultLog::default();
         for i in 0..128u8 {
             for fault in injector.deliver(&[i; 24]).faults {
@@ -219,7 +220,7 @@ mod tests {
     fn empty_frames_survive_every_rate() {
         // Flip and truncate need at least one byte; an empty frame must
         // not panic or underflow the range.
-        let mut injector = WireInjector::new(&FaultPlan::uniform_wire(1.0, 5));
+        let mut injector = WireInjector::new(1.0, 5);
         let delivery = injector.deliver(&[]);
         assert!(delivery.frames.iter().all(|f| f.is_empty()));
     }

@@ -89,10 +89,6 @@ pub fn parse_event_line(line: &str) -> Option<(u64, TelemetryEvent)> {
         "window_reset" => TelemetryEvent::WindowReset {
             window: v.get("window").and_then(JsonValue::as_u64)?,
         },
-        "parity_error" => TelemetryEvent::ParityError { slot: slot()? },
-        "degraded_reinit" => TelemetryEvent::DegradedReinit { slot: slot()? },
-        "degraded_refresh" => TelemetryEvent::DegradedRefresh { slot: slot()? },
-        "degraded_probabilistic" => TelemetryEvent::DegradedProbabilistic { group: group()? },
         "rct_access" => TelemetryEvent::RctAccess {
             row: row()?,
             count: u32::try_from(v.get("count").and_then(JsonValue::as_u64)?).ok()?,
@@ -164,10 +160,6 @@ mod tests {
             TelemetryEvent::RitMitigation { row },
             TelemetryEvent::ReservedActivation { row },
             TelemetryEvent::WindowReset { window: 3 },
-            TelemetryEvent::ParityError { slot: 1 },
-            TelemetryEvent::DegradedReinit { slot: 2 },
-            TelemetryEvent::DegradedRefresh { slot: 3 },
-            TelemetryEvent::DegradedProbabilistic { group: 11 },
             TelemetryEvent::RctAccess { row, count: 123 },
         ];
         assert_eq!(events.len(), EventKind::COUNT, "update when adding kinds");

@@ -1,8 +1,8 @@
 //! Client side of the serve protocol: a well-behaved [`Client`] with
 //! exponential backoff on `Busy`, plus [`run_load`] — an adversarial
 //! load generator that saturates a daemon with a mix of honest tenants,
-//! a slow-reading subscriber, a frame corruptor driven by the wire-level
-//! [`FaultPlan`] extension, a reconnect storm that tears connections
+//! a slow-reading subscriber, a frame corruptor driven by a
+//! [`WireInjector`], a reconnect storm that tears connections
 //! mid-frame, and (optionally) a tenant that asks its own shard to
 //! panic.
 //!
@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hydra_faults::{FaultPlan, WireInjector};
+use hydra_faults::WireInjector;
 use hydra_forensics::attribution::pack_row;
 use hydra_types::{Deadline, RowAddr};
 
@@ -474,11 +474,10 @@ fn honest_tenant(config: &LoadConfig, index: usize) -> Result<TenantLoadResult, 
 }
 
 fn corruptor(config: &LoadConfig) -> Result<(u64, u64), String> {
-    let plan = FaultPlan::uniform_wire(config.fault_rate, config.seed);
     let mut client = Client::connect(&config.socket_path).map_err(|e| format!("connect: {e}"))?;
     // Register cleanly so the tenant exists, then arm the injector.
     client.hello("corruptor")?;
-    let mut client = client.with_injector(WireInjector::new(&plan));
+    let mut client = client.with_injector(WireInjector::new(config.fault_rate, config.seed));
     // Short patience: a truncated frame gets no reply until the next
     // send resynchronizes the daemon's decoder, so waiting the full
     // well-behaved timeout would stall the whole mix.

@@ -1,9 +1,9 @@
 //! Resilient batch execution: run many simulation jobs to completion even
 //! when individual runs panic, hang, or fail transiently.
 //!
-//! Parameter sweeps (and the fault-injection campaigns in
-//! `hydra-analysis`) run hundreds of independent configurations; one bad
-//! run must not take the whole campaign down. [`BatchRunner`] executes each
+//! Design-space sweeps, arena races and the figure plan run hundreds of
+//! independent configurations; one bad run must not take the whole batch
+//! down. [`BatchRunner`] executes each
 //! [`BatchJob`] once, on its own thread behind `catch_unwind`, and guards
 //! it with a wall-clock watchdog. Jobs are deterministic, so a failure is
 //! never retried: a second run would fail the same way.

@@ -112,8 +112,7 @@ pub struct MemController {
     write_low: usize,
     mitigation: MitigationPolicy,
     /// Rows barred from activation until a given cycle (rate-limit
-    /// mitigation: blacklisted until the end of the tracking window,
-    /// matching D-CBF semantics — Sec. 7.1).
+    /// mitigation: blacklisted until the end of the tracking window).
     blacklist: RowMap<RowAddr, MemCycle>,
     /// Logical→physical row remapping (row-swap mitigation only).
     indirection: Option<RowIndirection>,

@@ -16,7 +16,7 @@
 //! window.
 
 use crate::fastsim::{ActivationSim, ActivationSimReport};
-use hydra_core::{Hydra, HydraStats, RctBackend};
+use hydra_core::{Hydra, HydraStats, RowCountTable};
 use hydra_telemetry::EventSink;
 use hydra_types::clock::MemCycle;
 use hydra_types::tracker::ActivationTracker;
@@ -25,14 +25,14 @@ use std::fmt::Write as _;
 
 /// A tracker that can report cumulative [`HydraStats`].
 ///
-/// Implemented for [`Hydra`] with any RCT backend and probe; wrappers
-/// (sanitizers, fault injectors) can forward to their inner tracker.
+/// Implemented for [`Hydra`] with any probe; wrappers (sanitizers) can
+/// forward to their inner tracker.
 pub trait StatsSource {
     /// The cumulative counters so far.
     fn cumulative_stats(&self) -> HydraStats;
 }
 
-impl<R: RctBackend, P: EventSink> StatsSource for Hydra<R, P> {
+impl<P: EventSink> StatsSource for Hydra<RowCountTable, P> {
     fn cumulative_stats(&self) -> HydraStats {
         self.stats()
     }

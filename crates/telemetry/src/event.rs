@@ -69,26 +69,6 @@ pub enum TelemetryEvent {
         /// Number of completed windows after this reset (1-based).
         window: u64,
     },
-    /// An RCT read failed its per-entry parity check.
-    ParityError {
-        /// RCT slot whose stored value failed parity.
-        slot: u64,
-    },
-    /// A parity failure was recovered by re-initializing the entry to `T_G`.
-    DegradedReinit {
-        /// RCT slot re-initialized.
-        slot: u64,
-    },
-    /// A parity failure was escalated to an immediate victim refresh.
-    DegradedRefresh {
-        /// RCT slot whose corruption triggered the refresh.
-        slot: u64,
-    },
-    /// A PARA-style extra mitigation was drawn for a degraded group.
-    DegradedProbabilistic {
-        /// Row-group index under probabilistic fallback.
-        group: u64,
-    },
     /// A per-row tracking-path count observation: the row's counter was
     /// consulted and updated (RCC hit, RCT read, or spill install), and its
     /// post-increment value is reported.
@@ -136,21 +116,13 @@ pub enum EventKind {
     ReservedActivation,
     /// See [`TelemetryEvent::WindowReset`].
     WindowReset,
-    /// See [`TelemetryEvent::ParityError`].
-    ParityError,
-    /// See [`TelemetryEvent::DegradedReinit`].
-    DegradedReinit,
-    /// See [`TelemetryEvent::DegradedRefresh`].
-    DegradedRefresh,
-    /// See [`TelemetryEvent::DegradedProbabilistic`].
-    DegradedProbabilistic,
     /// See [`TelemetryEvent::RctAccess`].
     RctAccess,
 }
 
 impl EventKind {
     /// Every kind, in declaration order. `ALL[k.index()] == k`.
-    pub const ALL: [EventKind; 16] = [
+    pub const ALL: [EventKind; 12] = [
         EventKind::GctOnly,
         EventKind::GroupSpill,
         EventKind::RccHit,
@@ -162,36 +134,15 @@ impl EventKind {
         EventKind::RitMitigation,
         EventKind::ReservedActivation,
         EventKind::WindowReset,
-        EventKind::ParityError,
-        EventKind::DegradedReinit,
-        EventKind::DegradedRefresh,
-        EventKind::DegradedProbabilistic,
         EventKind::RctAccess,
     ];
 
     /// Number of distinct kinds.
     pub const COUNT: usize = Self::ALL.len();
 
-    /// This kind's position in [`EventKind::ALL`].
+    /// This kind's position in [`EventKind::ALL`]: its declaration order.
     pub fn index(self) -> usize {
-        match self {
-            EventKind::GctOnly => 0,
-            EventKind::GroupSpill => 1,
-            EventKind::RccHit => 2,
-            EventKind::RccMiss => 3,
-            EventKind::RccEvict => 4,
-            EventKind::RctRead => 5,
-            EventKind::RctWrite => 6,
-            EventKind::Mitigation => 7,
-            EventKind::RitMitigation => 8,
-            EventKind::ReservedActivation => 9,
-            EventKind::WindowReset => 10,
-            EventKind::ParityError => 11,
-            EventKind::DegradedReinit => 12,
-            EventKind::DegradedRefresh => 13,
-            EventKind::DegradedProbabilistic => 14,
-            EventKind::RctAccess => 15,
-        }
+        self as usize
     }
 
     /// Stable snake_case name used in exports.
@@ -208,10 +159,6 @@ impl EventKind {
             EventKind::RitMitigation => "rit_mitigation",
             EventKind::ReservedActivation => "reserved_activation",
             EventKind::WindowReset => "window_reset",
-            EventKind::ParityError => "parity_error",
-            EventKind::DegradedReinit => "degraded_reinit",
-            EventKind::DegradedRefresh => "degraded_refresh",
-            EventKind::DegradedProbabilistic => "degraded_probabilistic",
             EventKind::RctAccess => "rct_access",
         }
     }
@@ -240,10 +187,6 @@ impl TelemetryEvent {
             TelemetryEvent::RitMitigation { .. } => EventKind::RitMitigation,
             TelemetryEvent::ReservedActivation { .. } => EventKind::ReservedActivation,
             TelemetryEvent::WindowReset { .. } => EventKind::WindowReset,
-            TelemetryEvent::ParityError { .. } => EventKind::ParityError,
-            TelemetryEvent::DegradedReinit { .. } => EventKind::DegradedReinit,
-            TelemetryEvent::DegradedRefresh { .. } => EventKind::DegradedRefresh,
-            TelemetryEvent::DegradedProbabilistic { .. } => EventKind::DegradedProbabilistic,
             TelemetryEvent::RctAccess { .. } => EventKind::RctAccess,
         }
     }
@@ -259,18 +202,13 @@ impl TelemetryEvent {
         // allocation-only without an unwrap.
         let _ = write!(out, "{{\"t\":{now},\"ev\":\"{}\"", self.kind().name());
         match *self {
-            TelemetryEvent::GctOnly { group }
-            | TelemetryEvent::GroupSpill { group }
-            | TelemetryEvent::DegradedProbabilistic { group } => {
+            TelemetryEvent::GctOnly { group } | TelemetryEvent::GroupSpill { group } => {
                 let _ = write!(out, ",\"group\":{group}");
             }
             TelemetryEvent::RccHit { slot }
             | TelemetryEvent::RccMiss { slot }
             | TelemetryEvent::RctRead { slot }
-            | TelemetryEvent::RctWrite { slot }
-            | TelemetryEvent::ParityError { slot }
-            | TelemetryEvent::DegradedReinit { slot }
-            | TelemetryEvent::DegradedRefresh { slot } => {
+            | TelemetryEvent::RctWrite { slot } => {
                 let _ = write!(out, ",\"slot\":{slot}");
             }
             TelemetryEvent::RccEvict { slot, writeback } => {
@@ -377,10 +315,6 @@ mod tests {
             (
                 TelemetryEvent::WindowReset { window: 1 },
                 EventKind::WindowReset,
-            ),
-            (
-                TelemetryEvent::ParityError { slot: 2 },
-                EventKind::ParityError,
             ),
         ];
         for (ev, kind) in cases {

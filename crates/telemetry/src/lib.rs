@@ -3,14 +3,14 @@
 //! The paper's headline results are *rates over time*: Fig. 6's
 //! GCT-only / RCC-hit / RCT-access breakdown, mitigations per 64 ms
 //! tracking window, and the tail-latency inflation caused by tracker side
-//! traffic. Cumulative end-of-run counters cannot show a spill burst, a
-//! degradation episode, or the shape of an attack — this crate adds the
-//! missing observability layer in two pieces:
+//! traffic. Cumulative end-of-run counters cannot show a spill burst or
+//! the shape of an attack — this crate adds the missing observability
+//! layer in two pieces:
 //!
 //! 1. **Events** ([`TelemetryEvent`], [`EventKind`]) — a closed taxonomy of
 //!    tracker happenings: GCT outcomes, RCC hits/evictions, RCT
 //!    reads/writes, group spills, mitigations, RIT-ACT activity, window
-//!    resets, parity/degradation events, and per-row counter accesses.
+//!    resets, and per-row counter accesses.
 //! 2. **Sinks** ([`EventSink`]) — where events go. The default
 //!    [`NoopSink`] compiles to nothing, so instrumented hot paths cost
 //!    zero when tracing is off (proven bit-identical by proptest in

@@ -4,8 +4,9 @@
 //! the memory controller decides *what* the mitigation physically does. The
 //! paper uses victim refresh with blast radius 2 (refresh two rows on each
 //! side of the aggressor, Sec. 4.7) and argues delay-based rate limiting is
-//! unviable at ultra-low thresholds (footnotes 5 and 6); we implement both so
-//! the D-CBF comparison point is honest.
+//! unviable at ultra-low thresholds (footnotes 5 and 6); both are
+//! implemented so the footnote-6 experiment (`delay_mitigation`) can
+//! measure that argument.
 
 use crate::addr::RowAddr;
 use std::fmt;
@@ -72,9 +73,8 @@ pub enum MitigationPolicy {
     /// Sec. 5.2.1).
     VictimRefresh(BlastRadius),
     /// Rate-limit (delay) further activations of the aggressor row until the
-    /// end of the tracking window. Only compatible with filters like D-CBF
-    /// that cannot reset per-row state; shown by the paper to be unviable at
-    /// ultra-low thresholds.
+    /// end of the tracking window: the footnote-6 alternative to victim
+    /// refresh, which the paper argues is unviable at ultra-low thresholds.
     RateLimit,
     /// Randomized row swap (RRS): migrate the aggressor to a random row of
     /// the same bank, breaking the spatial correlation between aggressor and

@@ -7,8 +7,6 @@
 //! hydra record mcf N out.trace [S]      # record a trace file
 //! hydra hammer ROW [ACTS]               # hammer one row, print mitigations
 //! hydra list                            # list the 36 workloads
-//! hydra batch [flags]                   # resilient fault-campaign batch run
-//! hydra replay FILE                     # reproduce a failed run from its artifact
 //! hydra bench [--out F] [--jobs N]      # paper design point × workloads → BENCH_hydra.jsonl
 //! hydra profile [flags]                 # differential cost of the tracker, GCT and RCC
 //! hydra trace PATTERN [ACTS] [flags]    # JSONL telemetry event stream to stdout
@@ -21,18 +19,15 @@
 //! hydra replay-session FILE             # byte-identical session replay check
 //! ```
 
-use hydra_repro::analysis::faults::{run_case, FaultCaseReport, FaultCaseSpec};
 use hydra_repro::arena::{run_arena, run_sweep, workload_rows, ArenaGrid, SweepGrid};
 use hydra_repro::baselines::storage::{Scheme, DDR4_BANKS_PER_RANK};
-use hydra_repro::core::degrade::DegradationPolicy;
 use hydra_repro::core::{Hydra, HydraConfig, HydraStorage};
 use hydra_repro::dram::DramTiming;
-use hydra_repro::faults::FaultPlan;
 use hydra_repro::forensics::{incidents_to_jsonl, parse_trace_meta, replay_trace, ForensicsProbe};
 use hydra_repro::profiler::{measure, Variant};
 use hydra_repro::server::stats::names as metric_names;
 use hydra_repro::server::{replay_check, run_load, Client, LoadConfig, ServeConfig, StatsReading};
-use hydra_repro::sim::batch::{BatchConfig, BatchJob, BatchRunner, JobStatus};
+use hydra_repro::sim::batch::BatchConfig;
 use hydra_repro::sim::{ActivationSim, ActivationSimReport, ShadowOracle};
 use hydra_repro::telemetry::{EventKind, JsonlSink, KindFilterSink, TeeSink};
 use hydra_repro::types::json::quote;
@@ -52,8 +47,6 @@ fn main() -> ExitCode {
         Some("audit") => cmd_audit(&args[1..]),
         Some("record") => cmd_record(&args[1..]),
         Some("hammer") => cmd_hammer(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
         Some("bench") => cmd_bench(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
@@ -65,7 +58,7 @@ fn main() -> ExitCode {
         Some("replay-session") => cmd_replay_session(&args[1..]),
         _ => {
             eprintln!(
-                "usage: hydra <storage|list|characterize|audit|record|hammer|batch|replay|bench|profile|trace|forensics|sweep|serve|load|top|replay-session> [args]"
+                "usage: hydra <storage|list|characterize|audit|record|hammer|bench|profile|trace|forensics|sweep|serve|load|top|replay-session> [args]"
             );
             eprintln!("  storage                      print the paper's storage tables");
             eprintln!("  list                         list the 36 registered workloads");
@@ -76,10 +69,6 @@ fn main() -> ExitCode {
             );
             eprintln!("  record <workload> <n> <file> [S]  record a trace file");
             eprintln!("  hammer <row> [acts]          hammer one row through Hydra");
-            eprintln!("  batch [--out DIR] [--t-rh N] [--acts N] [--seed S]");
-            eprintln!("        [--watchdog-ms MS] [--force-failure]");
-            eprintln!("                               fault campaign under the batch harness");
-            eprintln!("  replay <file>                reproduce a run from its replay artifact");
             eprintln!("  bench [--out FILE] [--jobs N]");
             eprintln!(
                 "                               paper design-point matrix → BENCH_hydra.jsonl"
@@ -322,125 +311,6 @@ fn cmd_hammer(args: &[String]) -> Result<(), String> {
     println!();
     print!("{}", hydra.stats());
     Ok(())
-}
-
-/// One fault-campaign run as a batch job: a run is "failed" when the
-/// shadow oracle records any violation.
-struct FaultCaseJob(FaultCaseSpec);
-
-impl BatchJob for FaultCaseJob {
-    type Output = FaultCaseReport;
-
-    fn label(&self) -> String {
-        self.0.label.clone()
-    }
-
-    fn run(&self) -> Result<FaultCaseReport, String> {
-        let report = run_case(&self.0).map_err(|e| e.to_string())?;
-        if report.is_clean() {
-            Ok(report)
-        } else {
-            Err(format!(
-                "{} oracle violation(s), worst unmitigated {}",
-                report.oracle.violations_total, report.oracle.worst_unmitigated
-            ))
-        }
-    }
-}
-
-fn cmd_batch(args: &[String]) -> Result<(), String> {
-    let mut out: PathBuf = PathBuf::from("replay-artifacts");
-    let mut t_rh: u32 = 200;
-    let mut acts: u64 = 30_000;
-    let mut seed: u64 = 0xace5;
-    let mut watchdog_ms: u64 = 60_000;
-    let mut force_failure = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        let mut value = |name: &str| -> Result<String, String> {
-            i += 1;
-            args.get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag {
-            "--out" => out = PathBuf::from(value("--out")?),
-            "--t-rh" => t_rh = value("--t-rh")?.parse().map_err(|_| "bad --t-rh")?,
-            "--acts" => acts = value("--acts")?.parse().map_err(|_| "bad --acts")?,
-            "--seed" => seed = value("--seed")?.parse().map_err(|_| "bad --seed")?,
-            "--watchdog-ms" => {
-                watchdog_ms = value("--watchdog-ms")?
-                    .parse()
-                    .map_err(|_| "bad --watchdog-ms")?;
-            }
-            "--force-failure" => force_failure = true,
-            other => return Err(format!("unknown batch flag {other}")),
-        }
-        i += 1;
-    }
-
-    // The campaign: survivable fault rates across the degradation
-    // policies. Every job here is expected to pass.
-    let mut specs = Vec::new();
-    for (j, &rate) in [0.0f64, 1e-3].iter().enumerate() {
-        for policy in [DegradationPolicy::Off, DegradationPolicy::ImmediateRefresh] {
-            let mut spec = FaultCaseSpec::new("tiny", t_rh, acts, policy);
-            spec.label = format!("tiny/rate{rate}/{policy}");
-            spec.stream_seed = seed;
-            spec.plan = FaultPlan::uniform(rate, seed ^ (j as u64 + 1));
-            specs.push(spec);
-        }
-    }
-    if force_failure {
-        // Drop every mitigation with degradation off: the oracle must
-        // catch the violation and the failed case must write its artifact.
-        let mut spec = FaultCaseSpec::new("tiny", t_rh, acts, DegradationPolicy::Off);
-        spec.label = format!("tiny/forced-failure/t_rh{t_rh}");
-        spec.stream_seed = seed;
-        spec.plan = FaultPlan::none().with_seed(seed).with_drop_mitigation(1.0);
-        specs.push(spec);
-    }
-
-    let runner = BatchRunner::new(BatchConfig {
-        watchdog: Duration::from_millis(watchdog_ms),
-        jobs: 1,
-    });
-    let expected_failures = usize::from(force_failure);
-    let total = specs.len();
-    println!("batch: {total} job(s), artifacts to {}", out.display());
-    let report = runner.run(specs.iter().cloned().map(FaultCaseJob).collect());
-
-    for (spec, job) in specs.iter().zip(&report.jobs) {
-        let (disposition, detail) = match &job.status {
-            JobStatus::Succeeded => ("ok", String::new()),
-            JobStatus::Failed { error } => ("FAILED", error.clone()),
-            JobStatus::TimedOut => ("TIMEOUT", String::new()),
-        };
-        let line = format!("  {:<40} {:<8} {}", job.label, disposition, detail);
-        println!("{}", line.trim_end());
-        if job.status.is_success() {
-            continue;
-        }
-        match spec.write_artifact(&out) {
-            Ok(path) => println!("  {:<40} replay → {}", "", path.display()),
-            Err(error) => println!("  {:<40} artifact write failed: {error}", ""),
-        }
-    }
-    println!(
-        "batch: {} succeeded, {} failed",
-        report.succeeded(),
-        report.failed()
-    );
-    if report.failed() == expected_failures {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} job(s) failed, expected {expected_failures}",
-            report.failed()
-        ))
-    }
 }
 
 /// Config for the default `profile` stream: a deliberately under-sized
@@ -1213,35 +1083,6 @@ fn cmd_replay_session(args: &[String]) -> Result<(), String> {
     replay_check(&text).map_err(|e| format!("{path}: {e}"))?;
     println!("replay-session: {path}: byte-identical");
     Ok(())
-}
-
-fn cmd_replay(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("replay needs an artifact file")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let spec = FaultCaseSpec::parse_artifact(&text)?;
-    println!("replaying {} from {path}", spec.label);
-    println!(
-        "  geometry={} t_rh={} acts={} window_acts={} stream_seed={} policy={}",
-        spec.geometry, spec.t_rh, spec.acts, spec.window_acts, spec.stream_seed, spec.policy
-    );
-    let report = run_case(&spec).map_err(|e| e.to_string())?;
-    println!("  activations       : {}", report.oracle.activations);
-    println!("  mitigations       : {}", report.oracle.mitigations);
-    println!("  injected faults   : {}", report.injected_faults());
-    println!(
-        "  dropped/delayed   : {}/{}",
-        report.fault_log.dropped_mitigations, report.fault_log.delayed_mitigations
-    );
-    println!("  health            : {}", report.health);
-    println!("  worst unmitigated : {}", report.oracle.worst_unmitigated);
-    println!("  violations        : {}", report.oracle.violations_total);
-    if report.is_clean() {
-        println!("  verdict           : CLEAN");
-        Ok(())
-    } else {
-        println!("  verdict           : VIOLATION REPRODUCED");
-        Err("replayed run violates the tracking guarantee (as recorded)".into())
-    }
 }
 
 /// Parses a comma-separated list with a custom element parser.

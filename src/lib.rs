@@ -4,22 +4,26 @@
 //! tests can `use hydra_repro::...`. See the individual crates for details:
 //!
 //! * [`types`] — shared addressing/geometry/tracker vocabulary
-//! * [`analysis`] — static config auditor, shadow-oracle sanitizer, repo lint
+//! * [`analysis`] — static config auditor, shadow-oracle sanitizer fixtures,
+//!   pool-protocol schedule explorer
 //! * [`arena`] — cross-tracker arena: CoMeT/ABACuS/MINT/START, Hydra and
 //!   the existing baselines behind the one `ActivationTracker` contract,
 //!   raced on a Pareto leaderboard (`hydra sweep --arena`); the same
 //!   experiment core runs Hydra's design-space sweeps (`hydra sweep`)
 //! * [`core`] — the Hydra hybrid tracker (the paper's contribution)
-//! * [`baselines`] — Graphene, CRA, PARA, OCPR, D-CBF, storage models
+//! * [`baselines`] — Graphene, CRA, PARA, OCPR, vendor TRR, and the storage
+//!   models of Tables 1 and 5 (TWiCE, CAT and D-CBF by storage only)
 //! * [`dram`] — DDR4 device timing, refresh and power models
 //! * [`engine`] — worker pool, sharded multi-channel simulation
-//! * [`faults`] — deterministic fault injection around the tracker
+//! * [`faults`] — deterministic wire-level fault injection for the daemon's
+//!   load client
 //! * [`forensics`] — attack attribution, window classification, incident reports
 //! * [`profiler`] — differential host-time attribution: interleaved variant replays
 //! * [`server`] — Hydra-as-a-service: multi-tenant activation daemon over
 //!   Unix sockets, adversarial load client, session record/replay
 //! * [`sim`] — memory controller, LLC, core model, system simulator, batch harness
-//! * [`telemetry`] — event tracing seam, metric time-series, JSONL/CSV export
+//! * [`telemetry`] — event tracing seam: the event taxonomy and its sinks,
+//!   JSONL trace export
 //! * [`workloads`] — synthetic workload and attack-pattern generators
 
 #![forbid(unsafe_code)]
